@@ -28,7 +28,6 @@ from .hquant.pipeline import gamma_v_cocycle_defects
 from .hquant.solvers import (GaugeLog, algebra_compat_defect, coassoc_defect,
                              classical_limit_defect, cocycle_defect, counit_defect,
                              twist_counit_defect)
-from .hquant.unknowns import set_key_order_seed
 from .lie import (LieBialgebra, cocycle_defect as bialg_cocycle_defect, cojacobi_defect,
                   coboundary_cobracket, cybe_defect, invariance_defect, jacobi_defect)
 from .schema import (ParsedInput, parse_document, series_from_json,
@@ -308,6 +307,20 @@ def _verify_assembly(assembly: GammaQuantization, parsed: ParsedInput, report: d
     return failed
 
 
+def _order(args, parsed: ParsedInput) -> int:
+    """Truncation order: the flag, else the ``order`` option (default 2)."""
+    if args.order is not None:
+        return args.order
+    value = parsed.options.get("order", 2)
+    try:
+        order = int(value)
+    except (TypeError, ValueError):
+        raise SchemaError(f"order must be an integer, not {value!r}", "/options/order") from None
+    if order < 0:
+        raise SchemaError(f"order must be non-negative, not {order}", "/options/order")
+    return order
+
+
 def cmd_quantize(args) -> int:
     raw, doc = _load_input(args.input)
     report = _base_report(raw, args)
@@ -317,16 +330,18 @@ def cmd_quantize(args) -> int:
         _emit(report, args)
         return EXIT_DEFECT
     gamma = parsed.gamma or _trivial_gamma(parsed.bialgebra)
-    order = args.order if args.order is not None else int(parsed.options.get("order", 2))
+    order = _order(args, parsed)
     cap = args.degree_cap if args.degree_cap is not None else parsed.options.get("degree_cap")
-    if args.seed_order is None and parsed.options.get("seed_order") is not None:
-        set_key_order_seed(int(parsed.options["seed_order"]))
-        report["seed_order"] = int(parsed.options["seed_order"])
+    seed_order = args.seed_order
+    if seed_order is None and parsed.options.get("seed_order") is not None:
+        seed_order = int(parsed.options["seed_order"])
+        report["seed_order"] = seed_order
     d_in = args.d_in
     log = GaugeLog()
     t0 = time.time()
     try:
-        assembly = assemble_gamma_quantization(gamma, order, log=log, cap=cap)
+        assembly = assemble_gamma_quantization(gamma, order, log=log, cap=cap,
+                                               seed_order=seed_order)
     except SolverInconsistencyError as exc:
         report["exit"] = EXIT_SOLVER
         report["solver_error"] = str(exc)
@@ -371,22 +386,23 @@ def cmd_compare(args) -> int:
         report["exit"] = EXIT_DEFECT
         _emit(report, args)
         return EXIT_DEFECT
-    order = args.order if args.order is not None else int(parsed.options.get("order", 2))
+    order = _order(args, parsed)
     cap = args.degree_cap if args.degree_cap is not None else parsed.options.get("degree_cap")
     env = Envelope(parsed.bialgebra.lie)
     log = GaugeLog()
     try:
         generic = assemble_gamma_quantization(parsed.gamma, order, env=env, log=log,
-                                              cap=cap)
+                                              cap=cap, seed_order=args.seed_order)
         direct = quasitriangular_gamma_quantize(parsed.quasitriangular,
                                                 parsed.gamma.action, order, env=env,
-                                                log=log, cap=cap)
+                                                log=log, cap=cap, seed_order=args.seed_order)
     except SolverInconsistencyError as exc:
         report["exit"] = EXIT_SOLVER
         report["solver_error"] = str(exc)
         _emit(report, args)
         return EXIT_SOLVER
-    witness = compare_pipelines(generic, direct, window=args.d_in, log=log)
+    witness = compare_pipelines(generic, direct, window=args.d_in, log=log,
+                                seed_order=args.seed_order)
     report["gauge_log"] = log.as_dict()
     if isinstance(witness, ComparisonWitness):
         _add_check(report, "pipeline-equivalence", True)
@@ -440,6 +456,16 @@ def cmd_catalog(args) -> int:
     return EXIT_OK
 
 
+def _non_negative(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="liequant",
@@ -461,9 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("quantize", help="solve and assemble the graded quantization")
     p.add_argument("input")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=None, dest="degree_cap")
-    p.add_argument("--d-in", type=int, default=2, dest="d_in",
+    p.add_argument("--order", type=_non_negative, default=None)
+    p.add_argument("--degree-cap", type=_non_negative, default=None, dest="degree_cap")
+    p.add_argument("--d-in", type=_non_negative, default=2, dest="d_in",
                    help="degree window for the axiom verification")
     p.add_argument("--out", default=None, help="artifact output path")
     common(p)
@@ -471,9 +497,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="compare generic and direct quantizations")
     p.add_argument("input")
-    p.add_argument("--order", type=int, default=None)
-    p.add_argument("--degree-cap", type=int, default=None, dest="degree_cap")
-    p.add_argument("--d-in", type=int, default=2, dest="d_in")
+    p.add_argument("--order", type=_non_negative, default=None)
+    p.add_argument("--degree-cap", type=_non_negative, default=None, dest="degree_cap")
+    p.add_argument("--d-in", type=_non_negative, default=2, dest="d_in")
     common(p)
     p.set_defaults(func=cmd_compare)
 
@@ -490,8 +516,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "seed_order", None) is not None:
-        set_key_order_seed(args.seed_order)
     try:
         return args.func(args)
     except SchemaError as exc:
@@ -511,8 +535,6 @@ def main(argv=None) -> int:
         print(json.dumps({"error": "other", "message": str(exc)}, sort_keys=True,
                          indent=2), file=sys.stderr)
         return EXIT_DEFECT
-    finally:
-        set_key_order_seed(None)
 
 
 if __name__ == "__main__":

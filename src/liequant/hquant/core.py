@@ -1,9 +1,9 @@
 """Series-valued elements, algebra-map series and coproduct series over U(a).
 
-Everything here is generic over the coefficient scalars: during a solve the
-top-order coefficients are affine expressions in unknowns, afterwards they
-are plain rationals.  Series arithmetic is always truncated at the series
-order, which keeps products of two unknown-bearing coefficients impossible.
+Coefficients are exact rationals.  Series arithmetic is always truncated at
+the series order, so in the order-k coefficient of a product an order-k
+coefficient of one factor only meets order-0 coefficients of the others; the
+solvers' linearised build in :mod:`liequant.hquant.unknowns` relies on this.
 """
 
 from __future__ import annotations

@@ -20,13 +20,13 @@ from fractions import Fraction
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError
 from ..groups import GammaLieBialgebra, GroupAction
-from ..linsolve import Certificate
+from ..linsolve import Certificate, lin_solve
 from ..sparse import El
 from .core import CoproductSeries, ElSeries, MapSeries
 from .solvers import (GaugeLog, SolveRecord, composition_defect,
                       solve_composition_v, solve_coproduct, solve_j_conjugator,
                       solve_twist_pair)
-from .unknowns import VarPool, equations_from_el, solve_equations
+from .unknowns import LinearisedDefect, blocks, values_by_slot
 
 class GammaQuantization:
     """Deformed product/coproduct tables over U(a) ⋊ Γ modulo h^{N+1}."""
@@ -192,7 +192,8 @@ class GammaQuantization:
 def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
                                 env: Envelope | None = None,
                                 log: GaugeLog | None = None,
-                                cap: int | None = None) -> GammaQuantization:
+                                cap: int | None = None,
+                                seed_order: int | None = None) -> GammaQuantization:
     """Solver-built group-graded quantization with the aligned-gauge policy.
 
     Per-element data: target coproducts are action pushforwards of the one
@@ -207,7 +208,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
     grp = g_bialg.group
     e = grp.identity
 
-    cop = solve_coproduct(bialg, order, env, log, cap=cap)
+    cop = solve_coproduct(bialg, order, env, log, cap=cap, seed_order=seed_order)
 
     f_map: dict[int, ElSeries] = {e: ElSeries.unit(env, 2, order)}
     t_map: dict[int, MapSeries] = {e: MapSeries.identity(env, order)}
@@ -217,7 +218,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
         theta = g_bialg.action.theta(g)
         target = cop.pushforward(theta)
         f_series, iso = solve_twist_pair(bialg, cop, g_bialg.f(g), target, order,
-                                         log=log, cap=cap)
+                                         log=log, cap=cap, seed_order=seed_order)
         f_map[g] = f_series
         t_map[g] = iso.inverse().compose(MapSeries.from_linear(env, order, theta))
 
@@ -244,7 +245,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
             v_new = solve_composition_v(
                 env, f_map[gh].truncated(k), pulled[pair].truncated(k),
                 f_map[g].truncated(k), cop.truncated(k), k, log=log, cap=cap,
-                lower=v_coeffs[pair])
+                lower=v_coeffs[pair], seed_order=seed_order)
             v_coeffs[pair] = v_new.coeffs
         _align_family_order(env, g_bialg, t_map, v_coeffs, pairs, k, log)
 
@@ -271,57 +272,54 @@ def _align_family_order(env: Envelope, g_bialg, t_map, v_coeffs, pairs, k: int,
     grp = g_bialg.group
     e = grp.identity
     n = env.dim
-    pool = VarPool()
-    var_index: dict[tuple, int] = {}
-    exprs: dict[tuple, object] = {}
-    for pair in pairs:
-        for i in range(n):
-            var_index[(pair, i)] = pool.nvars
-            exprs[(pair, i)] = pool.new(f"c{pair}[{i}]")
+    composed = {(g, h): t_map[g].compose(t_map[h]) for g, h in pairs}
 
-    def v_series(g, h) -> ElSeries:
-        if g == e or h == e:
-            return ElSeries.unit(env, 1, k)
-        coeffs = [c.copy() for c in v_coeffs[(g, h)][: k + 1]]
-        for i in range(n):
-            coeffs[k].add_term(((i,),), exprs[((g, h), i)])
-        return ElSeries(env, 1, coeffs)
+    def defect(top, m, slot):
+        """Both identities at order m with ``top`` added to the order-m
+        coefficients; with ``slot`` only the identities containing that pair."""
 
-    eqs = []
-    # conjugation identity on generators: T_{gh}(x) v = v T_g(T_h(x))
-    for g, h in pairs:
-        gh = grp.mul(g, h)
-        v = v_series(g, h)
-        comp = t_map[g].compose(t_map[h])
-        for i in range(n):
-            left = ElSeries(env, 1, t_map[gh].ext_mon((i,))[: k + 1]).mul(v)
-            right = v.mul(ElSeries(env, 1, comp.ext_mon((i,))[: k + 1]))
-            eqs.extend(equations_from_el((left - right).coeffs[k]))
-    # pairwise coherence on all triples
-    for g in grp.elements():
-        for h in grp.elements():
-            for l in grp.elements():
-                gh, hl = grp.mul(g, h), grp.mul(h, l)
-                left = v_series(gh, l).mul(v_series(g, h))
-                right = v_series(g, hl).mul(
-                    _apply_t_series(env, t_map[g], v_series(h, l), k))
-                eqs.extend(equations_from_el((left - right).coeffs[k]))
+        def v_series(g, h) -> ElSeries:
+            if g == e or h == e:
+                return ElSeries.unit(env, 1, m)
+            coeffs = [c.copy() for c in v_coeffs[(g, h)][:m]]
+            coeffs.append(v_coeffs[(g, h)][m] + top.get((g, h), El()))
+            return ElSeries(env, 1, coeffs)
 
-    result = solve_equations(pool, eqs)
+        conjugation = {}
+        # conjugation identity on generators: T_{gh}(x) v = v T_g(T_h(x))
+        for g, h in pairs if slot is None else [slot]:
+            gh = grp.mul(g, h)
+            v = v_series(g, h)
+            for i in range(n):
+                left = ElSeries(env, 1, t_map[gh].ext_mon((i,))[: m + 1]).mul(v)
+                right = v.mul(ElSeries(env, 1, composed[(g, h)].ext_mon((i,))[: m + 1]))
+                conjugation[((g, h), i)] = (left - right).coeffs[m]
+        coherence = {}
+        # pairwise coherence on every triple (with ``slot``, those containing it)
+        for g in grp.elements():
+            for h in grp.elements():
+                for l in grp.elements():
+                    gh, hl = grp.mul(g, h), grp.mul(h, l)
+                    if slot is not None and slot not in ((gh, l), (g, h), (g, hl), (h, l)):
+                        continue
+                    left = v_series(gh, l).mul(v_series(g, h))
+                    right = v_series(g, hl).mul(
+                        _apply_t_series(env, t_map[g], v_series(h, l), m))
+                    coherence[(g, h, l)] = (left - right).coeffs[m]
+        return blocks(conjugation, coherence)
+
+    unknowns = [(pair, ((i,),)) for pair in pairs for i in range(n)]
+    system = LinearisedDefect(defect, k).system(unknowns)
+    result = lin_solve(system)
     if isinstance(result, Certificate):
         raise InternalCheckError(f"family alignment at order {k} is inconsistent")
     corrected_pairs = 0
-    for pair in pairs:
-        c_el = El()
-        for i in range(n):
-            value = result.values[var_index[(pair, i)]]
-            if value:
-                c_el.add_term(((i,),), value)
+    for pair, c_el in values_by_slot(unknowns, result.values, pairs).items():
         if c_el:
             corrected_pairs += 1
             v_coeffs[pair][k] = v_coeffs[pair][k] + c_el
-    log.records.append(SolveRecord("v-alignment", k, "primitive shifts", pool.nvars,
-                                   len(eqs), "solved"))
+    log.records.append(SolveRecord("v-alignment", k, "primitive shifts", len(unknowns),
+                                   system.nrows, "solved"))
     if corrected_pairs:
         log.note(f"order {k}: primitive correction applied to {corrected_pairs} pairs")
 
@@ -380,13 +378,14 @@ def _verify_family(assembly: GammaQuantization):
 def quasitriangular_gamma_quantize(qt, action: GroupAction, order: int,
                                    env: Envelope | None = None,
                                    log: GaugeLog | None = None,
-                                   cap: int | None = None) -> GammaQuantization:
+                                   cap: int | None = None,
+                                   seed_order: int | None = None) -> GammaQuantization:
     """Undeformed smash product with the conjugated coproduct."""
     env = env or Envelope(qt.lie)
     log = log or GaugeLog()
     from ..groups import quasitriangular_gamma
     quasitriangular_gamma(qt, action)  # re-verifies all preconditions
-    j_series, cop = solve_j_conjugator(qt, order, env, log, cap=cap)
+    j_series, cop = solve_j_conjugator(qt, order, env, log, cap=cap, seed_order=seed_order)
     grp = action.group
     j_inv = j_series.inverse()
     f_map: dict[int, ElSeries] = {}
@@ -536,7 +535,8 @@ def _phi(env, j: MapSeries, w: dict[int, ElSeries], series: list[El], order: int
 
 
 def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
-                      window: int = 2, log: GaugeLog | None = None):
+                      window: int = 2, log: GaugeLog | None = None,
+                      seed_order: int | None = None):
     """Solve for a grading-preserving, counit-normalized isomorphism carrying
     the solver-built structure onto the direct quasitriangular one.
 
@@ -582,45 +582,41 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
             w_cand[g] = ElSeries(env, 1, coeffs)
         return j_cand, w_cand
 
+    columns: dict = {}
     for k in range(1, order + 1):
 
-        def build(pool: VarPool, keys_pair):
-            keys_j, keys_w = keys_pair
-            j_top = {i: pool.alloc_el(keys_j, lambda key, i=i: f"j{k}[{i}]{key}")
-                     for i in range(n)}
-            w_top = {g: pool.alloc_el(keys_w, lambda key, g=g: f"w{k}[{g}]{key}")
-                     for g in grp.elements() if g != e}
-            j_cand, w_cand = candidate(k, j_top, w_top)
+        def defect(top, m, slot):
+            j_cand, w_cand = candidate(
+                m, {i: top[("j", i)] for i in range(n) if ("j", i) in top},
+                {g: top[("w", g)] for g in grp.elements() if ("w", g) in top})
             cache: dict = {}
-            eqs = []
-            phis = {a: _phi(env, j_cand, w_cand, generic.basis_series(*a)[: k + 1], k, cache)
-                    for a in gen_keys}
-            phis_b = {b: _phi(env, j_cand, w_cand, generic.basis_series(*b)[: k + 1], k, cache)
-                      for b in row_basis}
-            for a in gen_keys:
-                for b in row_basis:
-                    left = _phi(env, j_cand, w_cand,
-                                [c for c in gen_products[(a, b)][: k + 1]], k, cache)
-                    right = direct.mul(phis[a], phis_b[b])[: k + 1]
-                    eqs.extend(equations_from_el(left[k] - right[k]))
-                left = _phi(env, j_cand, w_cand, gen_coproducts[a][: k + 1], k, cache)
-                right = direct.coproduct(phis[a])[: k + 1]
-                eqs.extend(equations_from_el(left[k] - right[k]))
-                cu = direct.counit(phis[a])[k]
-                if cu:
-                    eqs.append(cu)
-            unknowns = {("j", i): el for i, el in j_top.items()}
-            unknowns.update({("w", g): el for g, el in w_top.items()})
-            return unknowns, eqs
+
+            def phi(series):
+                return _phi(env, j_cand, w_cand, series[: m + 1], m, cache)
+
+            rows = {}
+            for ia, a in enumerate(gen_keys):
+                phi_a = phi(generic.basis_series(*a))
+                for ib, b in enumerate(row_basis):
+                    left = phi(gen_products[(a, b)])
+                    right = direct.mul(phi_a, phi(generic.basis_series(*b)))
+                    rows[(ia, 0, ib)] = left[m] - right[m]
+                left = phi(gen_coproducts[a])
+                right = direct.coproduct(phi_a)
+                rows[(ia, 1)] = left[m] - right[m]
+                rows[(ia, 2)] = El.term((), direct.counit(phi_a)[m])
+            return blocks(rows)
 
         from ..errors import SolverInconsistencyError
         from .solvers import _solve_with_supports, _supports_single
         supports_j = _supports_single(env, [k + 1, 2 * k + 1], None)
         supports_w = _supports_single(env, [2 * k, 2 * k + 2], None)
-        supports = [(f"{lj}|{lw}", (kj, kw))
+        supports = [(f"{lj}|{lw}", [(("j", i), kj) for i in range(n)]
+                     + [(("w", g), kw) for g in grp.elements() if g != e])
                     for (lj, kj), (lw, kw) in zip(supports_j, supports_w)]
         try:
-            solved = _solve_with_supports("pipeline-witness", k, supports, build, log)
+            solved = _solve_with_supports("pipeline-witness", k, supports,
+                                          LinearisedDefect(defect, k, columns), log, seed_order)
         except SolverInconsistencyError as exc:
             return exc.certificate
         j_tables.append({i: solved[("j", i)] for i in range(n) if solved[("j", i)]})

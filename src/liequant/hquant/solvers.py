@@ -18,13 +18,14 @@ from fractions import Fraction
 from ..envelope import Envelope
 from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from ..lie import LieBialgebra
-from ..linsolve import Certificate
+from ..linsolve import Certificate, lin_solve
 from ..sparse import El
 from ..tensors import Tensor
 from ..twists import twist as twist_bialgebra
 from ..twists import twist_defect
 from .core import CoproductSeries, ElSeries, MapSeries
-from .unknowns import VarPool, equations_from_el, solve_equations, substitute
+from .unknowns import (LinearisedDefect, allocation_order, blocks, top_coeffs,
+                       values_by_slot)
 
 HALF = Fraction(1, 2)
 
@@ -89,22 +90,27 @@ def _supports_single(env: Envelope, deg_list, cap_override: int | None):
     return [(label, env.keys_up_to(1, d, d)) for label, d in ladder]
 
 
-def _solve_with_supports(operation: str, order: int, supports, build_equations,
-                         log: GaugeLog):
-    """Try each support; return the substituted solution dict or raise."""
+def _solve_with_supports(operation: str, order: int, supports, defect: LinearisedDefect,
+                         log: GaugeLog, seed_order: int | None = None) -> dict:
+    """Try each support; return the solved top-order element per slot or raise.
+
+    ``supports`` lists ``(label, [(slot, keys), ...])`` on the ladder; the
+    unknowns of one attempt are every slot's keys in allocation order.
+    """
     last_cert: Certificate | None = None
-    for label, keys in supports:
-        pool = VarPool()
-        unknowns, equations = build_equations(pool, keys)
-        result = solve_equations(pool, equations)
+    for label, slot_keys in supports:
+        unknowns = [(slot, key) for slot, keys in slot_keys
+                    for key in allocation_order(keys, seed_order)]
+        system = defect.system(unknowns)
+        result = lin_solve(system)
         if isinstance(result, Certificate):
-            log.records.append(SolveRecord(operation, order, label, pool.nvars,
-                                           len(equations), "inconsistent"))
+            log.records.append(SolveRecord(operation, order, label, len(unknowns),
+                                           system.nrows, "inconsistent"))
             last_cert = result
             continue
-        log.records.append(SolveRecord(operation, order, label, pool.nvars,
-                                       len(equations), "solved"))
-        return {name: substitute(el, result.values) for name, el in unknowns.items()}
+        log.records.append(SolveRecord(operation, order, label, len(unknowns),
+                                       system.nrows, "solved"))
+        return values_by_slot(unknowns, result.values, [slot for slot, _ in slot_keys])
     raise SolverInconsistencyError(
         f"{operation} has no solution at order {order} within the support ladder",
         certificate=last_cert,
@@ -179,7 +185,8 @@ def _verify_zero(defects: dict, what: str):
 
 
 def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None,
-                    log: GaugeLog | None = None, cap: int | None = None) -> CoproductSeries:
+                    log: GaugeLog | None = None, cap: int | None = None,
+                    seed_order: int | None = None) -> CoproductSeries:
     """Deformed coproduct with Delta_1 = delta/2 and gauge-pinned higher orders."""
     env = env or Envelope(bialg.lie)
     log = log or GaugeLog()
@@ -197,23 +204,19 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
         _verify_zero(counit_defect(cop1), "order-1 counit")
         log.records.append(SolveRecord("coproduct", 1, "pinned delta/2", 0, 0, "pinned"))
 
+    columns: dict = {}
     for k in range(2, order + 1):
 
-        def build(pool: VarPool, keys):
-            unknown_tables = {
-                i: pool.alloc_el(keys, lambda key, i=i: f"D{k}[{i}]{key}")
-                for i in range(env.dim)
-            }
-            cand = CoproductSeries(env, k, [dict(t) for t in tables] + [unknown_tables])
-            eqs = []
-            for defects in (algebra_compat_defect(bialg, cand), coassoc_defect(cand),
-                            counit_defect(cand)):
-                for key in sorted(defects):
-                    eqs.extend(equations_from_el(defects[key].coeffs[k]))
-            return unknown_tables, eqs
+        def defect(top, n, slot):
+            cand = CoproductSeries(env, n, [dict(t) for t in tables[:n]] + [top])
+            return blocks(top_coeffs(algebra_compat_defect(bialg, cand), n),
+                          top_coeffs(coassoc_defect(cand), n),
+                          top_coeffs(counit_defect(cand), n))
 
-        solved = _solve_with_supports("coproduct", k, _supports_coproduct(env, k, cap),
-                                      build, log)
+        supports = [(label, [(i, keys) for i in range(env.dim)])
+                    for label, keys in _supports_coproduct(env, k, cap)]
+        solved = _solve_with_supports("coproduct", k, supports,
+                                      LinearisedDefect(defect, k, columns), log, seed_order)
         tables.append({i: el for i, el in solved.items() if el})
 
     cop = CoproductSeries(env, order, tables)
@@ -244,7 +247,8 @@ def conjugated_coproduct(env: Envelope, j_series: ElSeries) -> CoproductSeries:
 
 
 def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
-                       log: GaugeLog | None = None, cap: int | None = None):
+                       log: GaugeLog | None = None, cap: int | None = None,
+                       seed_order: int | None = None):
     """J = 1 + h r/2 + ... making Ad(J)Delta_0 coassociative and counital.
 
     Returns (J series, the conjugated coproduct).
@@ -261,21 +265,18 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
                      "order-1 conjugated coassociativity")
         log.records.append(SolveRecord("j-conjugator", 1, "pinned r/2", 0, 0, "pinned"))
 
+    columns: dict = {}
     for k in range(2, order + 1):
 
-        def build(pool: VarPool, keys):
-            unknown = pool.alloc_el(keys, lambda key: f"J{k}{key}")
-            cand = ElSeries(env, 2, coeffs[:k] + [unknown])
-            cop = conjugated_coproduct(env, cand)
-            eqs = []
-            for key, series in sorted(coassoc_defect(cop).items()):
-                eqs.extend(equations_from_el(series.coeffs[k]))
-            for leg in (0, 1):
-                eqs.extend(equations_from_el(env.counit_leg(unknown, leg)))
-            return {"J": unknown}, eqs
+        def defect(top, n, slot):
+            unknown = top.get("J", El())
+            cop = conjugated_coproduct(env, ElSeries(env, 2, coeffs[:n] + [unknown]))
+            return blocks(top_coeffs(coassoc_defect(cop), n),
+                          {leg: env.counit_leg(unknown, leg) for leg in (0, 1)})
 
-        solved = _solve_with_supports("j-conjugator", k, _supports_pairs(env, k, cap),
-                                      build, log)
+        supports = [(label, [("J", keys)]) for label, keys in _supports_pairs(env, k, cap)]
+        solved = _solve_with_supports("j-conjugator", k, supports,
+                                      LinearisedDefect(defect, k, columns), log, seed_order)
         coeffs.append(solved["J"])
 
     j_series = ElSeries(env, 2, coeffs)
@@ -323,7 +324,8 @@ def twisted_coproduct(cop: CoproductSeries, f_series: ElSeries) -> CoproductSeri
 
 
 def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
-                  log: GaugeLog | None = None, cap: int | None = None) -> ElSeries:
+                  log: GaugeLog | None = None, cap: int | None = None,
+                  seed_order: int | None = None) -> ElSeries:
     """Quantized twist F = 1 + h f/2 + ... for a classical twist f."""
     defect = twist_defect(bialg, f)
     if not defect.is_zero():
@@ -341,18 +343,22 @@ def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: i
             raise InternalCheckError("order-1 twist cocycle defect is nonzero")
         log.records.append(SolveRecord("twist-F", 1, "pinned f/2", 0, 0, "pinned"))
 
+    cop_by_order: dict[int, CoproductSeries] = {}
+    columns: dict = {}
     for k in range(2, order + 1):
-        cop_k = cop.truncated(k)
+        for n in (1, k):
+            if n not in cop_by_order:
+                cop_by_order[n] = cop.truncated(n)
 
-        def build(pool: VarPool, keys):
-            unknown = pool.alloc_el(keys, lambda key: f"F{k}{key}")
-            cand = ElSeries(env, 2, coeffs[:k] + [unknown])
-            eqs = equations_from_el(cocycle_defect(cop_k, cand).coeffs[k])
-            for leg in (0, 1):
-                eqs.extend(equations_from_el(env.counit_leg(unknown, leg)))
-            return {"F": unknown}, eqs
+        def defect(top, n, slot):
+            unknown = top.get("F", El())
+            cand = ElSeries(env, 2, coeffs[:n] + [unknown])
+            return blocks({0: cocycle_defect(cop_by_order[n], cand).coeffs[n]},
+                          {leg: env.counit_leg(unknown, leg) for leg in (0, 1)})
 
-        solved = _solve_with_supports("twist-F", k, _supports_pairs(env, k, cap), build, log)
+        supports = [(label, [("F", keys)]) for label, keys in _supports_pairs(env, k, cap)]
+        solved = _solve_with_supports("twist-F", k, supports,
+                                      LinearisedDefect(defect, k, columns), log, seed_order)
         coeffs.append(solved["F"])
 
     f_series = ElSeries(env, 2, coeffs)
@@ -415,35 +421,38 @@ def iso_counit_defect(iso: MapSeries) -> dict:
     return out
 
 
+def _counit_rows(env: Envelope, top: dict) -> dict:
+    """One scalar row per generator image: its counit."""
+    return {i: El.term((), env.counit(el)) for i, el in top.items()}
+
+
 def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
-              order: int, log: GaugeLog | None = None, cap: int | None = None) -> MapSeries:
+              order: int, log: GaugeLog | None = None, cap: int | None = None,
+              seed_order: int | None = None) -> MapSeries:
     """Algebra automorphism (identity at order 0) carrying src onto dst."""
     env = src.env
     log = log or GaugeLog()
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
 
+    src_by_order: dict[int, CoproductSeries] = {}
+    dst_by_order: dict[int, CoproductSeries] = {}
+    columns: dict = {}
     for k in range(1, order + 1):
-        src_k, dst_k = src.truncated(k), dst.truncated(k)
+        for n in (1, k):
+            if n not in src_by_order:
+                src_by_order[n], dst_by_order[n] = src.truncated(n), dst.truncated(n)
 
-        def build(pool: VarPool, keys):
-            unknown_tables = {
-                i: pool.alloc_el(keys, lambda key, i=i: f"i{k}[{i}]{key}")
-                for i in range(env.dim)
-            }
-            cand = MapSeries(env, k, [dict(t) for t in tables] + [unknown_tables])
-            eqs = []
-            for defects in (iso_bracket_defect(bialg, cand),
-                            iso_intertwine_defect(src_k, dst_k, cand)):
-                for key in sorted(defects):
-                    eqs.extend(equations_from_el(defects[key].coeffs[k]))
-            for i in range(env.dim):
-                c = env.counit(unknown_tables[i])
-                if c:
-                    eqs.append(c)
-            return unknown_tables, eqs
+        def defect(top, n, slot):
+            cand = MapSeries(env, n, [dict(t) for t in tables[:n]] + [top])
+            return blocks(top_coeffs(iso_bracket_defect(bialg, cand), n),
+                          top_coeffs(iso_intertwine_defect(src_by_order[n], dst_by_order[n],
+                                                           cand), n),
+                          _counit_rows(env, top))
 
-        supports = _supports_single(env, [k + 1, 2 * k + 1], cap)
-        solved = _solve_with_supports("iso-i", k, supports, build, log)
+        supports = [(label, [(i, keys) for i in range(env.dim)])
+                    for label, keys in _supports_single(env, [k + 1, 2 * k + 1], cap)]
+        solved = _solve_with_supports("iso-i", k, supports,
+                                      LinearisedDefect(defect, k, columns), log, seed_order)
         tables.append({i: el for i, el in solved.items() if el})
 
     iso = MapSeries(env, order, tables)
@@ -456,7 +465,8 @@ def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
 
 def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
                      dst: CoproductSeries, order: int, log: GaugeLog | None = None,
-                     cap: int | None = None) -> tuple[ElSeries, MapSeries]:
+                     cap: int | None = None,
+                     seed_order: int | None = None) -> tuple[ElSeries, MapSeries]:
     """(F, i) for one twist with a prescribed target coproduct.
 
     Tries the sequential route (solve F, then i); if the intertwiner solve is
@@ -466,8 +476,10 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
     env = cop.env
     log = log or GaugeLog()
     try:
-        f_series = solve_twist_f(bialg, cop, f, order, log=log, cap=cap)
-        iso = solve_iso(bialg, twisted_coproduct(cop, f_series), dst, order, log=log, cap=cap)
+        f_series = solve_twist_f(bialg, cop, f, order, log=log, cap=cap,
+                                 seed_order=seed_order)
+        iso = solve_iso(bialg, twisted_coproduct(cop, f_series), dst, order, log=log,
+                        cap=cap, seed_order=seed_order)
         return f_series, iso
     except SolverInconsistencyError:
         log.note("sequential twist-pair solve inconsistent; retrying jointly")
@@ -476,46 +488,45 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
     twisted = twist_bialgebra(bialg, f, check=False)
 
+    cop_by_order: dict[int, CoproductSeries] = {}
+    dst_by_order: dict[int, CoproductSeries] = {}
+    columns: dict = {}
     for k in range(1, order + 1):
-        cop_k, dst_k = cop.truncated(k), dst.truncated(k)
+        for n in (1, k):
+            if n not in cop_by_order:
+                cop_by_order[n], dst_by_order[n] = cop.truncated(n), dst.truncated(n)
+        twisted_by_order: dict[int, CoproductSeries] = {}
 
-        def build(pool: VarPool, keys_pair_and_single):
-            keys_pair, keys_single = keys_pair_and_single
+        def defect(top, n, slot):
+            f_top = top.get("F")
             if k >= 2:
-                f_unknown = pool.alloc_el(keys_pair, lambda key: f"F{k}{key}")
-                f_cand = ElSeries(env, 2, coeffs[:k] + [f_unknown])
+                f_cand = ElSeries(env, 2, coeffs[:n] + [f_top or El()])
             else:
-                f_unknown = None
-                f_cand = ElSeries(env, 2, coeffs[: k + 1])
-            unknown_tables = {
-                i: pool.alloc_el(keys_single, lambda key, i=i: f"i{k}[{i}]{key}")
-                for i in range(env.dim)
-            }
-            iso_cand = MapSeries(env, k, [dict(t) for t in tables] + [unknown_tables])
-            eqs = equations_from_el(cocycle_defect(cop_k, f_cand).coeffs[k]) if k >= 2 else []
-            if f_unknown is not None:
-                for leg in (0, 1):
-                    eqs.extend(equations_from_el(env.counit_leg(f_unknown, leg)))
-            src_k = twisted_coproduct(cop_k, f_cand)
-            for defects in (iso_bracket_defect(bialg, iso_cand),
-                            iso_intertwine_defect(src_k, dst_k, iso_cand)):
-                for key in sorted(defects):
-                    eqs.extend(equations_from_el(defects[key].coeffs[k]))
-            for i in range(env.dim):
-                c = env.counit(unknown_tables[i])
-                if c:
-                    eqs.append(c)
-            result = {"F": f_unknown} if f_unknown is not None else {}
-            result.update({("i", i): el for i, el in unknown_tables.items()})
-            return result, eqs
+                f_cand = ElSeries(env, 2, coeffs[: n + 1])
+            if f_top is None:
+                if n not in twisted_by_order:
+                    twisted_by_order[n] = twisted_coproduct(cop_by_order[n], f_cand)
+                src_n = twisted_by_order[n]
+            else:
+                src_n = twisted_coproduct(cop_by_order[n], f_cand)
+            iso_top = {i: top[("i", i)] for i in range(env.dim) if ("i", i) in top}
+            iso_cand = MapSeries(env, n, [dict(t) for t in tables[:n]] + [iso_top])
+            twist_rows = k >= 2 and slot in (None, "F")
+            return blocks(
+                {0: cocycle_defect(cop_by_order[n], f_cand).coeffs[n]} if twist_rows else {},
+                {leg: env.counit_leg(f_top, leg) for leg in (0, 1)} if f_top else {},
+                top_coeffs(iso_bracket_defect(bialg, iso_cand), n),
+                top_coeffs(iso_intertwine_defect(src_n, dst_by_order[n], iso_cand), n),
+                _counit_rows(env, iso_top))
 
-        pair_supports = _supports_pairs(env, k, cap)
-        single_supports = _supports_single(env, [k + 1, 2 * k + 1], cap)
+        slots_single = [("i", i) for i in range(env.dim)]
         supports = [
-            (f"{pl}|{sl}", (pk, sk))
-            for (pl, pk), (sl, sk) in zip(pair_supports, single_supports)
+            (f"{pl}|{sl}", ([("F", pk)] if k >= 2 else []) + [(s, sk) for s in slots_single])
+            for (pl, pk), (sl, sk) in zip(_supports_pairs(env, k, cap),
+                                          _supports_single(env, [k + 1, 2 * k + 1], cap))
         ]
-        solved = _solve_with_supports("twist-pair", k, supports, build, log)
+        solved = _solve_with_supports("twist-pair", k, supports,
+                                      LinearisedDefect(defect, k, columns), log, seed_order)
         if k >= 2:
             coeffs.append(solved["F"])
         tables.append({i: solved[("i", i)] for i in range(env.dim) if solved[("i", i)]})
@@ -546,7 +557,8 @@ def composition_rhs(env: Envelope, f_second_pulled: ElSeries, f_first: ElSeries,
 def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeries,
                         f_first: ElSeries, cop: CoproductSeries, order: int,
                         log: GaugeLog | None = None, cap: int | None = None,
-                        lower: list[El] | None = None) -> ElSeries:
+                        lower: list[El] | None = None,
+                        seed_order: int | None = None) -> ElSeries:
     """v with F(f+f') = v^{⊗2} (i^{⊗2})^{-1}(F(a_f,f')) F(f) Delta(v)^{-1}.
 
     The inputs are the already-solved twist series; inconsistency here is an
@@ -556,26 +568,25 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
     """
     log = log or GaugeLog()
     coeffs = [c.copy() for c in lower] if lower else [env.unit(1)]
+    data: dict[int, tuple] = {}
+    columns: dict = {}
     for k in range(len(coeffs), order + 1):
-        cop_k = cop.truncated(k)
-        tot_k = f_total.truncated(k)
-        sec_k = f_second_pulled.truncated(k)
-        fir_k = f_first.truncated(k)
+        for n in (1, k):
+            if n not in data:
+                data[n] = tuple(s.truncated(n) for s in (f_total, f_second_pulled, f_first, cop))
 
-        def build(pool: VarPool, keys):
-            unknown = pool.alloc_el(keys, lambda key: f"v{k}{key}")
-            cand = ElSeries(env, 1, coeffs[:k] + [unknown])
-            defect = tot_k - composition_rhs(env, sec_k, fir_k, cop_k, cand)
-            eqs = equations_from_el(defect.coeffs[k])
-            c = env.counit(unknown)
-            if c:
-                eqs.append(c)
-            return {"v": unknown}, eqs
+        def defect(top, n, slot):
+            unknown = top.get("v", El())
+            tot_n, sec_n, fir_n, cop_n = data[n]
+            cand = ElSeries(env, 1, coeffs[:n] + [unknown])
+            rel = tot_n - composition_rhs(env, sec_n, fir_n, cop_n, cand)
+            return blocks({0: rel.coeffs[n]}, {0: El.term((), env.counit(unknown))})
 
+        supports = [(label, [("v", keys)])
+                    for label, keys in _supports_single(env, [2 * k, 2 * k + 2], cap)]
         try:
-            solved = _solve_with_supports("composition-v", k,
-                                          _supports_single(env, [2 * k, 2 * k + 2], cap),
-                                          build, log)
+            solved = _solve_with_supports("composition-v", k, supports,
+                                          LinearisedDefect(defect, k, columns), log, seed_order)
         except SolverInconsistencyError as exc:
             raise InternalCheckError(
                 f"composition element does not exist at order {k}: {exc}") from exc

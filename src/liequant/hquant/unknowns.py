@@ -1,155 +1,114 @@
-"""Affine expressions in solver unknowns.
+"""Linearised solver systems: a constant part plus cached per-unknown columns.
 
-During an order-by-order solve, coefficients of the current order are
-``LinExpr`` values (constant + linear part in fresh variables) while all
-lower orders are plain rationals.  Series arithmetic is truncated at the
-order being solved, so a product of two unknown-bearing values can never
-contribute; attempting one raises, which guards the discipline.
+At order k every solver's defect is affine in the order-k unknowns: series
+are truncated at order k, so an order-k unknown only ever meets order-0 data.
+A system is therefore built from two exact parts:
+
+* the constant part, the defect evaluated with an empty top-order table, on
+  plain rationals, once per (operation, order);
+* one column per unknown, ``D(E) - D(0)`` where ``D`` is the same defect
+  truncated at order 1 and ``E`` is the unit element of the unknown's key in
+  the order-1 slot.  At order 1 every product pairs ``E`` with order-0 data,
+  exactly as the order-k unknown is paired in the order-k coefficient, and
+  the subtraction removes everything that does not involve ``E``.
+
+A column depends on the (slot, key) of its unknown and on order-0 data only,
+so it is cached for the whole solve: a support-ladder escalation, or the next
+order, computes only the keys it adds.  A defect is returned as blocks
+``{block id: El}`` (one block per identity and defect key); rows come out in
+sorted (block id, element key) order with zero rows skipped.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
+from typing import Callable, Hashable
 
-from ..errors import InternalCheckError
-from ..linsolve import Certificate, LinSystem, Solution, lin_solve
+from ..linsolve import LinSystem
 from ..sparse import El
 
-
-class LinExpr:
-    __slots__ = ("const", "lin")
-
-    def __init__(self, const=Fraction(0), lin: dict[int, Fraction] | None = None):
-        self.const = const if isinstance(const, Fraction) else Fraction(const)
-        self.lin = lin or {}
-
-    def __bool__(self):
-        return bool(self.const) or bool(self.lin)
-
-    def __eq__(self, other):
-        if isinstance(other, LinExpr):
-            return self.const == other.const and self.lin == other.lin
-        if isinstance(other, (int, Fraction)):
-            return not self.lin and self.const == other
-        return NotImplemented
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return LinExpr(self.const + other, dict(self.lin))
-        if isinstance(other, LinExpr):
-            lin = dict(self.lin)
-            for v, c in other.lin.items():
-                acc = lin.get(v, Fraction(0)) + c
-                if acc:
-                    lin[v] = acc
-                else:
-                    lin.pop(v, None)
-            return LinExpr(self.const + other.const, lin)
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return LinExpr(-self.const, {v: -c for v, c in self.lin.items()})
-
-    def __sub__(self, other):
-        return self + (-other if isinstance(other, LinExpr) else -other)
-
-    def __rsub__(self, other):
-        return (-self) + other
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return LinExpr()
-            return LinExpr(self.const * other, {v: c * other for v, c in self.lin.items()})
-        if isinstance(other, LinExpr):
-            if self.lin and other.lin:
-                raise InternalCheckError("product of two unknown-bearing coefficients")
-            if other.lin:
-                return other * self.const
-            return self * other.const
-        return NotImplemented
-
-    __rmul__ = __mul__
-
-    def __repr__(self):
-        parts = [str(self.const)] if self.const or not self.lin else []
-        parts += [f"{c}·u{v}" for v, c in sorted(self.lin.items())]
-        return " + ".join(parts)
+Blocks = dict[Hashable, El]
+# defect(top, n, slot): the blocks of the order-n coefficient with ``top`` as
+# the order-n table; with ``slot`` given, the defect may restrict itself to
+# the identities that slot's unknowns enter (the others do not depend on it).
+Defect = Callable[[dict, int, Hashable], Blocks]
 
 
-_key_order_seed: int | None = None
+def blocks(*families: dict) -> Blocks:
+    """Number the families in order: ``{(family, key): El}``, zeros dropped."""
+    return {(f, key): el for f, fam in enumerate(families) for key, el in fam.items() if el}
 
 
-def set_key_order_seed(seed: int | None):
-    """Optional deterministic reshuffle of unknown allocation order.
+def top_coeffs(defects: dict, n: int) -> dict:
+    """Order-n coefficients of a ``{key: ElSeries}`` defect table."""
+    return {key: series.coeffs[n] for key, series in defects.items()}
 
-    Changes only which gauge representative the pinned solves select; all
-    defect postconditions are unaffected.  Used by the CLI --seed-order flag.
+
+def allocation_order(keys, seed_order: int | None) -> list:
+    """Keys in unknown-allocation order: given order, or a seeded reshuffle.
+
+    A reshuffle changes only which gauge representative the pinned solves
+    select; all defect postconditions are unaffected.
     """
-    global _key_order_seed
-    _key_order_seed = seed
+    keys = list(keys)
+    if seed_order is not None:
+        random.Random(seed_order).shuffle(keys)
+    return keys
 
 
-class VarPool:
-    """Allocates solver unknowns and turns solved systems back into values."""
+class LinearisedDefect:
+    """Affine order-k defect: constant part plus per-unknown columns.
 
-    def __init__(self):
-        self.labels: list[str] = []
+    ``columns`` is the column cache; the orders of one solve pass the same
+    dict, since a column pairs its unknown with order-0 data only.
+    """
 
-    @property
-    def nvars(self) -> int:
-        return len(self.labels)
+    def __init__(self, defect: Defect, k: int, columns: dict | None = None):
+        self.defect = defect
+        self.constant = defect({}, k, None)
+        self._base: dict[Hashable, Blocks] = {}
+        self._columns: dict[tuple, Blocks] = {} if columns is None else columns
 
-    def new(self, label: str) -> LinExpr:
-        idx = len(self.labels)
-        self.labels.append(label)
-        return LinExpr(Fraction(0), {idx: Fraction(1)})
+    def column(self, slot, key) -> Blocks:
+        cached = self._columns.get((slot, key))
+        if cached is not None:
+            return cached
+        base = self._base.get(slot)
+        if base is None:
+            base = self._base[slot] = self.defect({slot: El()}, 1, slot)
+        col = self.defect({slot: El.term(key, Fraction(1))}, 1, slot)
+        for bid, el in base.items():
+            diff = col.get(bid, El()) - el
+            if diff:
+                col[bid] = diff
+            else:
+                col.pop(bid, None)
+        self._columns[(slot, key)] = col
+        return col
 
-    def alloc_el(self, keys, label_fn=str) -> El:
-        """Fresh unknown for every key, in the given (deterministic) order."""
-        keys = list(keys)
-        if _key_order_seed is not None:
-            import random
-
-            random.Random(_key_order_seed).shuffle(keys)
-        out = El()
-        for key in keys:
-            out.data[key] = self.new(label_fn(key))
-        return out
-
-
-def equations_from_el(el: El) -> list[LinExpr]:
-    """One equation ``expr = 0`` per key, in sorted key order."""
-    eqs = []
-    for _, expr in el.items_sorted():
-        if isinstance(expr, LinExpr):
-            if expr:
-                eqs.append(expr)
-        elif expr:
-            # constant nonzero with no unknowns: an unsatisfiable row
-            eqs.append(LinExpr(expr))
-    return eqs
-
-
-def solve_equations(pool: VarPool, equations: list[LinExpr]) -> Solution | Certificate:
-    system = LinSystem(nvars=pool.nvars, var_labels=list(pool.labels))
-    for eq in equations:
-        system.add_row(dict(eq.lin), -eq.const)
-    return lin_solve(system)
+    def system(self, unknowns: list[tuple]) -> LinSystem:
+        """The system ``A x = b`` in the given unknowns, one per (slot, key)."""
+        rows: dict[tuple, dict[int, Fraction]] = {}
+        for var, (slot, key) in enumerate(unknowns):
+            for bid, el in self.column(slot, key).items():
+                for ekey, c in el.data.items():
+                    rows.setdefault((bid, ekey), {})[var] = c
+        for bid, el in self.constant.items():
+            for ekey in el.data:
+                rows.setdefault((bid, ekey), {})
+        system = LinSystem(nvars=len(unknowns))
+        for bid, ekey in sorted(rows):
+            const = self.constant.get(bid)
+            system.add_row(rows[(bid, ekey)],
+                           -const.coeff(ekey) if const is not None else Fraction(0))
+        return system
 
 
-def substitute(el: El, values: list[Fraction]) -> El:
-    """Evaluate all LinExpr coefficients at a solution vector."""
-    out = El()
-    for key, coeff in el.data.items():
-        if isinstance(coeff, LinExpr):
-            acc = coeff.const
-            for v, c in coeff.lin.items():
-                acc += c * values[v]
-            if acc:
-                out.data[key] = acc
-        elif coeff:
-            out.data[key] = coeff
+def values_by_slot(unknowns: list[tuple], values: list[Fraction], slots) -> dict:
+    """Solved unknowns gathered into one element per slot (zeros dropped)."""
+    out = {slot: El() for slot in slots}
+    for (slot, key), value in zip(unknowns, values):
+        if value:
+            out[slot].data[key] = value
     return out

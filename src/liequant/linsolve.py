@@ -21,7 +21,6 @@ class LinSystem:
     nvars: int
     rows: list[dict[int, Fraction]] = field(default_factory=list)
     rhs: list[Fraction] = field(default_factory=list)
-    var_labels: list[str] | None = None
 
     def add_row(self, row: dict[int, Fraction], rhs: Fraction):
         self.rows.append({c: v for c, v in row.items() if v})

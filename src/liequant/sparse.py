@@ -2,9 +2,7 @@
 
 ``El`` is a key-agnostic sparse vector: keys are arbitrary hashable tuples
 (monomial tuples, pairs of monomials, smash-product basis labels, ...) and
-values are exact scalars.  Values may also be affine expressions in solver
-unknowns (see ``hquant.unknowns``); all operations here are linear so they
-never multiply two unknown-bearing values.
+values are exact scalars.
 """
 
 from __future__ import annotations

@@ -255,3 +255,27 @@ def test_timestamps_flag_adds_timings(tmp_path, capsys):
     assert code == 0
     report = json.loads(out)
     assert "timings" in report
+
+
+def test_negative_numbers_are_usage_errors(capsys):
+    import pytest
+
+    for flag in ("--order", "--d-in", "--degree-cap"):
+        for command in ("quantize", "compare"):
+            with pytest.raises(SystemExit) as info:
+                main([command, "catalog:solvable2-tri-z2", flag, "-1"])
+            assert info.value.code == 2
+            assert "non-negative" in capsys.readouterr().err
+    # a negative window used to verify nothing and report every check as passing
+    with pytest.raises(SystemExit) as info:
+        main(["quantize", "catalog:solvable2-tri-z2", "--order", "2", "--d-in", "-3"])
+    assert info.value.code == 2
+
+
+def test_negative_order_option_is_a_schema_error(tmp_path, capsys):
+    doc = catalog.input_document("solvable2-tri-z2")
+    for bad in (-1, "x"):
+        doc["options"] = {"order": bad}
+        code, _, err = run(capsys, "quantize", write_doc(tmp_path, doc), "--format", "json")
+        assert code == 3
+        assert json.loads(err)["location"] == "/options/order"

@@ -1,6 +1,8 @@
 """Order-by-order solvers: deformed coproduct, conjugator, twists, intertwiners,
 composition elements, and their gauge behavior."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -16,8 +18,9 @@ from liequant.hquant.solvers import (GaugeLog, algebra_compat_defect, classical_
                                      solve_composition_v, solve_coproduct, solve_iso,
                                      solve_j_conjugator, solve_twist_f, twist_counit_defect,
                                      twisted_coproduct, _solve_with_supports)
-from liequant.hquant.unknowns import LinExpr, equations_from_el
+from liequant.hquant.unknowns import LinearisedDefect, blocks
 from liequant.lie import LieBialgebra
+from liequant.schema import series_to_json
 from liequant.sparse import El
 from liequant.tensors import Tensor
 from liequant.twists import twist
@@ -302,16 +305,15 @@ def test_triple_sl2_cartan_coherent_under_aligned_policy():
 def test_support_ladder_exhaustion_reports_hint():
     env = Envelope(catalog.abelian(1).lie)
 
-    def build(pool, keys):
-        unknown = pool.alloc_el(keys, str)
-        eqs = equations_from_el(unknown)
-        eqs.append(LinExpr(Q(1)))  # unsatisfiable constant row
-        return {"u": unknown}, eqs
+    def defect(top, n, slot):
+        # every unknown must vanish, and a constant row 1 = 0 is unsatisfiable
+        return blocks({0: top.get("u", El())}, {0: El.term((), Q(1))})
 
-    supports = [("tiny", env.keys_up_to(1, 1, 1))]
+    supports = [("tiny", [("u", env.keys_up_to(1, 1, 1))])]
     with pytest.raises(SolverInconsistencyError) as info:
-        _solve_with_supports("probe", 1, supports, build, GaugeLog())
+        _solve_with_supports("probe", 1, supports, LinearisedDefect(defect, 1), GaugeLog())
     assert "degree-cap" in str(info.value)
+    assert info.value.certificate is not None
 
 
 def test_joint_twist_pair_fallback(monkeypatch, sl2_setup):
@@ -333,6 +335,12 @@ def test_joint_twist_pair_fallback(monkeypatch, sl2_setup):
     assert cocycle_defect(cop, f_series).is_zero()
     assert not iso_intertwine_defect(twisted_coproduct(cop, f_series), target, iso)
     assert any("retrying jointly" in e for e in log.events)
+    # the route's output is pinned byte for byte
+    payload = {"F": series_to_json(f_series.coeffs),
+               "i": {str(i): series_to_json(iso.gen_series(i).coeffs) for i in range(env.dim)},
+               "log": log.as_dict()}
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+    assert digest == "c1bca000db24e7c58519c39d02bf93d88dd57c95d9d001025259d3dfbd032438"
 
 
 def test_map_series_inverse_with_linear_order0():

@@ -1,0 +1,127 @@
+"""Linearised solver build: rows against brute-force affine rows, and pinned
+output bytes of the solver-built pipeline."""
+
+import hashlib
+from fractions import Fraction
+
+import pytest
+
+import liequant.hquant.solvers as solvers_module
+from liequant import catalog
+from liequant.cli import main
+from liequant.envelope import Envelope
+from liequant.errors import SolverInconsistencyError
+from liequant.hquant.solvers import (solve_coproduct, solve_iso, solve_twist_f,
+                                     solve_twist_pair, twisted_coproduct)
+from liequant.linsolve import LinSystem
+from liequant.sparse import El
+from liequant.twists import twist
+
+
+def brute_force_system(defect, k: int, unknowns: list[tuple]) -> LinSystem:
+    """Rows of ``defect_k(top=E_u) - defect_k(top=0)`` at full order k."""
+    zero = defect({}, k, None)
+    rows: dict[tuple, dict[int, Fraction]] = {}
+    for var, (slot, key) in enumerate(unknowns):
+        full = defect({slot: El.term(key, Fraction(1))}, k, None)
+        for bid in set(full) | set(zero):
+            diff = full.get(bid, El()) - zero.get(bid, El())
+            for ekey, c in diff.data.items():
+                rows.setdefault((bid, ekey), {})[var] = c
+    for bid, el in zero.items():
+        for ekey in el.data:
+            rows.setdefault((bid, ekey), {})
+    system = LinSystem(nvars=len(unknowns))
+    for bid, ekey in sorted(rows):
+        system.add_row(rows[(bid, ekey)], -zero.get(bid, El()).coeff(ekey))
+    return system
+
+
+@pytest.fixture
+def checked(monkeypatch):
+    """Compare every solve's first-support system against the brute force."""
+    seen = []
+    original = solvers_module._solve_with_supports
+
+    def checking(operation, order, supports, defect, log, seed_order=None):
+        _, slot_keys = supports[0]
+        unknowns = [(slot, key) for slot, keys in slot_keys for key in keys]
+        got = defect.system(unknowns)
+        want = brute_force_system(defect.defect, order, unknowns)
+        assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
+        assert got.rhs == want.rhs
+        seen.append((operation, order, got.nrows))
+        return original(operation, order, supports, defect, log, seed_order)
+
+    monkeypatch.setattr(solvers_module, "_solve_with_supports", checking)
+    return seen
+
+
+def test_coproduct_rows_match_brute_force(checked):
+    solve_coproduct(catalog.solvable2(), 2)
+    assert [(op, k) for op, k, _ in checked] == [("coproduct", 2)]
+    assert checked[0][2] > 0
+
+
+def test_twist_and_iso_rows_match_brute_force(checked):
+    bialg = catalog.sl2()
+    env = Envelope(bialg.lie)
+    f = catalog.sl2_cartan_twist()
+    cop = solve_coproduct(bialg, 2, env)
+    f_series = solve_twist_f(bialg, cop, f, 2)
+    cop_f = solve_coproduct(twist(bialg, f), 2, env)
+    solve_iso(bialg, twisted_coproduct(cop, f_series), cop_f, 2)
+    ops = [(op, k) for op, k, _ in checked]
+    assert ("twist-F", 2) in ops and ("iso-i", 2) in ops
+
+
+def test_joint_twist_pair_rows_match_brute_force(checked, monkeypatch):
+    bialg = catalog.sl2()
+    env = Envelope(bialg.lie)
+    cop = solve_coproduct(bialg, 2, env)
+    target = cop.pushforward(catalog.sl2_cartan_involution())
+
+    def flaky(*args, **kwargs):
+        raise SolverInconsistencyError("forced", hint="test")
+
+    monkeypatch.setattr(solvers_module, "solve_iso", flaky)
+    solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), target, 2)
+    ops = [(op, k) for op, k, _ in checked]
+    assert ("twist-pair", 1) in ops and ("twist-pair", 2) in ops
+
+
+# sha256 of the CLI report (stdout), each recorded in a fresh process
+GOLDEN = {
+    ("quantize", "catalog:solvable2-tri-z2", "--order", "2"):
+        "83833d16318f8309515965a7bab554ce8b861e8e5b4e513124c1c9da996d636e",
+    ("quantize", "catalog:sl2-cartan-z2", "--order", "2", "--d-in", "1", "--seed-order", "7"):
+        "f4c586479e6506c1613e71c3013b370729e6c38844b2a43bcfb42b591a0470aa",
+    ("quantize", "catalog:sl2-cartan-z2", "--order", "2", "--d-in", "1", "--seed-order", "77"):
+        "d7aca1d253b759da97fd15330d802c78a3ed49169fd96a29ce4ccb1addffc632",
+    ("quantize", "catalog:sl2-cartan-z2", "--order", "2", "--d-in", "1"):
+        "0fa74377d124487ad2a10bd979a19a9bae96ee3e567ef330a6405dee8212167f",
+}
+GOLDEN_ARTIFACT = "1f2fd62a384e0d8b6998fd7b615b4146fca37e4665e73a2597727f3a51945e03"
+
+
+def report_digest(capsys, argv) -> str:
+    assert main(list(argv) + ["--format", "json"]) == 0
+    return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+
+
+def test_golden_report_and_artifact(tmp_path, capsys):
+    argv = ("quantize", "catalog:solvable2-tri-z2", "--order", "2")
+    assert report_digest(capsys, argv) == GOLDEN[argv]
+    art = tmp_path / "a.json"
+    assert main(["quantize", "catalog:solvable2-tri-z2", "--order", "2", "--seed-order", "7",
+                 "--format", "json", "--out", str(art)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(art.read_bytes()).hexdigest() == GOLDEN_ARTIFACT
+
+
+def test_seed_orders_in_one_process_match_separate_processes(capsys):
+    # three gauges in a row in one process: no seed-order may leak into the next run
+    runs = [argv for argv in GOLDEN if argv[1] == "catalog:sl2-cartan-z2"]
+    assert len({GOLDEN[argv] for argv in runs}) == 3
+    for argv in runs:
+        assert report_digest(capsys, argv) == GOLDEN[argv], argv
