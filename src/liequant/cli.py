@@ -110,6 +110,21 @@ def _first_keys(mapping, limit=4) -> str:
     return "; ".join(head) + more
 
 
+def _non_negative_int(value, name: str, where: str) -> int:
+    """A document's non-negative integer (an int or a decimal string)."""
+    number = None
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            number = int(value)
+        except ValueError:
+            pass
+    if number is None:
+        raise SchemaError(f"{name} must be an integer, not {value!r}", where)
+    if number < 0:
+        raise SchemaError(f"{name} must be non-negative, not {number}", where)
+    return number
+
+
 def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
     """All applicable classical checks; returns True if any defect found."""
     bialg = parsed.bialgebra
@@ -153,7 +168,8 @@ def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
         failed |= _add_check(report, "gamma-identity-twist", gd.identity_twist is None)
 
         structure = copoisson_delta(gamma)
-        d_in = int(parsed.options.get("copoisson_degree", 2))
+        d_in = _non_negative_int(parsed.options.get("copoisson_degree", 2), "copoisson_degree",
+                                 "/options/copoisson_degree")
         rep = copoisson_axiom_defects(structure, d_in, 2 * d_in + 2)
         for part, table in sorted(rep.items()):
             failed |= _add_check(report, f"copoisson-{part}", not table,
@@ -208,41 +224,85 @@ def _assembly_to_json(assembly: GammaQuantization) -> dict:
 
 
 def _assembly_from_json(data: dict, parsed: ParsedInput) -> GammaQuantization:
+    """Rebuild an assembly from an artifact's tables, trusting none of their shape.
+
+    Every table must be present, name only known group elements and
+    generators, cover every group element and pair, and hold series of
+    exactly ``order + 1`` coefficients in normal-ordered monomials.
+    """
     gamma = parsed.gamma or _trivial_gamma(parsed.bialgebra)
     env = Envelope(parsed.bialgebra.lie)
     grp = gamma.group
-    order = int(data["order"])
     n = env.dim
+    if not isinstance(data, dict):
+        raise SchemaError("assembly must be a JSON object", "/assembly")
+    order = _non_negative_int(data.get("order"), "order", "/assembly/order")
 
-    def tables_from(tbl: dict) -> list[dict[int, El]]:
+    def table(tbl, where: str) -> dict:
+        if not isinstance(tbl, dict):
+            raise SchemaError("missing or malformed table", where)
+        return tbl
+
+    def series(value, arity: int, where: str) -> list[El]:
+        if not isinstance(value, list) or not all(isinstance(c, dict) for c in value):
+            raise SchemaError("a series must be a list of coefficient tables", where)
+        if len(value) != order + 1:
+            raise SchemaError(f"series has {len(value)} coefficients, order {order} needs "
+                              f"{order + 1}", where)
+        coeffs = series_from_json(value, arity, where=where)
+        for el in coeffs:
+            for key in el.data:
+                for m in key:
+                    if any(not 0 <= i < n for i in m) or list(m) != sorted(m):
+                        raise SchemaError(f"monomial {m} is not a normal-ordered monomial "
+                                          f"in {n} generators", where)
+        return coeffs
+
+    def generator_tables(tbl, arity: int, where: str) -> list[dict[int, El]]:
         tables: list[dict[int, El]] = [{} for _ in range(order + 1)]
-        for gen, series in tbl.items():
-            coeffs = series_from_json(series, 2, where=f"/coproduct/{gen}")
-            for k, el in enumerate(coeffs):
+        for gen, value in table(tbl, where).items():
+            i = int(gen) if gen.isdigit() else -1
+            if not 0 <= i < n:
+                raise SchemaError(f"generator index {gen!r} out of range 0..{n - 1}",
+                                  f"{where}/{gen}")
+            for k, el in enumerate(series(value, arity, f"{where}/{gen}")):
                 if el:
-                    tables[k][int(gen)] = el
+                    tables[k][i] = el
         return tables
 
-    cop = CoproductSeries(env, order, tables_from(data["coproduct"]))
-    f_map = {}
-    for label, series in data["twist_family"].items():
-        g = grp.labels.index(label)
-        f_map[g] = ElSeries(env, 2, series_from_json(series, 2, where=f"/twist_family/{label}"))
-    t_map = {}
-    for label, tbl in data["transport"].items():
-        g = grp.labels.index(label)
-        tables: list[dict[int, El]] = [{} for _ in range(order + 1)]
-        for gen, series in tbl.items():
-            coeffs = series_from_json(series, 1, where=f"/transport/{label}")
-            for k, el in enumerate(coeffs):
-                if el:
-                    tables[k][int(gen)] = el
-        t_map[g] = MapSeries(env, order, tables)
+    def element(label: str, where: str) -> int:
+        if label not in grp.labels:
+            raise SchemaError(f"unknown group element {label!r}", where)
+        return grp.labels.index(label)
+
+    def by_element(name: str) -> dict:
+        where = f"/assembly/{name}"
+        out = {element(label, f"{where}/{label}"): (value, f"{where}/{label}")
+               for label, value in table(data.get(name), where).items()}
+        for g in grp.elements():
+            if g not in out:
+                raise SchemaError(f"no entry for group element {grp.labels[g]!r}", where)
+        return out
+
+    cop = CoproductSeries(env, order, generator_tables(data.get("coproduct"), 2,
+                                                       "/assembly/coproduct"))
+    f_map = {g: ElSeries(env, 2, series(value, 2, where))
+             for g, (value, where) in by_element("twist_family").items()}
+    t_map = {g: MapSeries(env, order, generator_tables(value, 1, where))
+             for g, (value, where) in by_element("transport").items()}
     v_map = {}
-    for key, series in data["compositions"].items():
-        gl, hl = key.split(",")
-        pair = (grp.labels.index(gl), grp.labels.index(hl))
-        v_map[pair] = ElSeries(env, 1, series_from_json(series, 1, where=f"/compositions/{key}"))
+    for key, value in table(data.get("compositions"), "/assembly/compositions").items():
+        where = f"/assembly/compositions/{key}"
+        labels = key.split(",")
+        if len(labels) != 2:
+            raise SchemaError(f"bad group pair {key!r}", where)
+        pair = (element(labels[0], where), element(labels[1], where))
+        v_map[pair] = ElSeries(env, 1, series(value, 1, where))
+    for g in grp.elements():
+        for h in grp.elements():
+            if (g, h) not in v_map:
+                raise SchemaError(f"no entry for pair {grp.labels[g]},{grp.labels[h]}",
+                                  "/assembly/compositions")
     return GammaQuantization(env, gamma.action, cop, f_map, t_map, v_map, order)
 
 
@@ -307,18 +367,21 @@ def _verify_assembly(assembly: GammaQuantization, parsed: ParsedInput, report: d
     return failed
 
 
-def _order(args, parsed: ParsedInput) -> int:
-    """Truncation order: the flag, else the ``order`` option (default 2)."""
-    if args.order is not None:
-        return args.order
-    value = parsed.options.get("order", 2)
-    try:
-        order = int(value)
-    except (TypeError, ValueError):
-        raise SchemaError(f"order must be an integer, not {value!r}", "/options/order") from None
-    if order < 0:
-        raise SchemaError(f"order must be non-negative, not {order}", "/options/order")
-    return order
+def _setting(args, parsed: ParsedInput, name: str, default: int | None = None) -> int | None:
+    """A solver setting: the flag of that name, else the document option."""
+    flag = getattr(args, name)
+    if flag is not None:
+        return flag
+    value = parsed.options.get(name)
+    return default if value is None else _non_negative_int(value, name, f"/options/{name}")
+
+
+def _seed_order(args, parsed: ParsedInput, report: dict) -> int | None:
+    """The seed-order setting; one taken from the document goes into the report."""
+    seed_order = _setting(args, parsed, "seed_order")
+    if args.seed_order is None and seed_order is not None:
+        report["seed_order"] = seed_order
+    return seed_order
 
 
 def cmd_quantize(args) -> int:
@@ -330,12 +393,9 @@ def cmd_quantize(args) -> int:
         _emit(report, args)
         return EXIT_DEFECT
     gamma = parsed.gamma or _trivial_gamma(parsed.bialgebra)
-    order = _order(args, parsed)
-    cap = args.degree_cap if args.degree_cap is not None else parsed.options.get("degree_cap")
-    seed_order = args.seed_order
-    if seed_order is None and parsed.options.get("seed_order") is not None:
-        seed_order = int(parsed.options["seed_order"])
-        report["seed_order"] = seed_order
+    order = _setting(args, parsed, "order", 2)
+    cap = _setting(args, parsed, "degree_cap")
+    seed_order = _seed_order(args, parsed, report)
     d_in = args.d_in
     log = GaugeLog()
     t0 = time.time()
@@ -386,23 +446,24 @@ def cmd_compare(args) -> int:
         report["exit"] = EXIT_DEFECT
         _emit(report, args)
         return EXIT_DEFECT
-    order = _order(args, parsed)
-    cap = args.degree_cap if args.degree_cap is not None else parsed.options.get("degree_cap")
+    order = _setting(args, parsed, "order", 2)
+    cap = _setting(args, parsed, "degree_cap")
+    seed_order = _seed_order(args, parsed, report)
     env = Envelope(parsed.bialgebra.lie)
     log = GaugeLog()
     try:
         generic = assemble_gamma_quantization(parsed.gamma, order, env=env, log=log,
-                                              cap=cap, seed_order=args.seed_order)
+                                              cap=cap, seed_order=seed_order)
         direct = quasitriangular_gamma_quantize(parsed.quasitriangular,
                                                 parsed.gamma.action, order, env=env,
-                                                log=log, cap=cap, seed_order=args.seed_order)
+                                                log=log, cap=cap, seed_order=seed_order)
     except SolverInconsistencyError as exc:
         report["exit"] = EXIT_SOLVER
         report["solver_error"] = str(exc)
         _emit(report, args)
         return EXIT_SOLVER
     witness = compare_pipelines(generic, direct, window=args.d_in, log=log,
-                                seed_order=args.seed_order)
+                                seed_order=seed_order)
     report["gauge_log"] = log.as_dict()
     if isinstance(witness, ComparisonWitness):
         _add_check(report, "pipeline-equivalence", True)
@@ -422,15 +483,16 @@ def cmd_compare(args) -> int:
 def cmd_verify_artifact(args) -> int:
     raw, artifact = _load_input(args.input)
     report = _base_report(raw, args)
-    if "assembly" not in artifact or "input" not in artifact:
+    if not isinstance(artifact, dict) or "assembly" not in artifact or "input" not in artifact:
         raise SchemaError("not a quantization artifact", "/")
+    d_in = _non_negative_int(artifact.get("d_in", 2), "d_in", "/d_in")
     parsed = parse_document(artifact["input"])
     if run_classical_checks(parsed, report):
         report["exit"] = EXIT_DEFECT
         _emit(report, args)
         return EXIT_DEFECT
     assembly = _assembly_from_json(artifact["assembly"], parsed)
-    failed = _verify_assembly(assembly, parsed, report, int(artifact.get("d_in", 2)))
+    failed = _verify_assembly(assembly, parsed, report, d_in)
     report["exit"] = EXIT_DEFECT if failed else EXIT_OK
     _emit(report, args)
     return report["exit"]

@@ -14,13 +14,12 @@ Element keys follow one convention throughout:
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .errors import WindowOverflowError
 from .groups import GroupAction
 from .lie import LieAlgebra
 from .sparse import El
-from .tensors import LinearMap, Tensor
+from .tensors import LinearMap, Scalar, Tensor
 
 Mon = tuple[int, ...]
 
@@ -36,9 +35,9 @@ class Envelope:
 
     def __init__(self, lie: LieAlgebra):
         self.lie = lie
-        self._straight: dict[Mon, dict[Mon, Fraction]] = {}
+        self._straight: dict[Mon, dict[Mon, Scalar]] = {}
         self._coprod: dict[Mon, El] = {}
-        self._linear: dict[tuple[LinearMap, Mon], dict[Mon, Fraction]] = {}
+        self._linear: dict[tuple[LinearMap, Mon], dict[Mon, Scalar]] = {}
 
     @property
     def dim(self) -> int:
@@ -46,14 +45,14 @@ class Envelope:
 
     # -- monomial arithmetic ---------------------------------------------------
 
-    def straighten(self, word: tuple[int, ...]) -> dict[Mon, Fraction]:
+    def straighten(self, word: tuple[int, ...]) -> dict[Mon, Scalar]:
         """Normal form of an arbitrary word as a combination of monomials."""
         cached = self._straight.get(word)
         if cached is not None:
             return cached
         descent = next((i for i in range(len(word) - 1) if word[i] > word[i + 1]), None)
         if descent is None:
-            result = {word: Fraction(1)}
+            result = {word: 1}
         else:
             i = descent
             swapped = word[:i] + (word[i + 1], word[i]) + word[i + 2:]
@@ -61,7 +60,7 @@ class Envelope:
             for k, c in self.lie.bracket_basis(word[i], word[i + 1]).items():
                 contracted = word[:i] + (k,) + word[i + 2:]
                 for m, d in self.straighten(contracted).items():
-                    acc = result.get(m, Fraction(0)) + c * d
+                    acc = result.get(m, 0) + c * d
                     if acc:
                         result[m] = acc
                     else:
@@ -69,7 +68,7 @@ class Envelope:
         self._straight[word] = result
         return result
 
-    def mul_mon(self, m1: Mon, m2: Mon) -> dict[Mon, Fraction]:
+    def mul_mon(self, m1: Mon, m2: Mon) -> dict[Mon, Scalar]:
         return self.straighten(m1 + m2)
 
     def k_mul(self, a: El, b: El, k: int) -> El:
@@ -80,18 +79,18 @@ class Envelope:
                 parts = [self.mul_mon(ka[i], kb[i]) for i in range(k)]
                 base = ca * cb
                 for combo in itertools.product(*(p.items() for p in parts)):
-                    factor = Fraction(1)
+                    factor = 1
                     for _, c in combo:
                         factor *= c
                     out.add_term(tuple(m for m, _ in combo), base * factor)
         return out
 
     def unit(self, k: int) -> El:
-        return El.term((ONE,) * k, Fraction(1))
+        return El.term((ONE,) * k)
 
     def gen(self, i: int, k: int = 1, leg: int = 0) -> El:
         key = tuple((i,) if j == leg else ONE for j in range(k))
-        return El.term(key, Fraction(1))
+        return El.term(key)
 
     # -- coalgebra structure ---------------------------------------------------
 
@@ -103,7 +102,7 @@ class Envelope:
         if not m:
             result = self.unit(2)
         else:
-            head = El({(((m[0],)), ONE): Fraction(1), (ONE, (m[0],)): Fraction(1)})
+            head = El({(((m[0],)), ONE): 1, (ONE, (m[0],)): 1})
             result = self.k_mul(head, self.coproduct_mon(m[1:]), 2)
         self._coprod[m] = result
         return result
@@ -128,20 +127,20 @@ class Envelope:
 
     # -- linear-map extension ----------------------------------------------------
 
-    def apply_linear_mon(self, linmap: LinearMap, m: Mon) -> dict[Mon, Fraction]:
+    def apply_linear_mon(self, linmap: LinearMap, m: Mon) -> dict[Mon, Scalar]:
         """Multiplicative extension of a space map to a monomial."""
         cached = self._linear.get((linmap, m))
         if cached is not None:
             return cached
         if not m:
-            result = {ONE: Fraction(1)}
+            result = {ONE: 1}
         else:
             tail = self.apply_linear_mon(linmap, m[1:])
             result = {}
             for i, c in linmap.column(m[0]).items():
                 for mt, d in tail.items():
                     for mm, e in self.mul_mon((i,), mt).items():
-                        acc = result.get(mm, Fraction(0)) + c * d * e
+                        acc = result.get(mm, 0) + c * d * e
                         if acc:
                             result[mm] = acc
                         else:
@@ -207,9 +206,9 @@ class SmashAlgebra:
 
     def unit(self, k: int = 1) -> El:
         e = self.group.identity
-        return El.term(((ONE, e),) * k, Fraction(1))
+        return El.term(((ONE, e),) * k)
 
-    def theta_mon(self, g: int, m: Mon) -> dict[Mon, Fraction]:
+    def theta_mon(self, g: int, m: Mon) -> dict[Mon, Scalar]:
         return self.env.apply_linear_mon(self.action.theta(g), m)
 
     def k_mul(self, a: El, b: El, k: int = 1) -> El:
@@ -259,7 +258,7 @@ class SmashAlgebra:
 
     def counit(self, a: El):
         # group-likes have counit 1: sum the coefficients of [1|g] over all g
-        acc = Fraction(0)
+        acc = 0
         for ((m, _g),), c in a.data.items():
             if m == ONE:
                 acc = acc + c
@@ -317,9 +316,9 @@ class CoPoissonStructure:
             result = El() if g == e else self._delta_grouplike(g)
         else:
             head_delta = self._delta_generator(m[0])
-            head_cop = El({(((m[0],), e), (ONE, e)): Fraction(1),
-                           ((ONE, e), ((m[0],), e)): Fraction(1)})
-            tail = El.term(((m[1:], g),), Fraction(1))
+            head_cop = El({(((m[0],), e), (ONE, e)): 1,
+                           ((ONE, e), ((m[0],), e)): 1})
+            tail = El.term(((m[1:], g),))
             tail_delta = self.delta_basis(m[1:], g)
             tail_cop = self.smash.coproduct(tail)
             result = self.smash.k_mul(head_delta, tail_cop, 2) + \
@@ -375,7 +374,7 @@ def copoisson_axiom_defects(structure: CoPoissonStructure, d_in: int, window: in
     }
     basis = smash.basis_up_to(d_in)
     for m, g in basis:
-        one = El.term(((m, g),), Fraction(1))
+        one = El.term(((m, g),))
         delta = structure.delta_basis(m, g)
 
         # grading: all output slots carry the grading of the input
@@ -390,8 +389,8 @@ def copoisson_axiom_defects(structure: CoPoissonStructure, d_in: int, window: in
         if m and g != e:
             splits.append((m, e, ONE, g))
         for m1, g1, m2, g2 in splits:
-            a = El.term(((m1, g1),), Fraction(1))
-            b = El.term(((m2, g2),), Fraction(1))
+            a = El.term(((m1, g1),))
+            b = El.term(((m2, g2),))
             diff = structure.delta_product_rule(a, b) - delta
             if diff:
                 report["derivation"][(m, g, m1, m2)] = diff

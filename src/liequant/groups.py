@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import MathDefectError, SchemaError
 from .lie import LieAlgebra, LieBialgebra, QuasitriangularData
@@ -151,7 +150,7 @@ def check_action(action: GroupAction, lie: LieAlgebra) -> ActionReport:
                 bracketed = lie.bracket_vec(theta.column(i), theta.column(j))
                 diff = dict(mapped)
                 for k, v in bracketed.items():
-                    acc = diff.get(k, Fraction(0)) - v
+                    acc = diff.get(k, 0) - v
                     if acc:
                         diff[k] = acc
                     else:
@@ -240,9 +239,9 @@ def gamma_defects(g_bialg: GammaLieBialgebra) -> GammaDefectReport:
             adf = Tensor.zero((a, a))
             for (p, r), v in g_bialg.f(g).data.items():
                 for m, c in lie.bracket_basis(p, i).items():
-                    adf.data[(m, r)] = adf.data.get((m, r), Fraction(0)) + v * c
+                    adf.data[(m, r)] = adf.data.get((m, r), 0) + v * c
                 for m, c in lie.bracket_basis(r, i).items():
-                    adf.data[(p, m)] = adf.data.get((p, m), Fraction(0)) + v * c
+                    adf.data[(p, m)] = adf.data.get((p, m), 0) + v * c
             adf.data = {k: v for k, v in adf.data.items() if v}
             diff = pushed - bialg.cobracket_basis(i) - adf
             for key, v in diff.data.items():
@@ -322,7 +321,7 @@ def gamma_morphism_check(src: GammaLieBialgebra, dst: GammaLieBialgebra,
             bracketed = dst.bialgebra.lie.bracket_vec(i_map.column(i), i_map.column(j))
             diff = dict(mapped)
             for k, v in bracketed.items():
-                acc = diff.get(k, Fraction(0)) - v
+                acc = diff.get(k, 0) - v
                 if acc:
                     diff[k] = acc
                 else:

@@ -8,8 +8,6 @@ solvers' linearised build in :mod:`liequant.hquant.unknowns` relies on this.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..envelope import Envelope, Mon, ONE
 from ..errors import InternalCheckError
 from ..sparse import El
@@ -163,7 +161,7 @@ class MapSeries:
 
     @classmethod
     def identity(cls, env: Envelope, order: int) -> "MapSeries":
-        t0 = {i: El.term(((i,),), Fraction(1)) for i in range(env.dim)}
+        t0 = {i: El.term(((i,),)) for i in range(env.dim)}
         return cls(env, order, [t0] + [{} for _ in range(order)])
 
     @classmethod
@@ -245,7 +243,7 @@ class MapSeries:
         env = self.env
         n = env.dim
         space = env.lie.space
-        rows = [[Fraction(0)] * n for _ in range(n)]
+        rows = [[0] * n for _ in range(n)]
         for j in range(n):
             el = self.tables[0].get(j, El())
             for (m,), c in el.data.items():
@@ -293,7 +291,7 @@ class MapSeries:
         order = v.order
         tables: list[dict[int, El]] = [{} for _ in range(order + 1)]
         for i in range(env.dim):
-            xi = ElSeries.constant(env, 1, order, El.term(((i,),), Fraction(1)))
+            xi = ElSeries.constant(env, 1, order, El.term(((i,),)))
             img = v.mul(xi).mul(vinv)
             for k, el in enumerate(img.coeffs):
                 if el:
@@ -306,7 +304,7 @@ class MapSeries:
         if any(self.tables[k] for k in range(1, self.order + 1)):
             return False
         for i in range(self.env.dim):
-            if self.tables[0].get(i, El()) != El.term(((i,),), Fraction(1)):
+            if self.tables[0].get(i, El()) != El.term(((i,),)):
                 return False
         return True
 
@@ -327,7 +325,7 @@ class CoproductSeries:
     def undeformed(cls, env: Envelope, order: int) -> "CoproductSeries":
         t0 = {}
         for i in range(env.dim):
-            t0[i] = El({(((i,)), ONE): Fraction(1), (ONE, (i,)): Fraction(1)})
+            t0[i] = El({(((i,)), ONE): 1, (ONE, (i,)): 1})
         return cls(env, order, [t0] + [{} for _ in range(order)])
 
     def gen_series(self, i: int) -> ElSeries:

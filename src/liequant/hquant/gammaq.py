@@ -15,13 +15,13 @@ conjugated by the solved r-matrix element) in one representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError
 from ..groups import GammaLieBialgebra, GroupAction
 from ..linsolve import Certificate, lin_solve
 from ..sparse import El
+from ..tensors import q
 from .core import CoproductSeries, ElSeries, MapSeries
 from .solvers import (GaugeLog, SolveRecord, composition_defect,
                       solve_composition_v, solve_coproduct, solve_j_conjugator,
@@ -54,7 +54,7 @@ class GammaQuantization:
     def unit(self, k: int = 1) -> list[El]:
         e = self.group.identity
         out = [El() for _ in range(self.order + 1)]
-        out[0] = El.term(((ONE, e),) * k, Fraction(1))
+        out[0] = El.term(((ONE, e),) * k)
         return out
 
     def zero(self) -> list[El]:
@@ -62,7 +62,7 @@ class GammaQuantization:
 
     def basis_series(self, m: Mon, g: int) -> list[El]:
         out = [El() for _ in range(self.order + 1)]
-        out[0] = El.term(((m, g),), Fraction(1))
+        out[0] = El.term(((m, g),))
         return out
 
     def basis_up_to(self, d: int) -> list[tuple[Mon, int]]:
@@ -77,10 +77,11 @@ class GammaQuantization:
         m1, g1 = mg_a
         m2, g2 = mg_b
         gg = self.group.mul(g1, g2)
-        left = ElSeries.constant(self.env, 1, self.order, El.term((m1,), Fraction(1)))
+        left = ElSeries.constant(self.env, 1, self.order, El.term((m1,)))
         moved = ElSeries(self.env, 1, self.t_map[g1].ext_mon(m2))
         series = left.mul(moved).mul(self.v_inv[(g1, g2)])
-        result = (gg, series.coeffs)
+        # cached coefficients feed every product: keep them under the scalar rule
+        result = (gg, [El({key: q(c) for key, c in el.data.items()}) for el in series.coeffs])
         self._slot_cache[(mg_a, mg_b)] = result
         return result
 
@@ -101,7 +102,7 @@ class GammaQuantization:
                     for key_b, cb in el_b.data.items():
                         base = ca * cb
                         budget = n - alpha - beta
-                        partial = [((), 0, Fraction(1))]
+                        partial = [((), 0, 1)]
                         for s in range(k):
                             gg, series = self._slot_product(key_a[s], key_b[s])
                             nxt = []
@@ -126,7 +127,7 @@ class GammaQuantization:
             return cached
         core = ElSeries(self.env, 2, self.cop.ext_mon(m)).mul(self.f_inv[g])
         attached = [
-            El({((k1, g), (k2, g)): c for (k1, k2), c in el.data.items()})
+            El({((k1, g), (k2, g)): q(c) for (k1, k2), c in el.data.items()})
             for el in core.coeffs
         ]
         self._cop_cache[(m, g)] = attached
@@ -158,7 +159,7 @@ class GammaQuantization:
     def counit(self, a: list[El]):
         out = []
         for el in a:
-            acc = Fraction(0)
+            acc = 0
             for ((m, _g),), c in el.data.items():
                 if m == ONE:
                     acc = acc + c
@@ -660,7 +661,7 @@ def classical_limit_check(assembly: GammaQuantization, g_bialg: GammaLieBialgebr
     for a in basis:
         for b in basis:
             got = assembly.mul(assembly.basis_series(*a), assembly.basis_series(*b))[0]
-            want = smash.k_mul(El.term((a,), Fraction(1)), El.term((b,), Fraction(1)), 1)
+            want = smash.k_mul(El.term((a,)), El.term((b,)), 1)
             if got != want:
                 out["product0"][(a, b)] = got - want
     for a in basis:

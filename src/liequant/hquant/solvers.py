@@ -13,21 +13,23 @@ cap hint.  Every solve appends a record to the run's gauge log.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from ..envelope import Envelope
 from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from ..lie import LieBialgebra
 from ..linsolve import Certificate, lin_solve
 from ..sparse import El
-from ..tensors import Tensor
+from ..tensors import Tensor, qdiv
 from ..twists import twist as twist_bialgebra
 from ..twists import twist_defect
 from .core import CoproductSeries, ElSeries, MapSeries
 from .unknowns import (LinearisedDefect, allocation_order, blocks, top_coeffs,
                        values_by_slot)
 
-HALF = Fraction(1, 2)
+
+def _half(env: Envelope, t: Tensor) -> El:
+    """Half a classical tensor, embedded: the closed-form order-1 coefficient."""
+    return El({key: qdiv(c, 2) for key, c in env.embed_tensor(t).data.items()})
 
 
 @dataclass
@@ -158,7 +160,7 @@ def counit_defect(cop: CoproductSeries) -> dict:
         d = cop.gen_series(i)
         for leg in (0, 1):
             coeffs = [env.counit_leg(c, leg) for c in d.coeffs]
-            coeffs[0] = coeffs[0] - El.term(((i,),), Fraction(1))
+            coeffs[0] = coeffs[0] - El.term(((i,),))
             if any(c for c in coeffs):
                 out[(i, leg)] = ElSeries(env, 1, coeffs)
     return out
@@ -194,7 +196,7 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
     if order >= 1:
         t1 = {}
         for i in range(env.dim):
-            el = HALF * env.embed_tensor(bialg.cobracket_basis(i))
+            el = _half(env, bialg.cobracket_basis(i))
             if el:
                 t1[i] = el
         tables.append(t1)
@@ -259,7 +261,7 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
     bialg = qt.bialgebra()
     coeffs = [env.unit(2)]
     if order >= 1:
-        coeffs.append(HALF * env.embed_tensor(qt.r))
+        coeffs.append(_half(env, qt.r))
         cand = ElSeries(env, 2, coeffs[:2])
         _verify_zero(coassoc_defect(conjugated_coproduct(env, cand)),
                      "order-1 conjugated coassociativity")
@@ -336,7 +338,7 @@ def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: i
         raise ValueError("base coproduct truncated below the requested order")
     coeffs = [env.unit(2)]
     if order >= 1:
-        coeffs.append(HALF * env.embed_tensor(f))
+        coeffs.append(_half(env, f))
         cand = ElSeries(env, 2, coeffs[:2])
         cdef = cocycle_defect(cop.truncated(1), cand)
         if not cdef.is_zero():
@@ -484,7 +486,7 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
     except SolverInconsistencyError:
         log.note("sequential twist-pair solve inconsistent; retrying jointly")
 
-    coeffs = [env.unit(2), HALF * env.embed_tensor(f)]
+    coeffs = [env.unit(2), _half(env, f)]
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
     twisted = twist_bialgebra(bialg, f, check=False)
 

@@ -22,11 +22,11 @@ sorted (block id, element key) order with zero rows skipped.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable, Hashable
 
 from ..linsolve import LinSystem
 from ..sparse import El
+from ..tensors import Scalar
 
 Blocks = dict[Hashable, El]
 # defect(top, n, slot): the blocks of the order-n coefficient with ``top`` as
@@ -77,7 +77,7 @@ class LinearisedDefect:
         base = self._base.get(slot)
         if base is None:
             base = self._base[slot] = self.defect({slot: El()}, 1, slot)
-        col = self.defect({slot: El.term(key, Fraction(1))}, 1, slot)
+        col = self.defect({slot: El.term(key)}, 1, slot)
         for bid, el in base.items():
             diff = col.get(bid, El()) - el
             if diff:
@@ -89,7 +89,7 @@ class LinearisedDefect:
 
     def system(self, unknowns: list[tuple]) -> LinSystem:
         """The system ``A x = b`` in the given unknowns, one per (slot, key)."""
-        rows: dict[tuple, dict[int, Fraction]] = {}
+        rows: dict[tuple, dict[int, Scalar]] = {}
         for var, (slot, key) in enumerate(unknowns):
             for bid, el in self.column(slot, key).items():
                 for ekey, c in el.data.items():
@@ -101,11 +101,11 @@ class LinearisedDefect:
         for bid, ekey in sorted(rows):
             const = self.constant.get(bid)
             system.add_row(rows[(bid, ekey)],
-                           -const.coeff(ekey) if const is not None else Fraction(0))
+                           -const.coeff(ekey) if const is not None else 0)
         return system
 
 
-def values_by_slot(unknowns: list[tuple], values: list[Fraction], slots) -> dict:
+def values_by_slot(unknowns: list[tuple], values: list[Scalar], slots) -> dict:
     """Solved unknowns gathered into one element per slot (zeros dropped)."""
     out = {slot: El() for slot in slots}
     for (slot, key), value in zip(unknowns, values):

@@ -8,13 +8,12 @@ deliberately broken tables can be fed to the defect operations.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Mapping
 
 from .errors import MathDefectError
-from .tensors import BasedSpace, Tensor, QLike, cyclic_sum3, q
+from .tensors import BasedSpace, QLike, Scalar, Tensor, cyclic_sum3, q
 
-Vec = dict[int, Fraction]
+Vec = dict[int, Scalar]
 
 BracketTable = Mapping[tuple[int, int], Mapping[int, QLike]]
 CobracketTable = Mapping[int, Mapping[tuple[int, int], QLike]]
@@ -59,7 +58,7 @@ class LieAlgebra:
         for i, a in u.items():
             for j, b in v.items():
                 for k, c in self.bracket_basis(i, j).items():
-                    acc = out.get(k, Fraction(0)) + a * b * c
+                    acc = out.get(k, 0) + a * b * c
                     if acc:
                         out[k] = acc
                     else:
@@ -91,7 +90,7 @@ def jacobi_defect(lie: LieAlgebra) -> Tensor:
                     inner = lie.bracket_basis(p, r)
                     for m, c in inner.items():
                         for t, d in lie.bracket_basis(m, s).items():
-                            val = acc.get(t, Fraction(0)) + c * d
+                            val = acc.get(t, 0) + c * d
                             if val:
                                 acc[t] = val
                             else:
@@ -172,9 +171,9 @@ def ad2(lie: LieAlgebra, i: int, t: Tensor) -> Tensor:
     out = Tensor.zero((a, a))
     for (p, r), v in t.data.items():
         for m, c in lie.bracket_basis(i, p).items():
-            out.data[(m, r)] = out.data.get((m, r), Fraction(0)) + v * c
+            out.data[(m, r)] = out.data.get((m, r), 0) + v * c
         for m, c in lie.bracket_basis(i, r).items():
-            out.data[(p, m)] = out.data.get((p, m), Fraction(0)) + v * c
+            out.data[(p, m)] = out.data.get((p, m), 0) + v * c
     out.data = {k: v for k, v in out.data.items() if v}
     return out
 
@@ -190,7 +189,7 @@ def cojacobi_defect(bialg: LieBialgebra) -> Tensor:
         acc = Tensor.zero((a, a, a))
         for (p, r), v in bialg.cobracket_basis(i).data.items():
             for (s, t), w in bialg.cobracket_basis(p).data.items():
-                acc.data[(s, t, r)] = acc.data.get((s, t, r), Fraction(0)) + v * w
+                acc.data[(s, t, r)] = acc.data.get((s, t, r), 0) + v * w
         acc.data = {k: v for k, v in acc.data.items() if v}
         for key, v in cyclic_sum3(acc).data.items():
             out.data[(i,) + key] = v
@@ -224,7 +223,7 @@ def cybe_defect(lie: LieAlgebra, r: Tensor) -> Tensor:
     out = Tensor.zero((a, a, a))
 
     def add(key, coeff):
-        acc = out.data.get(key, Fraction(0)) + coeff
+        acc = out.data.get(key, 0) + coeff
         if acc:
             out.data[key] = acc
         else:
@@ -261,9 +260,9 @@ def coboundary_cobracket(lie: LieAlgebra, r: Tensor) -> list[Tensor]:
         for (p, rr), v in r.data.items():
             # [p⊗rr, x⊗1] = [p,x]⊗rr ; [p⊗rr, 1⊗x] = p⊗[rr,x]
             for m, c in lie.bracket_basis(p, i).items():
-                t.data[(m, rr)] = t.data.get((m, rr), Fraction(0)) + v * c
+                t.data[(m, rr)] = t.data.get((m, rr), 0) + v * c
             for m, c in lie.bracket_basis(rr, i).items():
-                t.data[(p, m)] = t.data.get((p, m), Fraction(0)) + v * c
+                t.data[(p, m)] = t.data.get((p, m), 0) + v * c
         t.data = {k: v for k, v in t.data.items() if v}
         out.append(t)
     return out
@@ -312,7 +311,7 @@ def drinfeld_double(bialg: LieBialgebra) -> QuasitriangularData:
     a = bialg.space
     n = a.dim
     dspace = double_space(a)
-    brackets: dict[tuple[int, int], dict[int, Fraction]] = {}
+    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
 
     def set_bracket(i: int, j: int, vec: Vec):
         if i == j or not vec:
@@ -338,16 +337,16 @@ def drinfeld_double(bialg: LieBialgebra) -> QuasitriangularData:
             vec = {}
             for (p, r), v in bialg.cobracket_basis(i).data.items():
                 if p == j:
-                    vec[r] = vec.get(r, Fraction(0)) + v
+                    vec[r] = vec.get(r, 0) + v
             for k in range(n):
-                c = bialg.lie.bracket_basis(i, k).get(j, Fraction(0))
+                c = bialg.lie.bracket_basis(i, k).get(j, 0)
                 if c:
-                    vec[n + k] = vec.get(n + k, Fraction(0)) - c
+                    vec[n + k] = vec.get(n + k, 0) - c
             vec = {k: v for k, v in vec.items() if v}
             set_bracket(i, n + j, vec)
 
     dlie = LieAlgebra(dspace, brackets)
     r = Tensor.zero((dspace, dspace))
     for i in range(n):
-        r.data[(i, n + i)] = Fraction(1)
+        r.data[(i, n + i)] = 1
     return QuasitriangularData(dlie, r)

@@ -10,8 +10,9 @@ vector ``y`` of the matrix with ``y·b != 0`` instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Sequence
+
+from .tensors import Scalar, q, qdiv
 
 
 @dataclass
@@ -19,10 +20,10 @@ class LinSystem:
     """Sparse rational system ``A x = b``."""
 
     nvars: int
-    rows: list[dict[int, Fraction]] = field(default_factory=list)
-    rhs: list[Fraction] = field(default_factory=list)
+    rows: list[dict[int, Scalar]] = field(default_factory=list)
+    rhs: list[Scalar] = field(default_factory=list)
 
-    def add_row(self, row: dict[int, Fraction], rhs: Fraction):
+    def add_row(self, row: dict[int, Scalar], rhs: Scalar):
         self.rows.append({c: v for c, v in row.items() if v})
         self.rhs.append(rhs)
 
@@ -35,13 +36,13 @@ class LinSystem:
 class Certificate:
     """Left null vector proving inconsistency: y·A = 0 and y·b != 0."""
 
-    combination: dict[int, Fraction]
-    residual: Fraction
+    combination: dict[int, Scalar]
+    residual: Scalar
 
 
 @dataclass
 class Solution:
-    values: list[Fraction]
+    values: list[Scalar]
     pivot_columns: list[int]
 
     @property
@@ -55,7 +56,7 @@ def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | C
     rows = [dict(r) for r in system.rows]
     rhs = list(system.rhs)
     nrows = len(rows)
-    comb: list[dict[int, Fraction]] = [{i: Fraction(1)} for i in range(nrows)] if track_certificate else [{} for _ in range(nrows)]
+    comb: list[dict[int, Scalar]] = [{i: 1} for i in range(nrows)] if track_certificate else [{} for _ in range(nrows)]
 
     # column -> set of active (non-pivot) row ids that mention it
     col_rows: dict[int, set[int]] = {}
@@ -79,9 +80,9 @@ def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | C
             if rid == piv:
                 continue
             row = rows[rid]
-            factor = row[col] / piv_val
+            factor = qdiv(row[col], piv_val)
             for c, v in piv_row.items():
-                acc = row.get(c, Fraction(0)) - factor * v
+                acc = row.get(c, 0) - factor * v
                 if acc:
                     row[c] = acc
                     if c != col:
@@ -96,7 +97,7 @@ def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | C
             if track_certificate:
                 crow = comb[rid]
                 for orig, cv in comb[piv].items():
-                    acc = crow.get(orig, Fraction(0)) - factor * cv
+                    acc = crow.get(orig, 0) - factor * cv
                     if acc:
                         crow[orig] = acc
                     else:
@@ -112,7 +113,7 @@ def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | C
         if not is_pivot_row[rid] and not rows[rid] and rhs[rid]:
             return Certificate(combination=comb[rid], residual=rhs[rid])
 
-    values = [Fraction(0)] * nvars
+    values = [0] * nvars
     for col in sorted(pivot_of_col, reverse=True):
         rid = pivot_of_col[col]
         row = rows[rid]
@@ -120,17 +121,17 @@ def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | C
         for c, v in row.items():
             if c != col:
                 acc -= v * values[c]
-        values[col] = acc / row[col]
+        values[col] = qdiv(acc, row[col])
     return Solution(values=values, pivot_columns=sorted(pivot_of_col))
 
 
 def verify_certificate(system: LinSystem, cert: Certificate) -> bool:
     """Check y·A = 0 and y·b != 0 for a returned certificate."""
-    acc_cols: dict[int, Fraction] = {}
-    acc_rhs = Fraction(0)
+    acc_cols: dict[int, Scalar] = {}
+    acc_rhs = 0
     for rid, y in cert.combination.items():
         for c, v in system.rows[rid].items():
-            acc = acc_cols.get(c, Fraction(0)) + y * v
+            acc = acc_cols.get(c, 0) + y * v
             if acc:
                 acc_cols[c] = acc
             else:
@@ -139,10 +140,10 @@ def verify_certificate(system: LinSystem, cert: Certificate) -> bool:
     return not acc_cols and acc_rhs != 0
 
 
-def solve_dense(matrix: Sequence[Sequence[Fraction]], rhs: Sequence[Fraction]) -> Solution | Certificate:
+def solve_dense(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Solution | Certificate:
     """Convenience wrapper for small dense systems."""
     nvars = len(matrix[0]) if matrix else 0
     sys = LinSystem(nvars=nvars)
     for row, b in zip(matrix, rhs):
-        sys.add_row({j: Fraction(v) for j, v in enumerate(row) if v}, Fraction(b))
+        sys.add_row({j: q(v) for j, v in enumerate(row) if v}, q(b))
     return lin_solve(sys)

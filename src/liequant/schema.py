@@ -9,21 +9,20 @@ join their legs with "|", smash legs append "@label" for the group part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .envelope import Mon, ONE
 from .errors import SchemaError
 from .groups import FiniteGroup, GammaLieBialgebra, GroupAction
 from .lie import LieAlgebra, LieBialgebra, QuasitriangularData
 from .sparse import El
-from .tensors import BasedSpace, LinearMap, Tensor, qstr
+from .tensors import BasedSpace, LinearMap, Scalar, Tensor, q, qstr
 
 
-def _rat(value, where: str) -> Fraction:
+def _rat(value, where: str) -> Scalar:
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError("rationals must be strings or integers", where)
     try:
-        return Fraction(value)
+        return q(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
         raise SchemaError(f"bad rational {value!r}: {exc}", where) from None
 

@@ -8,8 +8,9 @@ the caller as a bilinear callable so one class serves every coefficient space.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable, Sequence
+
+from .tensors import q
 
 
 class HSeries:
@@ -98,4 +99,4 @@ def hseries_inverse(a: HSeries, mult: Callable, unit) -> HSeries:
 
 def scalar_series(values: Sequence) -> HSeries:
     """Series with plain rational coefficients."""
-    return HSeries([Fraction(v) if not isinstance(v, Fraction) else v for v in values])
+    return HSeries([q(v) for v in values])

@@ -7,7 +7,6 @@ values are exact scalars.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, Mapping
 
 
@@ -25,7 +24,7 @@ class El:
                 self.add_term(k, v)
 
     @classmethod
-    def term(cls, key, coeff=Fraction(1)) -> "El":
+    def term(cls, key, coeff=1) -> "El":
         out = cls()
         if coeff:
             out.data[key] = coeff
@@ -62,7 +61,7 @@ class El:
         return sorted(self.data.items(), key=lambda kv: kv[0])
 
     def coeff(self, key):
-        return self.data.get(key, Fraction(0))
+        return self.data.get(key, 0)
 
     def __add__(self, other: "El") -> "El":
         out = self.copy()

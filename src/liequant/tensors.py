@@ -1,8 +1,12 @@
 """Based vector spaces, sparse exact-rational tensors and linear maps.
 
-All coefficients are ``fractions.Fraction``: arithmetic is exact, stored
-values are never zero, and iteration over entries is in lexicographic key
-order so that reports and serialized artifacts are reproducible.
+Scalars follow one rule throughout the package: a coefficient is a plain
+``int`` when it is integral and a ``fractions.Fraction`` only when its
+denominator exceeds 1.  :func:`q` owns the rule, and every parser, literal
+and division goes through it, so ``int`` products take the interpreter's
+fast path while arithmetic stays exact.  Stored values are never zero, and
+iteration over entries is in lexicographic key order so that reports and
+serialized artifacts are reproducible.
 """
 
 from __future__ import annotations
@@ -11,21 +15,29 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-Q = Fraction
+Scalar = int | Fraction
 
 QLike = Fraction | int | str
 
 
-def q(value: QLike) -> Fraction:
-    """Coerce an int or a ``"p/q"`` string to an exact rational."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, (int, str)):
-        return Fraction(value)
-    raise TypeError(f"not an exact rational: {value!r}")
+def q(value: QLike) -> Scalar:
+    """Coerce an int, a ``Fraction`` or a ``"p/q"`` string to an exact
+    scalar: the ``int`` numerator when integral, else a ``Fraction``."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, str):
+        value = Fraction(value)
+    elif not isinstance(value, Fraction):
+        raise TypeError(f"not an exact rational: {value!r}")
+    return value.numerator if value.denominator == 1 else value
 
 
-def qstr(value: Fraction) -> str:
+def qdiv(a: Scalar, b: Scalar) -> Scalar:
+    """Exact quotient ``a / b`` (``/`` on two ints would give a float)."""
+    return q(Fraction(a) / b)
+
+
+def qstr(value: Scalar) -> str:
     """Serialize a rational as ``"p"`` or ``"p/q"``."""
     if value.denominator == 1:
         return str(value.numerator)
@@ -67,7 +79,7 @@ class Tensor:
 
     def __init__(self, spaces: Iterable[BasedSpace], data: Mapping[tuple[int, ...], QLike] | None = None):
         self.spaces: tuple[BasedSpace, ...] = tuple(spaces)
-        clean: dict[tuple[int, ...], Fraction] = {}
+        clean: dict[tuple[int, ...], Scalar] = {}
         if data:
             for key, value in data.items():
                 key = tuple(key)
@@ -89,7 +101,7 @@ class Tensor:
 
     @classmethod
     def basis(cls, spaces: Iterable[BasedSpace], key: tuple[int, ...]) -> "Tensor":
-        return cls(spaces, {tuple(key): Fraction(1)})
+        return cls(spaces, {tuple(key): 1})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -100,11 +112,11 @@ class Tensor:
     def is_zero(self) -> bool:
         return not self.data
 
-    def items_sorted(self) -> list[tuple[tuple[int, ...], Fraction]]:
+    def items_sorted(self) -> list[tuple[tuple[int, ...], Scalar]]:
         return sorted(self.data.items())
 
-    def coeff(self, key: tuple[int, ...]) -> Fraction:
-        return self.data.get(tuple(key), Fraction(0))
+    def coeff(self, key: tuple[int, ...]) -> Scalar:
+        return self.data.get(tuple(key), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -134,7 +146,7 @@ class Tensor:
         self._check_same_shape(other)
         data = dict(self.data)
         for key, value in other.data.items():
-            acc = data.get(key, Fraction(0)) + value
+            acc = data.get(key, 0) + value
             if acc:
                 data[key] = acc
             else:
@@ -225,7 +237,7 @@ class LinearMap:
     def __init__(self, src: BasedSpace, dst: BasedSpace, rows: Iterable[Iterable[QLike]]):
         self.src = src
         self.dst = dst
-        self.rows: tuple[tuple[Fraction, ...], ...] = tuple(
+        self.rows: tuple[tuple[Scalar, ...], ...] = tuple(
             tuple(q(v) for v in row) for row in rows
         )
         if len(self.rows) != dst.dim or any(len(r) != src.dim for r in self.rows):
@@ -234,19 +246,19 @@ class LinearMap:
     @classmethod
     def identity(cls, space: BasedSpace) -> "LinearMap":
         n = space.dim
-        return cls(space, space, [[Fraction(int(i == j)) for j in range(n)] for i in range(n)])
+        return cls(space, space, [[int(i == j) for j in range(n)] for i in range(n)])
 
-    def entry(self, i: int, j: int) -> Fraction:
+    def entry(self, i: int, j: int) -> Scalar:
         return self.rows[i][j]
 
-    def column(self, j: int) -> dict[int, Fraction]:
+    def column(self, j: int) -> dict[int, Scalar]:
         return {i: self.rows[i][j] for i in range(self.dst.dim) if self.rows[i][j]}
 
-    def apply_vec(self, vec: Mapping[int, Fraction]) -> dict[int, Fraction]:
-        out: dict[int, Fraction] = {}
+    def apply_vec(self, vec: Mapping[int, Scalar]) -> dict[int, Scalar]:
+        out: dict[int, Scalar] = {}
         for j, value in vec.items():
             for i, m in self.column(j).items():
-                acc = out.get(i, Fraction(0)) + m * value
+                acc = out.get(i, 0) + m * value
                 if acc:
                     out[i] = acc
                 else:
@@ -259,7 +271,7 @@ class LinearMap:
             raise ValueError("tensor slots do not match the map source")
         out = Tensor.zero(tuple(self.dst for _ in t.spaces))
         for key, value in t.data.items():
-            partial: list[tuple[tuple[int, ...], Fraction]] = [((), value)]
+            partial: list[tuple[tuple[int, ...], Scalar]] = [((), value)]
             for j in key:
                 col = self.column(j)
                 partial = [
@@ -268,7 +280,7 @@ class LinearMap:
                     for i, m in col.items()
                 ]
             for new_key, coeff in partial:
-                acc = out.data.get(new_key, Fraction(0)) + coeff
+                acc = out.data.get(new_key, 0) + coeff
                 if acc:
                     out.data[new_key] = acc
                 else:
@@ -281,7 +293,7 @@ class LinearMap:
             raise ValueError("composition shape mismatch")
         n, m, p = self.dst.dim, self.src.dim, other.src.dim
         rows = [
-            [sum((self.rows[i][k] * other.rows[k][j] for k in range(m)), Fraction(0)) for j in range(p)]
+            [sum(self.rows[i][k] * other.rows[k][j] for k in range(m)) for j in range(p)]
             for i in range(n)
         ]
         return LinearMap(other.src, self.dst, rows)
@@ -290,14 +302,14 @@ class LinearMap:
         if self.src.dim != self.dst.dim:
             raise ValueError("only square maps can be inverted")
         n = self.src.dim
-        aug = [list(self.rows[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+        aug = [list(self.rows[i]) + [int(i == j) for j in range(n)] for i in range(n)]
         for col in range(n):
             piv = next((r for r in range(col, n) if aug[r][col]), None)
             if piv is None:
                 raise ValueError("singular matrix")
             aug[col], aug[piv] = aug[piv], aug[col]
-            inv = 1 / aug[col][col]
-            aug[col] = [v * inv for v in aug[col]]
+            pivot = aug[col][col]
+            aug[col] = [qdiv(v, pivot) for v in aug[col]]
             for r in range(n):
                 if r != col and aug[r][col]:
                     f = aug[r][col]

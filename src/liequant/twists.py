@@ -3,12 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InternalCheckError, MathDefectError
 from .lie import LieBialgebra, ad2, drinfeld_double
 from .linsolve import Certificate, LinSystem, lin_solve
-from .tensors import LinearMap, Tensor, cyclic_sum3
+from .tensors import LinearMap, Scalar, Tensor, cyclic_sum3
 
 
 def twist_defect(bialg: LieBialgebra, f: Tensor) -> Tensor:
@@ -22,7 +21,7 @@ def twist_defect(bialg: LieBialgebra, f: Tensor) -> Tensor:
     acc = Tensor.zero((a, a, a))
 
     def add(key, value):
-        val = acc.data.get(key, Fraction(0)) + value
+        val = acc.data.get(key, 0) + value
         if val:
             acc.data[key] = val
         else:
@@ -127,28 +126,27 @@ def double_twist_iso(bialg: LieBialgebra, f: Tensor) -> LinearMap:
         # canonical element transport: sum_i x_i ⊗ A(xi_i) = sign * f
         for a_comp in range(n):
             for i in range(n):
-                system.add_row({var(a_comp, i): Fraction(1)},
-                               Fraction(sign) * f.coeff((i, a_comp)))
+                system.add_row({var(a_comp, i): 1},
+                               sign * f.coeff((i, a_comp)))
         # pairing preservation forces the block to be antisymmetric
         for i in range(n):
             for j in range(i, n):
-                system.add_row({var(i, j): Fraction(1), var(j, i): Fraction(1)},
-                               Fraction(0))
+                system.add_row({var(i, j): 1, var(j, i): 1}, 0)
         # bracket intertwining on mixed pairs (x_i, xi_j); linear in the block
         for i in range(n):
             for j in range(n):
                 src = d_src.lie.bracket_basis(i, n + j)
                 dst = d_dst.lie.bracket_basis(i, n + j)
-                rows: dict[int, dict[int, Fraction]] = {}
-                rhs: dict[int, Fraction] = {}
+                rows: dict[int, dict[int, Scalar]] = {}
+                rhs: dict[int, Scalar] = {}
 
                 def bump(comp, col, val):
                     if val:
                         row = rows.setdefault(comp, {})
-                        row[col] = row.get(col, Fraction(0)) + val
+                        row[col] = row.get(col, 0) + val
 
                 for comp in set(src) | set(dst):
-                    rhs[comp] = dst.get(comp, Fraction(0)) - src.get(comp, Fraction(0))
+                    rhs[comp] = dst.get(comp, 0) - src.get(comp, 0)
                 # lhs unknown terms: M of the xi-components of the source bracket
                 for comp, v_src in src.items():
                     if comp >= n:
@@ -159,11 +157,11 @@ def double_twist_iso(bialg: LieBialgebra, f: Tensor) -> LinearMap:
                     for comp, val in d_dst.lie.bracket_basis(i, a_comp).items():
                         bump(comp, var(a_comp, j), -val)
                 for comp in sorted(set(rows) | {c for c, v in rhs.items() if v}):
-                    system.add_row(rows.get(comp, {}), rhs.get(comp, Fraction(0)))
+                    system.add_row(rows.get(comp, {}), rhs.get(comp, 0))
         result = lin_solve(system)
         if isinstance(result, Certificate):
             return None
-        mat = [[Fraction(int(i == j)) for j in range(dim)] for i in range(dim)]
+        mat = [[int(i == j) for j in range(dim)] for i in range(dim)]
         for a_comp in range(n):
             for j in range(n):
                 mat[a_comp][n + j] = result.values[var(a_comp, j)]
@@ -188,7 +186,7 @@ def double_iso_defect(bialg: LieBialgebra, f: Tensor, m: LinearMap) -> dict:
             right = d_dst.lie.bracket_vec(m.column(i), m.column(j))
             diff = dict(left)
             for k, v in right.items():
-                acc = diff.get(k, Fraction(0)) - v
+                acc = diff.get(k, 0) - v
                 if acc:
                     diff[k] = acc
                 else:

@@ -1,9 +1,15 @@
 """Command-line interface: exit codes, reports, artifacts, reproducibility."""
 
+import copy
 import json
+from fractions import Fraction
+
+import pytest
 
 from liequant import catalog
-from liequant.cli import main
+from liequant.cli import _assembly_from_json, main
+from liequant.hquant.gammaq import bialgebra_axiom_defects
+from liequant.schema import parse_document
 
 
 def run(capsys, *argv):
@@ -279,3 +285,88 @@ def test_negative_order_option_is_a_schema_error(tmp_path, capsys):
         code, _, err = run(capsys, "quantize", write_doc(tmp_path, doc), "--format", "json")
         assert code == 3
         assert json.loads(err)["location"] == "/options/order"
+
+
+@pytest.fixture(scope="module")
+def z2_artifact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifact") / "z2.json"
+    assert main(["quantize", "catalog:solvable2-tri-z2", "--order", "2",
+                 "--out", str(path), "--format", "json"]) == 0
+    return json.loads(path.read_text())
+
+
+def test_bad_integer_options_are_schema_errors(tmp_path, capsys):
+    doc = catalog.input_document("solvable2-tri-z2")
+    for name in ("order", "degree_cap", "seed_order", "copoisson_degree"):
+        for bad in (-1, "x", 2.5, True, [1]):
+            doc["options"] = {name: bad}
+            for command in ("quantize", "compare"):
+                code, _, err = run(capsys, command, write_doc(tmp_path, doc), "--format", "json")
+                assert code == 3, (name, bad, command)
+                assert json.loads(err)["location"] == f"/options/{name}"
+
+
+def test_compare_honours_seed_order_option(tmp_path, capsys):
+    doc = catalog.input_document("solvable2-tri-z2")
+    doc["options"] = {"seed_order": 5}
+    code, out, _ = run(capsys, "compare", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 0
+    from_option = json.loads(out)
+    code, out, _ = run(capsys, "compare", "catalog:solvable2-tri-z2", "--seed-order", "5",
+                       "--format", "json")
+    assert code == 0
+    from_flag = json.loads(out)
+    assert from_option["seed_order"] == 5
+    for key in ("gauge_log", "witness", "checks"):
+        assert from_option[key] == from_flag[key]
+
+
+def _drop_first_pair(assembly):
+    assembly["compositions"].pop(sorted(assembly["compositions"])[0])
+
+
+def _rename_label(assembly):
+    table = assembly["twist_family"]
+    table["no-such-element"] = table.pop(sorted(table)[-1])
+
+
+@pytest.mark.parametrize("mutate, location", [
+    (lambda a: a.update(order="x"), "/assembly/order"),
+    (lambda a: a.update(order=-1), "/assembly/order"),
+    (lambda a: a.update(order=5), "/assembly/coproduct/0"),
+    (lambda a: a.pop("coproduct"), "/assembly/coproduct"),
+    (lambda a: a.pop("twist_family"), "/assembly/twist_family"),
+    (lambda a: a.pop("transport"), "/assembly/transport"),
+    (lambda a: a.pop("compositions"), "/assembly/compositions"),
+    (_rename_label, "/assembly/twist_family/no-such-element"),
+    (lambda a: a["transport"].pop("e"), "/assembly/transport"),
+    (_drop_first_pair, "/assembly/compositions"),
+    (lambda a: a["coproduct"].update({"2": a["coproduct"]["0"]}), "/assembly/coproduct/2"),
+    (lambda a: a["compositions"]["e,e"][0].update({"1.0": "1"}), "/assembly/compositions/e,e"),
+], ids=["order-not-int", "order-negative", "order-disagrees", "no-coproduct", "no-twist-family",
+        "no-transport", "no-compositions", "unknown-label", "missing-element", "missing-pair",
+        "generator-out-of-range", "monomial-not-normal-ordered"])
+def test_verify_artifact_refuses_malformed_assembly(z2_artifact, mutate, location,
+                                                     tmp_path, capsys):
+    artifact = copy.deepcopy(z2_artifact)
+    mutate(artifact["assembly"])
+    code, _, err = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == location
+
+
+def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
+    assembly = _assembly_from_json(z2_artifact["assembly"], parse_document(z2_artifact["input"]))
+    assert bialgebra_axiom_defects(assembly, z2_artifact["d_in"]).all_zero
+    elements = [el for series in (*assembly.f_map.values(), *assembly.v_map.values())
+                for el in series.coeffs]
+    elements += [el for tables in (assembly.cop.tables,
+                                   *(t.tables for t in assembly.t_map.values()))
+                 for table in tables for el in table.values()]
+    elements += [el for _, coeffs in assembly._slot_cache.values() for el in coeffs]
+    elements += [el for coeffs in assembly._cop_cache.values() for el in coeffs]
+    assert assembly._slot_cache and assembly._cop_cache
+    values = [v for el in elements for v in el.data.values()]
+    assert values
+    assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)

@@ -14,6 +14,21 @@ def test_identity_system():
     assert result.values == [Q(3), Q(-7, 2)]
 
 
+def test_all_int_systems_stay_exact():
+    # ``/`` on two ints gives a float: 2x = 1 must solve to 1/2, not 0.5
+    half = LinSystem(nvars=1)
+    half.add_row({0: 2}, 1)
+    result = lin_solve(half)
+    assert result.values == [Q(1, 2)]
+    assert type(result.values[0]) is Fraction
+    # an integral solution is a plain int
+    two = LinSystem(nvars=1)
+    two.add_row({0: 2}, 4)
+    result = lin_solve(two)
+    assert result.values == [2]
+    assert type(result.values[0]) is int
+
+
 def test_free_variable_pinned_to_zero():
     # 0·x = 0: the lone variable never acquires a pivot
     sys = LinSystem(nvars=1)

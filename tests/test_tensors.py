@@ -131,6 +131,28 @@ def test_linear_map_inverse_and_compose():
         LinearMap(SP, SP, [[1, 0, 0], [0, 0, 0], [0, 0, 0]]).inverse()
 
 
+def scalar_types(values):
+    """``int`` for integral values, ``Fraction`` for the rest; fails on a float."""
+    assert not any(isinstance(v, float) for v in values)
+    return [type(v) for v in values]
+
+
+def test_scalar_rule_at_construction():
+    assert scalar_types([q(5), q("6/3"), q(Fraction(8, 4)), q("-1/2")]) == [int, int, int, Fraction]
+    t = tensor2({(0, 1): "4/2", (1, 0): "1/3"})
+    assert scalar_types([t.coeff((0, 1)), t.coeff((1, 0)), t.coeff((2, 2))]) == [int, Fraction, int]
+
+
+def test_linear_map_inverse_of_int_matrix_is_exact():
+    plane = BasedSpace("p", ("x", "y"))
+    inv = LinearMap(plane, plane, [[2, 0], [0, 1]]).inverse()
+    assert inv.rows == ((Fraction(1, 2), 0), (0, 1))
+    assert [scalar_types(row) for row in inv.rows] == [[Fraction, int], [int, int]]
+    inv = LinearMap(plane, plane, [[2, 1], [1, 1]]).inverse()
+    assert inv.rows == ((1, -1), (-1, 2))
+    assert all(t is int for row in inv.rows for t in scalar_types(row))
+
+
 def test_linear_map_tensor_application():
     m = LinearMap(SP, SP, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
     t = tensor2({(0, 2): 1})
