@@ -24,10 +24,9 @@ from .hquant.gammaq import (ComparisonWitness, GammaQuantization, assemble_gamma
                             bialgebra_axiom_defects, classical_limit_check,
                             compare_pipelines, quasitriangular_gamma_quantize)
 from .hquant.core import CoproductSeries, ElSeries, MapSeries
-from .hquant.pipeline import gamma_v_cocycle_defects
 from .hquant.solvers import (GaugeLog, algebra_compat_defect, coassoc_defect,
                              classical_limit_defect, cocycle_defect, counit_defect,
-                             twist_counit_defect)
+                             iso_intertwine_defect, twist_counit_defect, twisted_coproduct)
 from .lie import (LieBialgebra, cocycle_defect as bialg_cocycle_defect, cojacobi_defect,
                   coboundary_cobracket, cybe_defect, invariance_defect, jacobi_defect)
 from .schema import (ParsedInput, parse_document, series_from_json,
@@ -199,7 +198,7 @@ def _trivial_gamma(bialg: LieBialgebra) -> GammaLieBialgebra:
 def _assembly_to_json(assembly: GammaQuantization) -> dict:
     grp = assembly.group
     env = assembly.env
-    out = {
+    return {
         "order": assembly.order,
         "coproduct": {str(i): series_to_json(assembly.cop.gen_series(i).coeffs)
                       for i in range(env.dim)},
@@ -210,25 +209,22 @@ def _assembly_to_json(assembly: GammaQuantization) -> dict:
                       for g, t in sorted(assembly.t_map.items())},
         "compositions": {f"{grp.labels[g]},{grp.labels[h]}": series_to_json(s.coeffs)
                          for (g, h), s in sorted(assembly.v_map.items())},
+        # derivable from the transport maps; stored for direct inspection of
+        # the solved family, and checked against the derivation on verify
+        "intertwiners": {grp.labels[g]: {str(i): series_to_json(iso.gen_series(i).coeffs)
+                                         for i in range(env.dim)}
+                         for g, iso in assembly.intertwiners.items()},
     }
-    # the intertwiners are derivable from the transport maps; stored for
-    # direct inspection of the solved family
-    intertwiners = {}
-    for g, t in sorted(assembly.t_map.items()):
-        theta = MapSeries.from_linear(env, assembly.order, assembly.action.theta(g))
-        iso = theta.compose(t.inverse())
-        intertwiners[grp.labels[g]] = {str(i): series_to_json(iso.gen_series(i).coeffs)
-                                       for i in range(env.dim)}
-    out["intertwiners"] = intertwiners
-    return out
 
 
-def _assembly_from_json(data: dict, parsed: ParsedInput) -> GammaQuantization:
+def _assembly_from_json(data: dict, parsed: ParsedInput
+                        ) -> tuple[GammaQuantization, dict[int, list[dict[int, El]]]]:
     """Rebuild an assembly from an artifact's tables, trusting none of their shape.
 
     Every table must be present, name only known group elements and
     generators, cover every group element and pair, and hold series of
-    exactly ``order + 1`` coefficients in normal-ordered monomials.
+    exactly ``order + 1`` coefficients in normal-ordered monomials.  Returns
+    the assembly and the stored intertwiner tables per group element.
     """
     gamma = parsed.gamma or _trivial_gamma(parsed.bialgebra)
     env = Envelope(parsed.bialgebra.lie)
@@ -303,12 +299,15 @@ def _assembly_from_json(data: dict, parsed: ParsedInput) -> GammaQuantization:
             if (g, h) not in v_map:
                 raise SchemaError(f"no entry for pair {grp.labels[g]},{grp.labels[h]}",
                                   "/assembly/compositions")
-    return GammaQuantization(env, gamma.action, cop, f_map, t_map, v_map, order)
+    intertwiners = {g: generator_tables(value, 1, where)
+                    for g, (value, where) in by_element("intertwiners").items()}
+    return GammaQuantization(env, gamma.action, cop, f_map, t_map, v_map, order), intertwiners
 
 
 def _verify_assembly(assembly: GammaQuantization, parsed: ParsedInput, report: dict,
-                     d_in: int) -> bool:
-    """Exact re-verification of a (re)constructed assembly."""
+                     d_in: int, stored_intertwiners: dict | None = None) -> bool:
+    """Exact re-verification of a (re)constructed assembly; an artifact's
+    stored intertwiner tables must equal the derived intertwiners."""
     gamma = parsed.gamma or _trivial_gamma(parsed.bialgebra)
     bialg = parsed.bialgebra
     failed = False
@@ -337,30 +336,25 @@ def _verify_assembly(assembly: GammaQuantization, parsed: ParsedInput, report: d
     failed |= _add_check(report, "twist-cocycle", cocycle_ok)
     failed |= _add_check(report, "twist-counit", counit_ok)
     failed |= _add_check(report, "twist-classical-limit", limit_ok)
-    from .hquant.solvers import iso_intertwine_defect, twisted_coproduct
     intertwine_ok = True
-    for g in grp.elements():
-        theta = assembly.action.theta(g)
-        iso = MapSeries.from_linear(assembly.env, assembly.order, theta).compose(
-            assembly.t_map[g].inverse())
+    for g, iso in assembly.intertwiners.items():
         defect = iso_intertwine_defect(
             twisted_coproduct(assembly.cop, assembly.f_map[g]),
-            assembly.cop.pushforward(theta), iso)
-        if defect:
+            assembly.cop.pushforward(assembly.action.theta(g)), iso)
+        if defect or (stored_intertwiners is not None and stored_intertwiners[g] != iso.tables):
             intertwine_ok = False
     failed |= _add_check(report, "transport-intertwining", intertwine_ok)
-    from .hquant.gammaq import _verify_family
     try:
-        _verify_family(assembly)
+        assembly.verify_family()
         failed |= _add_check(report, "family-identities", True)
     except InternalCheckError as exc:
         failed |= _add_check(report, "family-identities", False, str(exc))
     axioms = bialgebra_axiom_defects(assembly, d_in)
     failed |= _add_check(report, "bialgebra-axioms", axioms.all_zero,
                          "" if axioms.all_zero else str(axioms.summary()))
-    vdef = gamma_v_cocycle_defects(assembly)
-    failed |= _add_check(report, "composition-coherence", not vdef,
-                         "" if not vdef else _first_keys(vdef))
+    _, _, coherence = assembly.family_defects
+    failed |= _add_check(report, "composition-coherence", not coherence,
+                         "" if not coherence else _first_keys(coherence))
     limits = classical_limit_check(assembly, gamma, d_in)
     failed |= _add_check(report, "classical-limit-slices",
                          all(not v for v in limits.values()))
@@ -486,13 +480,17 @@ def cmd_verify_artifact(args) -> int:
     if not isinstance(artifact, dict) or "assembly" not in artifact or "input" not in artifact:
         raise SchemaError("not a quantization artifact", "/")
     d_in = _non_negative_int(artifact.get("d_in", 2), "d_in", "/d_in")
-    parsed = parse_document(artifact["input"])
-    if run_classical_checks(parsed, report):
+    try:
+        parsed = parse_document(artifact["input"])
+        classical_failed = run_classical_checks(parsed, report)
+    except SchemaError as exc:
+        raise exc.within("/input") from None
+    if classical_failed:
         report["exit"] = EXIT_DEFECT
         _emit(report, args)
         return EXIT_DEFECT
-    assembly = _assembly_from_json(artifact["assembly"], parsed)
-    failed = _verify_assembly(assembly, parsed, report, d_in)
+    assembly, intertwiners = _assembly_from_json(artifact["assembly"], parsed)
+    failed = _verify_assembly(assembly, parsed, report, d_in, intertwiners)
     report["exit"] = EXIT_DEFECT if failed else EXIT_OK
     _emit(report, args)
     return report["exit"]

@@ -188,14 +188,6 @@ class Envelope:
         return out
 
 
-def u_mult(env: Envelope, a: El, b: El, window: int) -> El:
-    """Product in U(a), refusing inputs that could overflow the window."""
-    deg = max((key_deg(k) for k in a.data), default=0) + max((key_deg(k) for k in b.data), default=0)
-    if deg > window:
-        raise WindowOverflowError(f"product degree {deg} exceeds window {window}")
-    return env.k_mul(a, b, 1)
-
-
 class SmashAlgebra:
     """U(a) ⋊ Γ: the group acts by automorphism extensions."""
 
@@ -232,14 +224,6 @@ class SmashAlgebra:
                     out.add_term(key, coeff)
         return out
 
-    def mul(self, a: El, b: El, window: int | None = None) -> El:
-        if window is not None:
-            deg = max((key_deg(tuple(m for m, _ in k)) for k in a.data), default=0) + \
-                  max((key_deg(tuple(m for m, _ in k)) for k in b.data), default=0)
-            if deg > window:
-                raise WindowOverflowError(f"product degree {deg} exceeds window {window}")
-        return self.k_mul(a, b, 1)
-
     def coproduct(self, a: El) -> El:
         """[m|g] ↦ sum [m(1)|g] ⊗ [m(2)|g]; exact (no truncation)."""
         out = El()
@@ -266,14 +250,6 @@ class SmashAlgebra:
 
     def basis_up_to(self, d: int) -> list[tuple[Mon, int]]:
         return [(m, g) for m in self.env.mons_up_to(d) for g in self.group.elements()]
-
-
-def smash_mult(smash: SmashAlgebra, a: El, b: El, window: int) -> El:
-    return smash.mul(a, b, window)
-
-
-def smash_coproduct(smash: SmashAlgebra, a: El) -> El:
-    return smash.coproduct(a)
 
 
 class CoPoissonStructure:

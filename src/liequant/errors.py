@@ -12,7 +12,13 @@ class SchemaError(LiequantError):
 
     def __init__(self, message: str, location: str = ""):
         super().__init__(message if not location else f"{location}: {message}")
+        self.message = message
         self.location = location
+
+    def within(self, prefix: str) -> "SchemaError":
+        """The same error, located in a document embedded at pointer ``prefix``."""
+        return SchemaError(self.message, prefix if self.location == "/" else
+                           prefix + self.location)
 
 
 class MathDefectError(LiequantError):

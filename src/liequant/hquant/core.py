@@ -85,12 +85,6 @@ class ElSeries:
             out.append(acc)
         return ElSeries(self.alg, self.arity, out)
 
-    def mul_many(self, *others: "ElSeries") -> "ElSeries":
-        out = self
-        for o in others:
-            out = out.mul(o)
-        return out
-
     def inverse(self) -> "ElSeries":
         unit = self.alg.unit(self.arity)
         if self.coeffs[0] != unit:
@@ -124,32 +118,21 @@ class ElSeries:
         if self.order != other.order:
             raise ValueError("series order mismatch")
 
-    def permute_legs(self, sigma: tuple[int, ...]) -> "ElSeries":
-        return ElSeries(self.alg, self.arity,
-                        [c.map_keys(lambda key: tuple(key[s] for s in sigma)) for c in self.coeffs])
-
-    def swap2(self) -> "ElSeries":
-        if self.arity != 2:
-            raise ValueError("swap needs arity 2")
-        return self.permute_legs((1, 0))
-
     def truncated(self, order: int) -> "ElSeries":
         return ElSeries(self.alg, self.arity, self.coeffs[: order + 1])
 
-    def padded(self, order: int) -> "ElSeries":
-        if order < self.order:
-            raise ValueError("use truncated to shorten")
-        return ElSeries(self.alg, self.arity,
-                        self.coeffs + [El() for _ in range(order - self.order)])
 
+class AlgebraMapSeries:
+    """Series of algebra maps from U(a), undeformed product, into its
+    ``arity``-th tensor power, given per order on generators and extended
+    multiplicatively.
 
-class MapSeries:
-    """Series of algebra endomorphisms of U(a) with the undeformed product.
-
-    ``tables[k][i]`` is the order-k image of the i-th generator; the order-0
-    table must be the multiplicative extension of an invertible space map
-    (usually the identity or a group automorphism).
+    ``tables[k][i]`` is the order-k image of the i-th generator, an element of
+    arity ``arity``.  Subclasses fix the arity: 1 for :class:`MapSeries`, 2
+    for :class:`CoproductSeries`.
     """
+
+    arity: int
 
     def __init__(self, env: Envelope, order: int, tables: list[dict[int, El]]):
         self.env = env
@@ -158,6 +141,70 @@ class MapSeries:
             raise ValueError("need one table per order")
         self.tables = tables
         self._ext: dict[Mon, list[El]] = {}
+
+    def gen_series(self, i: int) -> ElSeries:
+        return ElSeries(self.env, self.arity, [t.get(i, El()) for t in self.tables])
+
+    def ext_mon(self, m: Mon) -> list[El]:
+        cached = self._ext.get(m)
+        if cached is not None:
+            return cached
+        if not m:
+            result = ElSeries.unit(self.env, self.arity, self.order).coeffs
+        else:
+            head = self.gen_series(m[0])
+            tail = ElSeries(self.env, self.arity, self.ext_mon(m[1:]))
+            result = head.mul(tail).coeffs
+        self._ext[m] = result
+        return result
+
+    def apply(self, el: El) -> ElSeries:
+        """Map a plain element to its image series."""
+        out = [El() for _ in range(self.order + 1)]
+        for (m,), c in el.data.items():
+            for k, img in enumerate(self.ext_mon(m)):
+                if img:
+                    out[k] = out[k] + c * img
+        return ElSeries(self.env, self.arity, out)
+
+    def apply_series(self, s: ElSeries) -> ElSeries:
+        """Map an arity-1 series, truncated at its order."""
+        out = [El() for _ in range(s.order + 1)]
+        for b, coeff in enumerate(s.coeffs):
+            if not coeff:
+                continue
+            for (m,), c in coeff.data.items():
+                ext = self.ext_mon(m)
+                for a in range(s.order + 1 - b):
+                    if ext[a]:
+                        out[a + b] = out[a + b] + c * ext[a]
+        return ElSeries(self.env, self.arity, out)
+
+    def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
+        """Map one leg of a series: the image key is spliced in place of the leg."""
+        out = [El() for _ in range(s.order + 1)]
+        for b, coeff in enumerate(s.coeffs):
+            for key, c in coeff.data.items():
+                ext = self.ext_mon(key[leg])
+                for a in range(s.order + 1 - b):
+                    img = ext[a]
+                    if img:
+                        for ikey, d in img.data.items():
+                            out[a + b].add_term(key[:leg] + ikey + key[leg + 1:], c * d)
+        return ElSeries(s.alg, s.arity + self.arity - 1, out)
+
+    def truncated(self, order: int):
+        return type(self)(self.env, order, [dict(t) for t in self.tables[: order + 1]])
+
+
+class MapSeries(AlgebraMapSeries):
+    """Series of algebra endomorphisms of U(a) with the undeformed product.
+
+    The order-0 table must be the multiplicative extension of an invertible
+    space map (usually the identity or a group automorphism).
+    """
+
+    arity = 1
 
     @classmethod
     def identity(cls, env: Envelope, order: int) -> "MapSeries":
@@ -173,55 +220,6 @@ class MapSeries:
                 el.add_term(((i,),), c)
             t0[j] = el
         return cls(env, order, [t0] + [{} for _ in range(order)])
-
-    def gen_series(self, i: int) -> ElSeries:
-        return ElSeries(self.env, 1, [t.get(i, El()) for t in self.tables])
-
-    def ext_mon(self, m: Mon) -> list[El]:
-        cached = self._ext.get(m)
-        if cached is not None:
-            return cached
-        if not m:
-            result = ElSeries.unit(self.env, 1, self.order).coeffs
-        else:
-            head = self.gen_series(m[0])
-            tail = ElSeries(self.env, 1, self.ext_mon(m[1:]))
-            result = head.mul(tail).coeffs
-        self._ext[m] = result
-        return result
-
-    def apply(self, el: El) -> ElSeries:
-        """Map a plain element to its image series."""
-        out = [El() for _ in range(self.order + 1)]
-        for (m,), c in el.data.items():
-            for k, img in enumerate(self.ext_mon(m)):
-                if img:
-                    out[k] = out[k] + c * img
-        return ElSeries(self.env, 1, out)
-
-    def apply_series(self, s: ElSeries) -> ElSeries:
-        out = [El() for _ in range(s.order + 1)]
-        for b, coeff in enumerate(s.coeffs):
-            if not coeff:
-                continue
-            for (m,), c in coeff.data.items():
-                ext = self.ext_mon(m)
-                for a in range(s.order + 1 - b):
-                    if ext[a]:
-                        out[a + b] = out[a + b] + c * ext[a]
-        return ElSeries(self.env, 1, out)
-
-    def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
-        out = [El() for _ in range(s.order + 1)]
-        for b, coeff in enumerate(s.coeffs):
-            for key, c in coeff.data.items():
-                ext = self.ext_mon(key[leg])
-                for a in range(s.order + 1 - b):
-                    img = ext[a]
-                    if img:
-                        for (mm,), d in img.data.items():
-                            out[a + b].add_term(key[:leg] + (mm,) + key[leg + 1:], c * d)
-        return ElSeries(s.alg, s.arity, out)
 
     def apply_all_legs(self, s: ElSeries) -> ElSeries:
         out = s
@@ -255,7 +253,10 @@ class MapSeries:
     def inverse(self) -> "MapSeries":
         env = self.env
         n = env.dim
-        minv = self.order0_matrix().inverse()
+        try:
+            minv = self.order0_matrix().inverse()
+        except ValueError:
+            raise InternalCheckError("order-0 table is not invertible") from None
         tables: list[dict[int, El]] = [{} for _ in range(self.order + 1)]
         for j in range(n):
             el = El()
@@ -309,17 +310,11 @@ class MapSeries:
         return True
 
 
-class CoproductSeries:
+class CoproductSeries(AlgebraMapSeries):
     """Deformed coproduct given per order on generators and extended as an
     algebra map for the undeformed product."""
 
-    def __init__(self, env: Envelope, order: int, tables: list[dict[int, El]]):
-        self.env = env
-        self.order = order
-        if len(tables) != order + 1:
-            raise ValueError("need one table per order")
-        self.tables = tables
-        self._ext: dict[Mon, list[El]] = {}
+    arity = 2
 
     @classmethod
     def undeformed(cls, env: Envelope, order: int) -> "CoproductSeries":
@@ -327,64 +322,6 @@ class CoproductSeries:
         for i in range(env.dim):
             t0[i] = El({(((i,)), ONE): 1, (ONE, (i,)): 1})
         return cls(env, order, [t0] + [{} for _ in range(order)])
-
-    def gen_series(self, i: int) -> ElSeries:
-        return ElSeries(self.env, 2, [t.get(i, El()) for t in self.tables])
-
-    def ext_mon(self, m: Mon) -> list[El]:
-        cached = self._ext.get(m)
-        if cached is not None:
-            return cached
-        if not m:
-            result = ElSeries.unit(self.env, 2, self.order).coeffs
-        else:
-            head = self.gen_series(m[0])
-            tail = ElSeries(self.env, 2, self.ext_mon(m[1:]))
-            result = head.mul(tail).coeffs
-        self._ext[m] = result
-        return result
-
-    def apply(self, el: El) -> ElSeries:
-        out = [El() for _ in range(self.order + 1)]
-        for (m,), c in el.data.items():
-            for k, img in enumerate(self.ext_mon(m)):
-                if img:
-                    out[k] = out[k] + c * img
-        return ElSeries(self.env, 2, out)
-
-    def apply_series(self, s: ElSeries) -> ElSeries:
-        out = [El() for _ in range(s.order + 1)]
-        for b, coeff in enumerate(s.coeffs):
-            if not coeff:
-                continue
-            for (m,), c in coeff.data.items():
-                ext = self.ext_mon(m)
-                for a in range(s.order + 1 - b):
-                    if ext[a]:
-                        out[a + b] = out[a + b] + c * ext[a]
-        return ElSeries(self.env, 2, out)
-
-    def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
-        out = [El() for _ in range(s.order + 1)]
-        for b, coeff in enumerate(s.coeffs):
-            for key, c in coeff.data.items():
-                ext = self.ext_mon(key[leg])
-                for a in range(s.order + 1 - b):
-                    img = ext[a]
-                    if img:
-                        for (m1, m2), d in img.data.items():
-                            out[a + b].add_term(key[:leg] + (m1, m2) + key[leg + 1:], c * d)
-        return ElSeries(s.alg, s.arity + 1, out)
-
-    def opposite_tables(self) -> "CoproductSeries":
-        tables = [
-            {i: el.map_keys(lambda key: (key[1], key[0])) for i, el in t.items()}
-            for t in self.tables
-        ]
-        return CoproductSeries(self.env, self.order, tables)
-
-    def truncated(self, order: int) -> "CoproductSeries":
-        return CoproductSeries(self.env, order, [dict(t) for t in self.tables[: order + 1]])
 
     def pushforward(self, linmap: LinearMap) -> "CoproductSeries":
         """Transport along an invertible space map: x ↦ (θ⊗θ) Δ(θ^{-1} x)."""

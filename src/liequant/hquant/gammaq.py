@@ -15,6 +15,7 @@ conjugated by the solved r-matrix element) in one representation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError
@@ -23,13 +24,18 @@ from ..linsolve import Certificate, lin_solve
 from ..sparse import El
 from ..tensors import q
 from .core import CoproductSeries, ElSeries, MapSeries
-from .solvers import (GaugeLog, SolveRecord, composition_defect,
+from .pipeline import gamma_v_cocycle_defects
+from .solvers import (GaugeLog, SolveRecord, composition_defect, conjugation_defect,
                       solve_composition_v, solve_coproduct, solve_j_conjugator,
-                      solve_twist_pair)
+                      solve_twist_pair, v_cocycle_defect)
 from .unknowns import LinearisedDefect, blocks, values_by_slot
 
 class GammaQuantization:
-    """Deformed product/coproduct tables over U(a) ⋊ Γ modulo h^{N+1}."""
+    """Deformed product/coproduct tables over U(a) ⋊ Γ modulo h^{N+1}.
+
+    An assembly is immutable after construction, so the caches and the
+    derived family data below are computed at most once.
+    """
 
     def __init__(self, env: Envelope, action: GroupAction, cop: CoproductSeries,
                  f_map: dict[int, ElSeries], t_map: dict[int, MapSeries],
@@ -184,6 +190,54 @@ class GammaQuantization:
                     bad.append(key)
         return bad
 
+    # -- family identities ---------------------------------------------------------
+
+    @cached_property
+    def family_defects(self) -> tuple[dict, dict, dict]:
+        """Nonzero defects of the three family identities, in one pass.
+
+        Twist composition and conjugation per pair ``(g, h)`` (conjugation as
+        ``{generator: defect}``), and coherence per triple ``(g, h, l)``.
+        """
+        grp = self.group
+        composition: dict = {}
+        conjugation: dict = {}
+        for g in grp.elements():
+            for h in grp.elements():
+                gh = grp.mul(g, h)
+                v = self.v_map[(g, h)]
+                pulled = self.t_map[g].apply_all_legs(self.f_map[h])
+                defect = composition_defect(self.env, self.f_map[gh], pulled,
+                                            self.f_map[g], self.cop, v)
+                if not defect.is_zero():
+                    composition[(g, h)] = defect
+                composed = self.t_map[g].compose(self.t_map[h])
+                per_generator = {}
+                for i in range(self.env.dim):
+                    defect = conjugation_defect(self.t_map[gh], composed, v, i)
+                    if not defect.is_zero():
+                        per_generator[i] = defect
+                if per_generator:
+                    conjugation[(g, h)] = per_generator
+        return composition, conjugation, gamma_v_cocycle_defects(self)
+
+    def verify_family(self):
+        """Raise on the first family defect: per pair twist composition, then
+        conjugation; then coherence."""
+        composition, conjugation, coherence = self.family_defects
+        pair = min(composition.keys() | conjugation.keys(), default=None)
+        if pair is not None:
+            kind = "twist-composition" if pair in composition else "conjugation"
+            raise InternalCheckError(f"family {kind} defect at {pair}")
+        if coherence:
+            raise InternalCheckError(f"family coherence defect at {next(iter(coherence))}")
+
+    @cached_property
+    def intertwiners(self) -> dict[int, MapSeries]:
+        """The intertwiner of each element, θ_g ∘ T_g⁻¹."""
+        return {g: MapSeries.from_linear(self.env, self.order, self.action.theta(g)).compose(
+                    t.inverse()) for g, t in sorted(self.t_map.items())}
+
 
 # ---------------------------------------------------------------------------
 # assembly of the generic pipeline
@@ -234,10 +288,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
     for pair in pairs:
         v_coeffs[pair] = [env.unit(1)]
 
-    pulled: dict[tuple[int, int], ElSeries] = {}
-    for g, h in pairs:
-        t2 = t_map[g]
-        pulled[(g, h)] = t2.apply_leg(t2.apply_leg(f_map[h], 0), 1)
+    pulled = {(g, h): t_map[g].apply_all_legs(f_map[h]) for g, h in pairs}
 
     for k in range(1, order + 1):
         for pair in pairs:
@@ -256,7 +307,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
             raise InternalCheckError("composition series has wrong truncation")
 
     assembly = GammaQuantization(env, g_bialg.action, cop, f_map, t_map, v_map, order, log)
-    _verify_family(assembly)
+    assembly.verify_family()
     return assembly
 
 
@@ -271,7 +322,6 @@ def _align_family_order(env: Envelope, g_bialg, t_map, v_coeffs, pairs, k: int,
     untouched, so the corrected family still satisfies it.
     """
     grp = g_bialg.group
-    e = grp.identity
     n = env.dim
     composed = {(g, h): t_map[g].compose(t_map[h]) for g, h in pairs}
 
@@ -279,34 +329,28 @@ def _align_family_order(env: Envelope, g_bialg, t_map, v_coeffs, pairs, k: int,
         """Both identities at order m with ``top`` added to the order-m
         coefficients; with ``slot`` only the identities containing that pair."""
 
-        def v_series(g, h) -> ElSeries:
-            if g == e or h == e:
-                return ElSeries.unit(env, 1, m)
+        def v(g, h) -> ElSeries:
             coeffs = [c.copy() for c in v_coeffs[(g, h)][:m]]
             coeffs.append(v_coeffs[(g, h)][m] + top.get((g, h), El()))
             return ElSeries(env, 1, coeffs)
 
         conjugation = {}
-        # conjugation identity on generators: T_{gh}(x) v = v T_g(T_h(x))
         for g, h in pairs if slot is None else [slot]:
-            gh = grp.mul(g, h)
-            v = v_series(g, h)
+            v_gh = v(g, h)
             for i in range(n):
-                left = ElSeries(env, 1, t_map[gh].ext_mon((i,))[: m + 1]).mul(v)
-                right = v.mul(ElSeries(env, 1, composed[(g, h)].ext_mon((i,))[: m + 1]))
-                conjugation[((g, h), i)] = (left - right).coeffs[m]
+                conjugation[((g, h), i)] = conjugation_defect(
+                    t_map[grp.mul(g, h)], composed[(g, h)], v_gh, i).coeffs[m]
         coherence = {}
-        # pairwise coherence on every triple (with ``slot``, those containing it)
+        # with ``slot``, only the triples whose identity contains that pair
         for g in grp.elements():
             for h in grp.elements():
                 for l in grp.elements():
                     gh, hl = grp.mul(g, h), grp.mul(h, l)
                     if slot is not None and slot not in ((gh, l), (g, h), (g, hl), (h, l)):
                         continue
-                    left = v_series(gh, l).mul(v_series(g, h))
-                    right = v_series(g, hl).mul(
-                        _apply_t_series(env, t_map[g], v_series(h, l), m))
-                    coherence[(g, h, l)] = (left - right).coeffs[m]
+                    coherence[(g, h, l)] = v_cocycle_defect(
+                        env, v(gh, l), v(g, h), v(g, hl),
+                        t_map[g].apply_series(v(h, l))).coeffs[m]
         return blocks(conjugation, coherence)
 
     unknowns = [(pair, ((i,),)) for pair in pairs for i in range(n)]
@@ -323,52 +367,6 @@ def _align_family_order(env: Envelope, g_bialg, t_map, v_coeffs, pairs, k: int,
                                    system.nrows, "solved"))
     if corrected_pairs:
         log.note(f"order {k}: primitive correction applied to {corrected_pairs} pairs")
-
-
-def _apply_t_series(env: Envelope, t: MapSeries, s: ElSeries, k: int) -> ElSeries:
-    out = [El() for _ in range(k + 1)]
-    for b, coeff in enumerate(s.coeffs):
-        if not coeff:
-            continue
-        for (m,), c in coeff.data.items():
-            ext = t.ext_mon(m)
-            for a in range(k + 1 - b):
-                if ext[a]:
-                    out[a + b] = out[a + b] + c * ext[a]
-    return ElSeries(env, 1, out)
-
-
-def _verify_family(assembly: GammaQuantization):
-    """Exact re-verification of the family identities used by the assembly."""
-    env = assembly.env
-    grp = assembly.group
-    e = grp.identity
-    n = assembly.order
-    for g in grp.elements():
-        for h in grp.elements():
-            gh = grp.mul(g, h)
-            v = assembly.v_map[(g, h)]
-            t2 = assembly.t_map[g]
-            pulled = t2.apply_leg(t2.apply_leg(assembly.f_map[h], 0), 1)
-            defect = composition_defect(env, assembly.f_map[gh], pulled,
-                                        assembly.f_map[g], assembly.cop, v)
-            if not defect.is_zero():
-                raise InternalCheckError(f"family twist-composition defect at {(g, h)}")
-            comp = assembly.t_map[g].compose(assembly.t_map[h])
-            for i in range(env.dim):
-                left = ElSeries(env, 1, assembly.t_map[gh].ext_mon((i,))).mul(v)
-                right = v.mul(ElSeries(env, 1, comp.ext_mon((i,))))
-                if not (left - right).is_zero():
-                    raise InternalCheckError(f"family conjugation defect at {(g, h)}")
-    for g in grp.elements():
-        for h in grp.elements():
-            for l in grp.elements():
-                gh, hl = grp.mul(g, h), grp.mul(h, l)
-                left = assembly.v_map[(gh, l)].mul(assembly.v_map[(g, h)])
-                right = assembly.v_map[(g, hl)].mul(
-                    _apply_t_series(env, assembly.t_map[g], assembly.v_map[(h, l)], n))
-                if not (left - right).is_zero():
-                    raise InternalCheckError(f"family coherence defect at {(g, h, l)}")
 
 
 # ---------------------------------------------------------------------------
@@ -394,13 +392,12 @@ def quasitriangular_gamma_quantize(qt, action: GroupAction, order: int,
     v_map: dict[tuple[int, int], ElSeries] = {}
     for g in grp.elements():
         theta = MapSeries.from_linear(env, order, action.theta(g))
-        moved = theta.apply_leg(theta.apply_leg(j_series, 0), 1)
-        f_map[g] = moved.mul(j_inv)
+        f_map[g] = theta.apply_all_legs(j_series).mul(j_inv)
         t_map[g] = theta
         for h in grp.elements():
             v_map[(g, h)] = ElSeries.unit(env, 1, order)
     assembly = GammaQuantization(env, action, cop, f_map, t_map, v_map, order, log)
-    _verify_family(assembly)
+    assembly.verify_family()
     return assembly
 
 

@@ -24,11 +24,6 @@ from .solvers import (GaugeLog, composition_defect, iso_intertwine_defect,
                       twisted_coproduct, v_cocycle_defect)
 
 
-def pull_legs(iso: MapSeries, series: ElSeries) -> ElSeries:
-    """Apply a map series on both legs of an arity-2 series."""
-    return iso.apply_leg(iso.apply_leg(series, 0), 1)
-
-
 @dataclass
 class TwistPairData:
     """All solved data attached to a composition of twists (f, f')."""
@@ -52,7 +47,7 @@ class TwistPairData:
     log: GaugeLog
 
     def composition_relation_defect(self) -> ElSeries:
-        pulled = pull_legs(self.iso_f.inverse(), self.f_prime_series)
+        pulled = self.iso_f.inverse().apply_all_legs(self.f_prime_series)
         return composition_defect(self.env, self.f_total_series, pulled,
                                   self.f_series, self.cop, self.v)
 
@@ -81,7 +76,7 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
     iso_total_solved = solve_iso(bialg, twisted_coproduct(cop, f_total_series),
                                  cop_total, order, log=log, cap=cap)
 
-    pulled = pull_legs(iso_f.inverse(), f_prime_series)
+    pulled = iso_f.inverse().apply_all_legs(f_prime_series)
     v = solve_composition_v(env, f_total_series, pulled, f_series, cop, order,
                             log=log, cap=cap)
 
@@ -185,17 +180,17 @@ def solve_triple(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, f_second: Tens
 
     # v(a, f+f', f'')  -- uses the aligned i(a, f+f')
     v_total_second = solve_composition_v(
-        env, f_all_base, pull_legs(pair.iso_total.inverse(), f2_total),
+        env, f_all_base, pair.iso_total.inverse().apply_all_legs(f2_total),
         pair.f_total_series, pair.cop, order, log=log, cap=cap)
 
     # v(a, f, f'+f'')
     v_first_merged = solve_composition_v(
-        env, f_all_base, pull_legs(pair.iso_f.inverse(), f_merged),
+        env, f_all_base, pair.iso_f.inverse().apply_all_legs(f_merged),
         pair.f_series, pair.cop, order, log=log, cap=cap)
 
     # v(a_f, f', f'')  -- tower over the f-twist, reusing i(a_f, f')
     v_twisted = solve_composition_v(
-        env, f_merged, pull_legs(pair.iso_second.inverse(), f2_total),
+        env, f_merged, pair.iso_second.inverse().apply_all_legs(f2_total),
         pair.f_prime_series, pair.cop_f, order, log=log, cap=cap)
 
     return TwistTripleData(pair_first=pair, v_total_second=v_total_second,

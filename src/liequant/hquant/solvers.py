@@ -595,8 +595,7 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
         coeffs.append(solved["v"])
 
     v = ElSeries(env, 1, coeffs)
-    defect = f_total - composition_rhs(env, f_second_pulled, f_first, cop, v)
-    if not defect.is_zero():
+    if not composition_defect(env, f_total, f_second_pulled, f_first, cop, v).is_zero():
         raise InternalCheckError("composition relation defect after solve")
     return v
 
@@ -610,3 +609,11 @@ def v_cocycle_defect(env: Envelope, v_total_second: ElSeries, v_pair: ElSeries,
                      v_first_merged: ElSeries, v_twisted_pulled: ElSeries) -> ElSeries:
     """v(f+f',f'') * v(f,f')  -  v(f,f'+f'') * i(f)^{-1}(v(a_f,f',f''))."""
     return v_total_second.mul(v_pair) - v_first_merged.mul(v_twisted_pulled)
+
+
+def conjugation_defect(t_gh: MapSeries, t_g_t_h: MapSeries, v: ElSeries, i: int) -> ElSeries:
+    """T_{gh}(x_i) v - v T_g T_h(x_i), truncated at the order of ``v``."""
+    env, m = v.alg, v.order
+    left = ElSeries(env, 1, t_gh.ext_mon((i,))[: m + 1]).mul(v)
+    right = v.mul(ElSeries(env, 1, t_g_t_h.ext_mon((i,))[: m + 1]))
+    return left - right

@@ -10,9 +10,8 @@ vector ``y`` of the matrix with ``y·b != 0`` instead of raising.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
-from .tensors import Scalar, q, qdiv
+from .tensors import Scalar, qdiv
 
 
 @dataclass
@@ -138,12 +137,3 @@ def verify_certificate(system: LinSystem, cert: Certificate) -> bool:
                 acc_cols.pop(c, None)
         acc_rhs += y * system.rhs[rid]
     return not acc_cols and acc_rhs != 0
-
-
-def solve_dense(matrix: Sequence[Sequence[Scalar]], rhs: Sequence[Scalar]) -> Solution | Certificate:
-    """Convenience wrapper for small dense systems."""
-    nvars = len(matrix[0]) if matrix else 0
-    sys = LinSystem(nvars=nvars)
-    for row, b in zip(matrix, rhs):
-        sys.add_row({j: q(v) for j, v in enumerate(row) if v}, q(b))
-    return lin_solve(sys)

@@ -27,6 +27,22 @@ def _rat(value, where: str) -> Scalar:
         raise SchemaError(f"bad rational {value!r}: {exc}", where) from None
 
 
+def _table(value, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError("must be a JSON object", where)
+    return value
+
+
+def _index(text: str, what: str, bound: int, where: str) -> int:
+    try:
+        i = int(text)
+    except ValueError:
+        raise SchemaError(f"bad {what} {text!r}", where) from None
+    if not 0 <= i < bound:
+        raise SchemaError(f"{what} {i} out of range", where)
+    return i
+
+
 def _pair_key(key: str, bound: int, where: str, strict_order: bool = True) -> tuple[int, int]:
     try:
         i, j = (int(part) for part in key.split(","))
@@ -62,34 +78,30 @@ def parse_document(doc: dict) -> ParsedInput:
     basis = doc.get("basis")
     if basis is None:
         basis = [f"x{i}" for i in range(dim)]
-    if len(basis) != dim or len(set(basis)) != dim:
+    if not isinstance(basis, list) or len(basis) != dim or len(set(basis)) != dim:
         raise SchemaError("'basis' must list dimension distinct labels", "/basis")
     space = BasedSpace(str(doc.get("name", "a")), tuple(str(b) for b in basis))
 
     if "bracket" not in doc:
         raise SchemaError("missing 'bracket' table", "/bracket")
     brackets = {}
-    for key, entry in doc["bracket"].items():
+    for key, entry in _table(doc["bracket"], "/bracket").items():
         i, j = _pair_key(key, dim, f"/bracket/{key}")
         if not isinstance(entry, dict):
             raise SchemaError("bracket entry must map target index to rational",
                               f"/bracket/{key}")
         vec = {}
         for target, value in entry.items():
-            k = int(target)
-            if not 0 <= k < dim:
-                raise SchemaError(f"target index {k} out of range", f"/bracket/{key}/{target}")
+            k = _index(target, "target index", dim, f"/bracket/{key}/{target}")
             vec[k] = _rat(value, f"/bracket/{key}/{target}")
         brackets[(i, j)] = vec
     lie = LieAlgebra(space, brackets)
 
     cobrackets = {}
-    for gen, entry in (doc.get("cobracket") or {}).items():
-        g = int(gen)
-        if not 0 <= g < dim:
-            raise SchemaError(f"generator index {g} out of range", f"/cobracket/{gen}")
+    for gen, entry in _table(doc.get("cobracket") or {}, "/cobracket").items():
+        g = _index(gen, "generator index", dim, f"/cobracket/{gen}")
         table = {}
-        for key, value in entry.items():
+        for key, value in _table(entry, f"/cobracket/{gen}").items():
             j, k = _pair_key(key, dim, f"/cobracket/{gen}/{key}")
             table[(j, k)] = _rat(value, f"/cobracket/{gen}/{key}")
         cobrackets[g] = table
@@ -97,7 +109,7 @@ def parse_document(doc: dict) -> ParsedInput:
     qt = None
     if doc.get("r") is not None:
         r = Tensor.zero((space, space))
-        for key, value in doc["r"].items():
+        for key, value in _table(doc["r"], "/r").items():
             i, j = _pair_key(key, dim, f"/r/{key}", strict_order=False)
             v = _rat(value, f"/r/{key}")
             if v:
@@ -120,12 +132,13 @@ def parse_document(doc: dict) -> ParsedInput:
         except (KeyError, TypeError, ValueError):
             raise SchemaError("group needs 'elements' and 'table'", "/group") from None
         group = FiniteGroup(labels, table)
-        action_doc = doc.get("action") or {}
+        action_doc = _table(doc.get("action") or {}, "/action")
         maps = []
         for label in labels:
             if label in action_doc:
                 rows = action_doc[label]
-                if len(rows) != dim or any(len(r) != dim for r in rows):
+                if not isinstance(rows, list) or len(rows) != dim or any(
+                        not isinstance(r, list) or len(r) != dim for r in rows):
                     raise SchemaError(f"action matrix for {label!r} must be {dim}x{dim}",
                                       f"/action/{label}")
                 maps.append(LinearMap(space, space, [
@@ -133,11 +146,11 @@ def parse_document(doc: dict) -> ParsedInput:
             else:
                 maps.append(LinearMap.identity(space))
         action = GroupAction(group, maps)
-        twists_doc = doc.get("twists") or {}
+        twists_doc = _table(doc.get("twists") or {}, "/twists")
         twists = []
         for label in labels:
             t = Tensor.zero((space, space))
-            for key, value in (twists_doc.get(label) or {}).items():
+            for key, value in _table(twists_doc.get(label) or {}, f"/twists/{label}").items():
                 i, j = _pair_key(key, dim, f"/twists/{label}/{key}")
                 v = _rat(value, f"/twists/{label}/{key}")
                 if v:
@@ -146,7 +159,7 @@ def parse_document(doc: dict) -> ParsedInput:
             twists.append(t)
         gamma = GammaLieBialgebra(bialg, action, twists)
 
-    options = dict(doc.get("options") or {})
+    options = dict(_table(doc.get("options") or {}, "/options"))
     return ParsedInput(document=doc, bialgebra=bialg, quasitriangular=qt,
                        gamma=gamma, options=options)
 

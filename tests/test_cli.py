@@ -343,9 +343,12 @@ def _rename_label(assembly):
     (_drop_first_pair, "/assembly/compositions"),
     (lambda a: a["coproduct"].update({"2": a["coproduct"]["0"]}), "/assembly/coproduct/2"),
     (lambda a: a["compositions"]["e,e"][0].update({"1.0": "1"}), "/assembly/compositions/e,e"),
+    (lambda a: a.pop("intertwiners"), "/assembly/intertwiners"),
+    (lambda a: a["intertwiners"]["g"].update({"1": [{}]}), "/assembly/intertwiners/g/1"),
 ], ids=["order-not-int", "order-negative", "order-disagrees", "no-coproduct", "no-twist-family",
         "no-transport", "no-compositions", "unknown-label", "missing-element", "missing-pair",
-        "generator-out-of-range", "monomial-not-normal-ordered"])
+        "generator-out-of-range", "monomial-not-normal-ordered", "no-intertwiners",
+        "intertwiner-wrong-length"])
 def test_verify_artifact_refuses_malformed_assembly(z2_artifact, mutate, location,
                                                      tmp_path, capsys):
     artifact = copy.deepcopy(z2_artifact)
@@ -357,7 +360,8 @@ def test_verify_artifact_refuses_malformed_assembly(z2_artifact, mutate, locatio
 
 
 def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
-    assembly = _assembly_from_json(z2_artifact["assembly"], parse_document(z2_artifact["input"]))
+    assembly, _ = _assembly_from_json(z2_artifact["assembly"],
+                                      parse_document(z2_artifact["input"]))
     assert bialgebra_axiom_defects(assembly, z2_artifact["d_in"]).all_zero
     elements = [el for series in (*assembly.f_map.values(), *assembly.v_map.values())
                 for el in series.coeffs]
@@ -370,3 +374,88 @@ def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
     values = [v for el in elements for v in el.data.values()]
     assert values
     assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
+
+
+@pytest.mark.parametrize("doc, location", [
+    ({"dimension": 2, "bracket": []}, "/bracket"),
+    ({"dimension": 2, "bracket": {}, "cobracket": {"0": []}}, "/cobracket/0"),
+    ({"dimension": 2, "bracket": {"0,1": {"x": "1"}}}, "/bracket/0,1/x"),
+    ({"dimension": 2, "basis": 5, "bracket": {}}, "/basis"),
+    ({"dimension": 1, "bracket": {}, "group": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]},
+      "action": {"g": [1]}}, "/action/g"),
+], ids=["bracket-not-object", "cobracket-entry-not-object", "bracket-target-not-int",
+        "basis-not-list", "action-row-not-list"])
+def test_malformed_tables_are_schema_errors(doc, location, tmp_path, capsys):
+    code, _, err = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == location
+
+
+def test_verify_artifact_points_into_embedded_input(z2_artifact, tmp_path, capsys):
+    artifact = copy.deepcopy(z2_artifact)
+    artifact["input"]["bracket"]["0,1"]["1"] = 0.5
+    code, _, err = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 3
+    error = json.loads(err)
+    assert error["location"] == "/input/bracket/0,1/1"
+    assert error["message"].startswith("/input/bracket/0,1/1: ")
+
+
+def failing_checks(out: str) -> dict:
+    return {c["name"]: c.get("detail", "") for c in json.loads(out)["checks"]
+            if c["status"] == "fail"}
+
+
+def test_verify_artifact_checks_stored_intertwiners(z2_artifact, tmp_path, capsys):
+    artifact = copy.deepcopy(z2_artifact)
+    artifact["assembly"]["intertwiners"]["g"]["1"][1] = {"1": "5"}
+    code, out, _ = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 2
+    assert failing_checks(out) == {"transport-intertwining": ""}
+
+
+def coefficients(node):
+    """``(table, key)`` for every coefficient of a nest of series, in sorted order."""
+    if isinstance(node, list):
+        for item in node:
+            yield from coefficients(item)
+    elif all(isinstance(value, str) for value in node.values()):
+        for key in sorted(node):
+            yield node, key
+    else:
+        for key in sorted(node):
+            yield from coefficients(node[key])
+
+
+@pytest.mark.parametrize("table", ["coproduct", "twist_family", "transport"])
+def test_every_stored_coefficient_is_verified(z2_artifact, table, tmp_path, capsys):
+    count = len(list(coefficients(z2_artifact["assembly"][table])))
+    assert count
+    for index in range(count):
+        artifact = copy.deepcopy(z2_artifact)
+        coeff, key = list(coefficients(artifact["assembly"][table]))[index]
+        coeff[key] = str(Fraction(coeff[key]) + 1)
+        code, _, _ = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                         "--format", "json")
+        assert code == 2, (table, index, key)
+
+
+# details recorded before the family checks were merged into one pass; h is
+# fixed by the action of g, so shifting v_{g,g} by h keeps the family coherent
+@pytest.mark.parametrize("primitive, coherence", [
+    ({"0": "1"}, None),
+    ({"1": "1"}, "(1, 1, 1)"),
+], ids=["fixed-generator", "negated-generator"])
+def test_shifted_composition_fails_the_family_checks(z2_artifact, primitive, coherence,
+                                                      tmp_path, capsys):
+    artifact = copy.deepcopy(z2_artifact)
+    assert not artifact["assembly"]["compositions"]["g,g"][1]
+    artifact["assembly"]["compositions"]["g,g"][1].update(primitive)
+    code, out, _ = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 2
+    failing = failing_checks(out)
+    assert failing["family-identities"] == "family twist-composition defect at (1, 1)"
+    assert failing.get("composition-coherence") == coherence

@@ -2,14 +2,21 @@
 
 from fractions import Fraction
 
-from liequant.linsolve import (Certificate, LinSystem, Solution, lin_solve, solve_dense,
-                               verify_certificate)
+from liequant.linsolve import Certificate, LinSystem, Solution, lin_solve, verify_certificate
 
 Q = Fraction
 
 
+def dense(matrix, rhs) -> LinSystem:
+    """A small dense system as a sparse ``LinSystem``."""
+    system = LinSystem(nvars=len(matrix[0]))
+    for row, b in zip(matrix, rhs):
+        system.add_row(dict(enumerate(row)), b)
+    return system
+
+
 def test_identity_system():
-    result = solve_dense([[1, 0], [0, 1]], [Q(3), Q(-7, 2)])
+    result = lin_solve(dense([[1, 0], [0, 1]], [Q(3), Q(-7, 2)]))
     assert isinstance(result, Solution)
     assert result.values == [Q(3), Q(-7, 2)]
 
@@ -40,14 +47,14 @@ def test_free_variable_pinned_to_zero():
 
 
 def test_unique_solution():
-    result = solve_dense([[1, 1], [1, -1]], [Q(1), Q(1)])
+    result = lin_solve(dense([[1, 1], [1, -1]], [Q(1), Q(1)]))
     assert isinstance(result, Solution)
     assert result.values == [Q(1), Q(0)]
 
 
 def test_underdetermined_gauge_pinning():
     # x + y = 1 with y free: column order pins y = 0
-    result = solve_dense([[1, 1]], [Q(1)])
+    result = lin_solve(dense([[1, 1]], [Q(1)]))
     assert isinstance(result, Solution)
     assert result.values == [Q(1), Q(0)]
     assert result.free_columns == [1]
@@ -88,6 +95,6 @@ def test_determinism_bit_identical():
 
 
 def test_rank_deficient_consistent():
-    result = solve_dense([[1, 2], [2, 4]], [Q(3), Q(6)])
+    result = lin_solve(dense([[1, 2], [2, 4]], [Q(3), Q(6)]))
     assert isinstance(result, Solution)
     assert result.values == [Q(3), Q(0)]

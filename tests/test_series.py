@@ -1,93 +1,107 @@
-"""Truncated series arithmetic with scalar coefficients."""
+"""Truncated series arithmetic: ``ElSeries`` over the envelope of sl2."""
 
-import operator
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from liequant.series import hseries_inverse, hseries_mul, scalar_series
+from liequant import catalog
+from liequant.envelope import ONE, Envelope
+from liequant.errors import InternalCheckError
+from liequant.hquant.core import ElSeries
+from liequant.sparse import El
 
-MUL = operator.mul
+ENV = Envelope(catalog.sl2().lie)
+E, F, H = ((0,),), ((1,),), ((2,),)
+UNIT = (ONE,)
+
+
+def el(*terms) -> El:
+    """``el((key, c), ...)``: a sparse element of U(sl2)."""
+    return El(list(terms))
+
+
+def series(*coeffs: El) -> ElSeries:
+    return ElSeries(ENV, 1, list(coeffs))
+
+
+def unit(order: int) -> ElSeries:
+    return ElSeries.unit(ENV, 1, order)
 
 
 def test_telescoping_product():
     a = Fraction(3, 7)
-    left = scalar_series([1, a, 0])
-    right = scalar_series([1, -a, 0])
-    assert hseries_mul(left, right, MUL) == scalar_series([1, 0, -a * a])
+    left = series(ENV.unit(1), el((E, a)), El())
+    right = series(ENV.unit(1), el((E, -a)), El())
+    assert left.mul(right) == series(ENV.unit(1), El(), el((((0, 0),), -a * a)))
 
 
 def test_unit_law():
-    a = scalar_series([1, 5, "7/3"])
-    one = scalar_series([1, 0, 0])
-    assert hseries_mul(a, one, MUL) == a
+    a = series(ENV.unit(1), el((E, 5)), el((((1, 2),), Fraction(7, 3))))
+    assert a.mul(unit(2)) == a
+    assert unit(2).mul(a) == a
 
 
 def test_truncation_drops_cross_term():
-    a, b = Fraction(2), Fraction(5, 3)
-    left = scalar_series([1, a])
-    right = scalar_series([1, b])
-    assert hseries_mul(left, right, MUL) == scalar_series([1, a + b])
+    # (1 + h e)(1 + h f) = 1 + h(e + f) mod h^2: the h^2 term ef is dropped
+    left = series(ENV.unit(1), el((E, 2)))
+    right = series(ENV.unit(1), el((F, Fraction(5, 3))))
+    assert left.mul(right) == series(ENV.unit(1), el((E, 2), (F, Fraction(5, 3))))
 
 
 def test_inverse_of_unit():
-    one = scalar_series([1, 0, 0])
-    assert hseries_inverse(one, MUL, Fraction(1)) == one
+    assert unit(2).inverse() == unit(2)
 
 
 def test_geometric_inverse():
     a = Fraction(4, 9)
-    s = scalar_series([1, a, 0])
-    assert hseries_inverse(s, MUL, Fraction(1)) == scalar_series([1, -a, a * a])
+    s = series(ENV.unit(1), el((E, a)), El())
+    assert s.inverse() == series(ENV.unit(1), el((E, -a)), el((((0, 0),), a * a)))
 
 
 def test_inverse_order_two_oracle():
-    # independent oracle: expand (1 + h a + h^2 b)(1 + h x + h^2 y) = 1 and
-    # solve order by order: x = -a, y = a^2 - b
+    # independent oracle: expand (1 + h x + h^2 y)(1 + h x' + h^2 y') = 1 and
+    # solve order by order: x' = -x, y' = x^2 - y, here with x = a e, y = b f
     a, b = Fraction(2, 5), Fraction(-3)
-    x = -a
-    y = a * a - b
-    s = scalar_series([1, a, b])
-    assert hseries_inverse(s, MUL, Fraction(1)) == scalar_series([1, x, y])
+    s = series(ENV.unit(1), el((E, a)), el((F, b)))
+    assert s.inverse() == series(ENV.unit(1), el((E, -a)),
+                                 el((((0, 0),), a * a), (F, -b)))
 
 
 def test_inverse_requires_unit_leading():
-    with pytest.raises(ValueError):
-        hseries_inverse(scalar_series([2, 1]), MUL, Fraction(1))
+    with pytest.raises(InternalCheckError):
+        series(el((UNIT, 2)), el((E, 1))).inverse()
 
 
 def test_order_mismatch_rejected():
     with pytest.raises(ValueError):
-        hseries_mul(scalar_series([1, 2]), scalar_series([1, 2, 3]), MUL)
+        series(ENV.unit(1), el((E, 2))).mul(series(ENV.unit(1), el((E, 2)), el((F, 3))))
 
 
-coeffs = st.lists(st.fractions(min_value=-20, max_value=20, max_denominator=7), min_size=3,
-                  max_size=3)
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=7)
+elements = st.lists(st.tuples(st.sampled_from([UNIT, E, F, H]), rationals),
+                    max_size=3).map(lambda terms: el(*terms))
+orders2 = st.lists(elements, min_size=3, max_size=3).map(lambda cs: series(*cs))
 
 
-@given(coeffs, coeffs, coeffs)
+@given(orders2, orders2, orders2)
 @settings(max_examples=50, deadline=None)
-def test_mul_associative_within_truncation(xs, ys, zs):
-    a, b, c = (scalar_series(v) for v in (xs, ys, zs))
-    left = hseries_mul(hseries_mul(a, b, MUL), c, MUL)
-    right = hseries_mul(a, hseries_mul(b, c, MUL), MUL)
-    assert left == right
+def test_mul_associative_within_truncation(a, b, c):
+    assert a.mul(b).mul(c) == a.mul(b.mul(c))
 
 
-@given(coeffs)
+@given(orders2)
 @settings(max_examples=50, deadline=None)
-def test_inverse_is_two_sided(xs):
-    s = scalar_series([Fraction(1)] + [Fraction(v) for v in xs[1:]])
-    inv = hseries_inverse(s, MUL, Fraction(1))
-    one = scalar_series([1] + [0] * s.order)
-    assert hseries_mul(s, inv, MUL) == one
-    assert hseries_mul(inv, s, MUL) == one
+def test_inverse_is_two_sided(s):
+    s = series(ENV.unit(1), *s.coeffs[1:])
+    inv = s.inverse()
+    assert s.mul(inv) == unit(s.order)
+    assert inv.mul(s) == unit(s.order)
 
 
 def test_map_and_truncate():
-    s = scalar_series([1, 2, 3])
-    assert s.map(lambda c: 2 * c) == scalar_series([2, 4, 6])
-    assert s.truncated(1) == scalar_series([1, 2])
-    assert (s - s).coeffs == [0, 0, 0]
+    s = series(ENV.unit(1), el((E, 2)), el((F, 3)))
+    assert s.scale(2) == series(el((UNIT, 2)), el((E, 4)), el((F, 6)))
+    assert s.truncated(1) == series(ENV.unit(1), el((E, 2)))
+    assert (s - s).is_zero()

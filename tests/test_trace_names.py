@@ -1,0 +1,44 @@
+"""The benchmark's tracer (``perfbench/trace_child.py``) patches liequant by
+name from outside the package: every name it patches or reads must exist."""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+from liequant.envelope import Envelope
+from liequant.groups import FiniteGroup, GroupAction
+from liequant.hquant.core import CoproductSeries, ElSeries, MapSeries
+from liequant.hquant.gammaq import GammaQuantization
+from liequant.lie import LieAlgebra
+from liequant.tensors import BasedSpace
+
+TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
+
+
+def load_trace_child():
+    spec = importlib.util.spec_from_file_location("trace_child", TRACE_CHILD)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_functions_and_methods_exist():
+    trace_child = load_trace_child()
+    for _, module, func in trace_child.SPANS:
+        assert callable(getattr(importlib.import_module(module), func, None)), (module, func)
+    for _, cls_path, method in trace_child.TIMED:
+        assert callable(getattr(trace_child._resolve(cls_path), method, None)), (cls_path, method)
+
+
+def test_attributes_the_tracer_reads_exist():
+    space = BasedSpace("a", ("x",))
+    env = Envelope(LieAlgebra(space, {}))
+    group = FiniteGroup.trivial()
+    e = group.identity
+    assembly = GammaQuantization(env, GroupAction.trivial(group, space),
+                                 CoproductSeries.undeformed(env, 0),
+                                 {e: ElSeries.unit(env, 2, 0)}, {e: MapSeries.identity(env, 0)},
+                                 {(e, e): ElSeries.unit(env, 1, 0)}, 0)
+    assert isinstance(env._straight, dict)
+    assert isinstance(assembly._slot_cache, dict)
+    assert callable(GammaQuantization._slot_product)
