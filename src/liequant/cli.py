@@ -29,7 +29,7 @@ from .hquant.solvers import (GaugeLog, algebra_compat_defect, coassoc_defect,
                              iso_intertwine_defect, twist_counit_defect, twisted_coproduct)
 from .lie import (LieBialgebra, cocycle_defect as bialg_cocycle_defect, cojacobi_defect,
                   coboundary_cobracket, cybe_defect, invariance_defect, jacobi_defect)
-from .schema import (ParsedInput, parse_document, series_from_json,
+from .schema import (ParsedInput, non_negative_int, parse_document, series_from_json,
                      series_to_json)
 from .sparse import El
 
@@ -109,21 +109,6 @@ def _first_keys(mapping, limit=4) -> str:
     return "; ".join(head) + more
 
 
-def _non_negative_int(value, name: str, where: str) -> int:
-    """A document's non-negative integer (an int or a decimal string)."""
-    number = None
-    if isinstance(value, (int, str)) and not isinstance(value, bool):
-        try:
-            number = int(value)
-        except ValueError:
-            pass
-    if number is None:
-        raise SchemaError(f"{name} must be an integer, not {value!r}", where)
-    if number < 0:
-        raise SchemaError(f"{name} must be non-negative, not {number}", where)
-    return number
-
-
 def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
     """All applicable classical checks; returns True if any defect found."""
     bialg = parsed.bialgebra
@@ -167,8 +152,8 @@ def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
         failed |= _add_check(report, "gamma-identity-twist", gd.identity_twist is None)
 
         structure = copoisson_delta(gamma)
-        d_in = _non_negative_int(parsed.options.get("copoisson_degree", 2), "copoisson_degree",
-                                 "/options/copoisson_degree")
+        d_in = non_negative_int(parsed.options.get("copoisson_degree", 2), "copoisson_degree",
+                                "/options/copoisson_degree")
         rep = copoisson_axiom_defects(structure, d_in, 2 * d_in + 2)
         for part, table in sorted(rep.items()):
             failed |= _add_check(report, f"copoisson-{part}", not table,
@@ -232,7 +217,7 @@ def _assembly_from_json(data: dict, parsed: ParsedInput
     n = env.dim
     if not isinstance(data, dict):
         raise SchemaError("assembly must be a JSON object", "/assembly")
-    order = _non_negative_int(data.get("order"), "order", "/assembly/order")
+    order = non_negative_int(data.get("order"), "order", "/assembly/order")
 
     def table(tbl, where: str) -> dict:
         if not isinstance(tbl, dict):
@@ -367,7 +352,7 @@ def _setting(args, parsed: ParsedInput, name: str, default: int | None = None) -
     if flag is not None:
         return flag
     value = parsed.options.get(name)
-    return default if value is None else _non_negative_int(value, name, f"/options/{name}")
+    return default if value is None else non_negative_int(value, name, f"/options/{name}")
 
 
 def _seed_order(args, parsed: ParsedInput, report: dict) -> int | None:
@@ -479,7 +464,7 @@ def cmd_verify_artifact(args) -> int:
     report = _base_report(raw, args)
     if not isinstance(artifact, dict) or "assembly" not in artifact or "input" not in artifact:
         raise SchemaError("not a quantization artifact", "/")
-    d_in = _non_negative_int(artifact.get("d_in", 2), "d_in", "/d_in")
+    d_in = non_negative_int(artifact.get("d_in", 2), "d_in", "/d_in")
     try:
         parsed = parse_document(artifact["input"])
         classical_failed = run_classical_checks(parsed, report)

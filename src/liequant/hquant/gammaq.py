@@ -10,10 +10,21 @@ and coproduct read
 which covers the generic (solver-built) pipeline and the direct
 quasitriangular one (T_g the plain action extension, v = 1, base coproduct
 conjugated by the solved r-matrix element) in one representation.
+
+Products and coproducts run on flat term lists ``(order, key, coeff)``
+sorted by order.  The slot product ``[m1|g1][m2|g2]`` and the coproduct of
+each basis element ``[m|g]`` are cached in that form, and one product kernel
+(``GammaQuantization._add_product``) adds the product of two term lists into
+an accumulator ``{(order, key): coeff}`` modulo h^{n+1}, stopping each slot
+list at the order budget.  ``mul`` and ``coproduct`` unpack an accumulator
+into a series; the axiom checks accumulate ``left - right`` of each
+identity in one accumulator on denominator-scaled integers and test it for
+zero.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -22,13 +33,40 @@ from ..errors import InternalCheckError, MathDefectError
 from ..groups import GammaLieBialgebra, GroupAction
 from ..linsolve import Certificate, lin_solve
 from ..sparse import El
-from ..tensors import q
+from ..tensors import q, qdiv
 from .core import CoproductSeries, ElSeries, MapSeries
 from .pipeline import gamma_v_cocycle_defects
 from .solvers import (GaugeLog, SolveRecord, composition_defect, conjugation_defect,
                       solve_composition_v, solve_coproduct, solve_j_conjugator,
                       solve_twist_pair, v_cocycle_defect)
 from .unknowns import LinearisedDefect, blocks, values_by_slot
+
+
+def _terms(series: list[El], scale=1) -> list[tuple]:
+    """Flat terms ``(order, key, scale · coeff)`` of a series, sorted by order."""
+    return [(o, key, q(scale * c)) for o, el in enumerate(series) for key, c in el.data.items()]
+
+
+def _scaled_view(lookup, factor):
+    """Memoised ``lookup`` of flat terms, every coefficient times ``factor``."""
+    view: dict = {}
+
+    def scaled(*key):
+        terms = view.get(key)
+        if terms is None:
+            terms = view[key] = [(o, k, q(factor * c)) for o, k, c in lookup(*key)]
+        return terms
+    return scaled
+
+
+def _series(acc: dict, n: int, scale=1) -> list[El]:
+    """An accumulator ``{(order, key): coeff}`` divided by ``scale``, as a series."""
+    out = [El() for _ in range(n + 1)]
+    for (o, key), c in acc.items():
+        if c:
+            out[o].data[key] = q(c) if scale == 1 else qdiv(c, scale)
+    return out
+
 
 class GammaQuantization:
     """Deformed product/coproduct tables over U(a) ⋊ Γ modulo h^{N+1}.
@@ -76,7 +114,9 @@ class GammaQuantization:
 
     # -- product ------------------------------------------------------------------
 
-    def _slot_product(self, mg_a, mg_b):
+    def _slot_product(self, mg_a, mg_b) -> list[tuple]:
+        """``[m1|g1][m2|g2]`` as flat terms ``(order, (mon, g1 g2), coeff)``,
+        sorted by order."""
         cached = self._slot_cache.get((mg_a, mg_b))
         if cached is not None:
             return cached
@@ -87,80 +127,86 @@ class GammaQuantization:
         moved = ElSeries(self.env, 1, self.t_map[g1].ext_mon(m2))
         series = left.mul(moved).mul(self.v_inv[(g1, g2)])
         # cached coefficients feed every product: keep them under the scalar rule
-        result = (gg, [El({key: q(c) for key, c in el.data.items()}) for el in series.coeffs])
-        self._slot_cache[(mg_a, mg_b)] = result
-        return result
+        terms = [(o, (mon, gg), q(c)) for o, el in enumerate(series.coeffs)
+                 for (mon,), c in el.data.items()]
+        self._slot_cache[(mg_a, mg_b)] = terms
+        return terms
+
+    def _add_product(self, acc: dict, a: list[tuple], b: list[tuple], n: int, k: int,
+                     slot=None, sign: int = 1):
+        """Add ``sign · a b`` modulo h^{n+1} into ``acc = {(order, key): coeff}``.
+
+        ``a`` and ``b`` are flat term lists ``(order, key, coeff)`` sorted by
+        order, with keys of ``k`` legs (``k`` is 1 or 2); ``slot`` gives the
+        slot products (default ``_slot_product``).
+        """
+        slot = slot or self._slot_product
+        for oa, key_a, ca in a:
+            for ob, key_b, cb in b:
+                used = oa + ob
+                if used > n:
+                    break
+                base = sign * ca * cb
+                if k == 1:
+                    for o, key, c in slot(key_a[0], key_b[0]):
+                        if used + o > n:
+                            break
+                        at = (used + o, (key,))
+                        acc[at] = acc.get(at, 0) + base * c
+                else:
+                    second = slot(key_a[1], key_b[1])
+                    for o1, key1, c1 in slot(key_a[0], key_b[0]):
+                        if used + o1 > n:
+                            break
+                        first = base * c1
+                        for o2, key2, c2 in second:
+                            if used + o1 + o2 > n:
+                                break
+                            at = (used + o1 + o2, (key1, key2))
+                            acc[at] = acc.get(at, 0) + first * c2
 
     def mul(self, a: list[El], b: list[El], k: int = 1) -> list[El]:
         if len(a) != len(b):
             raise ValueError("series order mismatch")
-        n = len(a) - 1
-        out = [El() for _ in range(n + 1)]
-        for alpha in range(n + 1):
-            el_a = a[alpha]
-            if not el_a:
-                continue
-            for beta in range(n + 1 - alpha):
-                el_b = b[beta]
-                if not el_b:
-                    continue
-                for key_a, ca in el_a.data.items():
-                    for key_b, cb in el_b.data.items():
-                        base = ca * cb
-                        budget = n - alpha - beta
-                        partial = [((), 0, 1)]
-                        for s in range(k):
-                            gg, series = self._slot_product(key_a[s], key_b[s])
-                            nxt = []
-                            for prefix, used, coeff in partial:
-                                for o in range(budget - used + 1):
-                                    el = series[o]
-                                    if not el:
-                                        continue
-                                    for (mon,), d in el.data.items():
-                                        nxt.append((prefix + ((mon, gg),), used + o,
-                                                    coeff * d))
-                            partial = nxt
-                        for key, used, coeff in partial:
-                            out[alpha + beta + used].add_term(key, base * coeff)
-        return out
+        acc: dict = {}
+        self._add_product(acc, _terms(a), _terms(b), len(a) - 1, k)
+        return _series(acc, len(a) - 1)
 
     # -- coproduct -----------------------------------------------------------------
 
-    def _cop_key(self, m: Mon, g: int) -> list[El]:
-        cached = self._cop_cache.get((m, g))
+    def _cop_key(self, mg) -> list[tuple]:
+        """``Delta([m|g])`` as flat terms ``(order, ((m1, g), (m2, g)), coeff)``,
+        sorted by order."""
+        cached = self._cop_cache.get(mg)
         if cached is not None:
             return cached
+        m, g = mg
         core = ElSeries(self.env, 2, self.cop.ext_mon(m)).mul(self.f_inv[g])
-        attached = [
-            El({((k1, g), (k2, g)): q(c) for (k1, k2), c in el.data.items()})
-            for el in core.coeffs
-        ]
-        self._cop_cache[(m, g)] = attached
-        return attached
+        # one (monomial, g) leg object per monomial: the terms share them
+        legs = {k: (k, g) for el in core.coeffs for key in el.data for k in key}
+        terms = [(o, (legs[k1], legs[k2]), q(c)) for o, el in enumerate(core.coeffs)
+                 for (k1, k2), c in el.data.items()]
+        self._cop_cache[mg] = terms
+        return terms
+
+    def _add_coproduct(self, acc: dict, a: list[tuple], n: int, leg: int, cop=None):
+        """Add ``Delta`` on leg ``leg`` of the flat terms ``a``, modulo h^{n+1},
+        into ``acc``; ``cop`` gives the basis coproducts (default ``_cop_key``)."""
+        cop = cop or self._cop_key
+        for oa, key, c in a:
+            for o, dkey, d in cop(key[leg]):
+                if oa + o > n:
+                    break
+                at = (oa + o, key[:leg] + dkey + key[leg + 1:])
+                acc[at] = acc.get(at, 0) + c * d
 
     def coproduct(self, a: list[El]) -> list[El]:
-        n = len(a) - 1
-        out = [El() for _ in range(n + 1)]
-        for b, el in enumerate(a):
-            for ((m, g),), c in el.data.items():
-                for o, term in enumerate(self._cop_key(m, g)):
-                    if o + b <= n and term:
-                        for key, d in term.data.items():
-                            out[o + b].add_term(key, c * d)
-        return out
+        return self.coproduct_leg(a, 0)
 
     def coproduct_leg(self, a: list[El], leg: int) -> list[El]:
-        n = len(a) - 1
-        out = [El() for _ in range(n + 1)]
-        for b, el in enumerate(a):
-            for key, c in el.data.items():
-                m, g = key[leg]
-                for o, term in enumerate(self._cop_key(m, g)):
-                    if o + b <= n and term:
-                        for dkey, d in term.data.items():
-                            out[o + b].add_term(key[:leg] + dkey + key[leg + 1:], c * d)
-        return out
+        acc: dict = {}
+        self._add_coproduct(acc, _terms(a), len(a) - 1, leg)
+        return _series(acc, len(a) - 1)
 
     def counit(self, a: list[El]):
         out = []
@@ -436,7 +482,6 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
     report = AxiomReport()
     basis = assembly.basis_up_to(d_in)
     series = {key: assembly.basis_series(*key) for key in basis}
-    e = assembly.group.identity
     unit = assembly.unit()
 
     products: dict = {}
@@ -444,6 +489,21 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
         for b in basis:
             products[(a, b)] = assembly.mul(series[a], series[b])
 
+    coproducts = {a: assembly.coproduct(series[a]) for a in basis}
+
+    # Associativity and compatibility accumulate left - right per identity,
+    # with every factor scaled by the common denominator D of the products,
+    # the basis coproducts and the cached slot products.  Both sides of an
+    # identity carry the same power of D, so the zero test is unchanged; it
+    # runs on ints wherever D clears a denominator, on exact Fractions elsewhere.
+    n = assembly.order
+    scale = math.lcm(1, *(c.denominator for s in (*products.values(), *coproducts.values())
+                          for el in s for c in el.data.values()),
+                     *(c.denominator for terms in assembly._slot_cache.values()
+                       for _, _, c in terms))
+    slot = _scaled_view(assembly._slot_product, scale)
+    basis_terms = {a: _terms(series[a]) for a in basis}
+    scaled = {pair: _terms(s, scale) for pair, s in products.items()}
     for a in basis:
         for b in basis:
             ab = products[(a, b)]
@@ -452,11 +512,11 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
             if bad:
                 report.grading[(a, b)] = bad
             for c in basis:
-                left = assembly.mul(ab, series[c])
-                right = assembly.mul(series[a], products[(b, c)])
-                diff = [x - y for x, y in zip(left, right)]
-                if any(diff):
-                    report.associativity[(a, b, c)] = diff
+                acc: dict = {}
+                assembly._add_product(acc, scaled[(a, b)], basis_terms[c], n, 1, slot)
+                assembly._add_product(acc, basis_terms[a], scaled[(b, c)], n, 1, slot, -1)
+                if any(acc.values()):
+                    report.associativity[(a, b, c)] = _series(acc, n, scale ** 2)
 
     for a in basis:
         left = assembly.mul(unit, series[a])
@@ -467,7 +527,7 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
                 report.unit[(a, name)] = diff
 
     for a in basis:
-        d = assembly.coproduct(series[a])
+        d = coproducts[a]
         bad = assembly.grading_defect_keys(d, (a[1], a[1]))
         if bad:
             report.grading[(a, "coproduct")] = bad
@@ -481,14 +541,15 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
             if any(diff):
                 report.counit[(a, leg)] = diff
 
+    cop = _scaled_view(assembly._cop_key, scale ** 3)
+    scaled_cop = {a: _terms(d, scale) for a, d in coproducts.items()}
     for a in basis:
         for b in basis:
-            left = assembly.coproduct(products[(a, b)])
-            right = assembly.mul(assembly.coproduct(series[a]),
-                                 assembly.coproduct(series[b]), k=2)
-            diff = [x - y for x, y in zip(left, right)]
-            if any(diff):
-                report.compatibility[(a, b)] = diff
+            acc = {}
+            assembly._add_coproduct(acc, scaled[(a, b)], n, 0, cop)
+            assembly._add_product(acc, scaled_cop[a], scaled_cop[b], n, 2, slot, -1)
+            if any(acc.values()):
+                report.compatibility[(a, b)] = _series(acc, n, scale ** 4)
     return report
 
 

@@ -27,6 +27,21 @@ def _rat(value, where: str) -> Scalar:
         raise SchemaError(f"bad rational {value!r}: {exc}", where) from None
 
 
+def non_negative_int(value, name: str, where: str) -> int:
+    """A document's non-negative integer (an int or a decimal string)."""
+    number = None
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            number = int(value)
+        except ValueError:
+            pass
+    if number is None:
+        raise SchemaError(f"{name} must be an integer, not {value!r}", where)
+    if number < 0:
+        raise SchemaError(f"{name} must be non-negative, not {number}", where)
+    return number
+
+
 def _table(value, where: str) -> dict:
     if not isinstance(value, dict):
         raise SchemaError("must be a JSON object", where)
@@ -71,16 +86,19 @@ class ParsedInput:
 def parse_document(doc: dict) -> ParsedInput:
     if not isinstance(doc, dict):
         raise SchemaError("input document must be a JSON object", "/")
-    try:
-        dim = int(doc["dimension"])
-    except (KeyError, ValueError, TypeError):
-        raise SchemaError("missing or bad 'dimension'", "/dimension") from None
+    dim = non_negative_int(doc.get("dimension"), "dimension", "/dimension")
+    if dim < 1:
+        raise SchemaError("dimension must be at least 1", "/dimension")
     basis = doc.get("basis")
     if basis is None:
         basis = [f"x{i}" for i in range(dim)]
-    if not isinstance(basis, list) or len(basis) != dim or len(set(basis)) != dim:
+    if not isinstance(basis, list) or any(
+            isinstance(b, bool) or not isinstance(b, (int, str)) for b in basis):
+        raise SchemaError("'basis' must list string or integer labels", "/basis")
+    labels = tuple(str(b) for b in basis)
+    if len(labels) != dim or len(set(labels)) != dim:
         raise SchemaError("'basis' must list dimension distinct labels", "/basis")
-    space = BasedSpace(str(doc.get("name", "a")), tuple(str(b) for b in basis))
+    space = BasedSpace(str(doc.get("name", "a")), labels)
 
     if "bracket" not in doc:
         raise SchemaError("missing 'bracket' table", "/bracket")

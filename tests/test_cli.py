@@ -368,10 +368,10 @@ def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
     elements += [el for tables in (assembly.cop.tables,
                                    *(t.tables for t in assembly.t_map.values()))
                  for table in tables for el in table.values()]
-    elements += [el for _, coeffs in assembly._slot_cache.values() for el in coeffs]
-    elements += [el for coeffs in assembly._cop_cache.values() for el in coeffs]
     assert assembly._slot_cache and assembly._cop_cache
     values = [v for el in elements for v in el.data.values()]
+    values += [c for cache in (assembly._slot_cache, assembly._cop_cache)
+               for terms in cache.values() for _, _, c in terms]
     assert values
     assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
 
@@ -383,8 +383,17 @@ def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
     ({"dimension": 2, "basis": 5, "bracket": {}}, "/basis"),
     ({"dimension": 1, "bracket": {}, "group": {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]},
       "action": {"g": [1]}}, "/action/g"),
+    ({"dimension": 2.7, "bracket": {}}, "/dimension"),
+    ({"dimension": True, "bracket": {}}, "/dimension"),
+    ({"dimension": 0, "bracket": {}}, "/dimension"),
+    ({"bracket": {}}, "/dimension"),
+    ({"dimension": 2, "basis": [[1], [2]], "bracket": {}}, "/basis"),
+    ({"dimension": 2, "basis": [1, "1"], "bracket": {}}, "/basis"),
+    ({"dimension": 2, "basis": [True, "x"], "bracket": {}}, "/basis"),
 ], ids=["bracket-not-object", "cobracket-entry-not-object", "bracket-target-not-int",
-        "basis-not-list", "action-row-not-list"])
+        "basis-not-list", "action-row-not-list", "dimension-float", "dimension-bool",
+        "dimension-zero", "dimension-missing", "basis-unhashable", "basis-collides-as-str",
+        "basis-bool"])
 def test_malformed_tables_are_schema_errors(doc, location, tmp_path, capsys):
     code, _, err = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
     assert code == 3
@@ -440,6 +449,25 @@ def test_every_stored_coefficient_is_verified(z2_artifact, table, tmp_path, caps
         code, _, _ = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
                          "--format", "json")
         assert code == 2, (table, index, key)
+
+
+# details recorded with the unscaled axiom checks: a 1/997 shift, a prime no
+# solved coefficient carries, gives the same failing counts on scaled integers
+@pytest.mark.parametrize("key, detail", [
+    ("e", "{'associativity': 0, 'unit': 0, 'coassociativity': 0, 'counit': 0, "
+          "'compatibility': 36, 'grading': 0}"),
+    ("1", "{'associativity': 324, 'unit': 0, 'coassociativity': 0, 'counit': 0, "
+          "'compatibility': 0, 'grading': 0}"),
+], ids=["scalar", "generator"])
+def test_composition_shift_by_1_997_fails_the_axioms(z2_artifact, key, detail,
+                                                    tmp_path, capsys):
+    artifact = copy.deepcopy(z2_artifact)
+    assert not artifact["assembly"]["compositions"]["g,g"][2]
+    artifact["assembly"]["compositions"]["g,g"][2][key] = "1/997"
+    code, out, _ = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 2
+    assert failing_checks(out)["bialgebra-axioms"] == detail
 
 
 # details recorded before the family checks were merged into one pass; h is

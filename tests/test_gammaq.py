@@ -7,7 +7,7 @@ import pytest
 from liequant import catalog
 from liequant.envelope import Envelope
 from liequant.hquant.core import ElSeries
-from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization,
+from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization, _scaled_view,
                                     assemble_gamma_quantization, bialgebra_axiom_defects,
                                     classical_limit_check, compare_pipelines,
                                     quasitriangular_gamma_quantize)
@@ -93,20 +93,48 @@ def test_direct_trivial_group_reduces_to_plain_quantization():
     assert bialgebra_axiom_defects(direct, 2).all_zero
 
 
-def test_forced_unit_composition_breaks_associativity(flagship):
-    # replacing the composition elements by 1 must break associativity
-    # unless the solved family happened to be trivial (gauge coincidence)
+@pytest.fixture(scope="module")
+def forced_unit(flagship):
+    """The flagship with its (non-trivial) composition elements replaced by 1."""
     fam, env, generic = flagship
+    assert any(any(s.coeffs[k] for k in (1, 2)) for s in generic.v_map.values())
     trivial_v = {pair: ElSeries.unit(env, 1, 2) for pair in generic.v_map}
-    mutated = GammaQuantization(env, generic.action, generic.cop, generic.f_map,
-                                generic.t_map, trivial_v, 2)
-    nontrivial = any(any(s.coeffs[k] for k in (1, 2))
-                     for s in generic.v_map.values())
-    report = bialgebra_axiom_defects(mutated, 1)
-    if nontrivial:
-        assert not report.all_zero
-    else:  # notable gauge coincidence: record by passing
-        assert report.all_zero
+    return GammaQuantization(env, generic.action, generic.cop, generic.f_map,
+                             generic.t_map, trivial_v, 2)
+
+
+def test_forced_unit_composition_breaks_associativity(forced_unit):
+    # counts recorded with the unscaled checks: scaling may not hide a defect
+    report = bialgebra_axiom_defects(forced_unit, 1)
+    assert report.summary() == {"associativity": 64, "unit": 0, "coassociativity": 0,
+                                "counit": 0, "compatibility": 16, "grading": 0}
+
+
+def test_fused_checks_match_plain_products(forced_unit):
+    # the scaled one-pass checks report exactly the defects of the plain products
+    assembly = forced_unit
+    report = bialgebra_axiom_defects(assembly, 1)
+    basis = assembly.basis_up_to(1)
+    s = {a: assembly.basis_series(*a) for a in basis}
+    mul, cop = assembly.mul, assembly.coproduct
+
+    def check(found, key, left, right):
+        diff = [x - y for x, y in zip(left, right)]
+        assert found.get(key) == (diff if any(diff) else None), key
+
+    for a in basis:
+        for b in basis:
+            check(report.compatibility, (a, b), cop(mul(s[a], s[b])),
+                  mul(cop(s[a]), cop(s[b]), k=2))
+            for c in basis:
+                check(report.associativity, (a, b, c), mul(mul(s[a], s[b]), s[c]),
+                      mul(s[a], mul(s[b], s[c])))
+
+
+def test_scaled_views_keep_uncleared_fractions_exact():
+    view = _scaled_view(lambda *key: [(0, key, Q(1, 3)), (1, key, Q(1, 2))], 4)
+    assert view("k") == [(0, ("k",), Q(4, 3)), (1, ("k",), 2)]
+    assert type(view("k")[1][2]) is int
 
 
 def test_compare_pipelines_flagship(flagship):
