@@ -29,8 +29,8 @@ from .hquant.solvers import (GaugeLog, algebra_compat_defect, coassoc_defect,
                              iso_intertwine_defect, twist_counit_defect, twisted_coproduct)
 from .lie import (LieBialgebra, cocycle_defect as bialg_cocycle_defect, cojacobi_defect,
                   coboundary_cobracket, cybe_defect, invariance_defect, jacobi_defect)
-from .schema import (ParsedInput, non_negative_int, parse_document, series_from_json,
-                     series_to_json)
+from .schema import (ParsedInput, canonical_int, non_negative_int, parse_document,
+                     series_from_json, series_to_json)
 from .sparse import El
 
 EXIT_OK = 0
@@ -242,8 +242,8 @@ def _assembly_from_json(data: dict, parsed: ParsedInput
     def generator_tables(tbl, arity: int, where: str) -> list[dict[int, El]]:
         tables: list[dict[int, El]] = [{} for _ in range(order + 1)]
         for gen, value in table(tbl, where).items():
-            i = int(gen) if gen.isdigit() else -1
-            if not 0 <= i < n:
+            i = canonical_int(gen)
+            if i is None or not 0 <= i < n:
                 raise SchemaError(f"generator index {gen!r} out of range 0..{n - 1}",
                                   f"{where}/{gen}")
             for k, el in enumerate(series(value, arity, f"{where}/{gen}")):

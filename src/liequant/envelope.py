@@ -148,14 +148,12 @@ class Envelope:
         self._linear[(linmap, m)] = result
         return result
 
-    def apply_linear(self, linmap: LinearMap, a: El, legs=None) -> El:
-        """Extension of a space map applied on the given legs (default: all)."""
+    def apply_linear(self, linmap: LinearMap, a: El) -> El:
+        """Extension of a space map applied on every leg."""
         out = El()
         for key, c in a.data.items():
-            k = len(key)
-            use = range(k) if legs is None else legs
             partial = [(key, c)]
-            for leg in use:
+            for leg in range(len(key)):
                 nxt = []
                 for kk, cc in partial:
                     for mm, d in self.apply_linear_mon(linmap, kk[leg]).items():

@@ -14,7 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 
 from .errors import MathDefectError, SchemaError
-from .lie import LieAlgebra, LieBialgebra, QuasitriangularData
+from .lie import LieAlgebra, LieBialgebra, QuasitriangularData, ad2, hom_defect
 from .tensors import LinearMap, Tensor
 from .twists import twist_defect
 
@@ -141,22 +141,9 @@ def check_action(action: GroupAction, lie: LieAlgebra) -> ActionReport:
                     for ra, rb in zip(composed.rows, expected.rows)
                 ]
                 report.hom_defects[(g, h)] = diff
-    n = lie.dim
     for g in grp.elements():
-        theta = action.theta(g)
-        for i in range(n):
-            for j in range(i + 1, n):
-                mapped = theta.apply_vec(lie.bracket_basis(i, j))
-                bracketed = lie.bracket_vec(theta.column(i), theta.column(j))
-                diff = dict(mapped)
-                for k, v in bracketed.items():
-                    acc = diff.get(k, 0) - v
-                    if acc:
-                        diff[k] = acc
-                    else:
-                        diff.pop(k, None)
-                if diff:
-                    report.aut_defects[(g, i, j)] = diff
+        for (i, j), diff in hom_defect(action.theta(g), lie, lie).items():
+            report.aut_defects[(g, i, j)] = diff
     return report
 
 
@@ -227,7 +214,8 @@ def gamma_defects(g_bialg: GammaLieBialgebra) -> GammaDefectReport:
     if not g_bialg.f(grp.identity).is_zero():
         report.identity_twist = g_bialg.f(grp.identity)
 
-    # (a): (theta ⊗ theta)(delta(theta^{-1} x)) - delta(x) - [f_g, x⊗1 + 1⊗x]
+    # (a): (theta ⊗ theta)(delta(theta^{-1} x)) - delta(x) - [f_g, x⊗1 + 1⊗x],
+    # where [f_g, x⊗1 + 1⊗x] = -ad2_x(f_g)
     for g in grp.elements():
         theta = g_bialg.action.theta(g)
         theta_inv = theta.inverse()
@@ -236,14 +224,7 @@ def gamma_defects(g_bialg: GammaLieBialgebra) -> GammaDefectReport:
             pushed = Tensor.zero((a, a))
             for j, c in theta_inv.column(i).items():
                 pushed = pushed + c * theta.apply_tensor(bialg.cobracket_basis(j))
-            adf = Tensor.zero((a, a))
-            for (p, r), v in g_bialg.f(g).data.items():
-                for m, c in lie.bracket_basis(p, i).items():
-                    adf.data[(m, r)] = adf.data.get((m, r), 0) + v * c
-                for m, c in lie.bracket_basis(r, i).items():
-                    adf.data[(p, m)] = adf.data.get((p, m), 0) + v * c
-            adf.data = {k: v for k, v in adf.data.items() if v}
-            diff = pushed - bialg.cobracket_basis(i) - adf
+            diff = pushed - bialg.cobracket_basis(i) + ad2(lie, i, g_bialg.f(g))
             for key, v in diff.data.items():
                 defect.data[(i,) + key] = v
         if not defect.is_zero():
@@ -313,22 +294,8 @@ def gamma_morphism_check(src: GammaLieBialgebra, dst: GammaLieBialgebra,
         raise SchemaError("morphism check requires the same group on both sides")
     if i_map.src != src.bialgebra.space or i_map.dst != dst.bialgebra.space:
         raise SchemaError("matrix shape does not match the two algebras")
-    report = MorphismReport()
-    n = src.bialgebra.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            mapped = i_map.apply_vec(src.bialgebra.lie.bracket_basis(i, j))
-            bracketed = dst.bialgebra.lie.bracket_vec(i_map.column(i), i_map.column(j))
-            diff = dict(mapped)
-            for k, v in bracketed.items():
-                acc = diff.get(k, 0) - v
-                if acc:
-                    diff[k] = acc
-                else:
-                    diff.pop(k, None)
-            if diff:
-                report.bracket[(i, j)] = diff
-    for i in range(n):
+    report = MorphismReport(bracket=hom_defect(i_map, src.bialgebra.lie, dst.bialgebra.lie))
+    for i in range(src.bialgebra.dim):
         pushed = i_map.apply_tensor(src.bialgebra.cobracket_basis(i))
         expected = Tensor.zero((dst.bialgebra.space,) * 2)
         for j, c in i_map.column(i).items():

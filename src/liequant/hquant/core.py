@@ -286,21 +286,6 @@ class MapSeries(AlgebraMapSeries):
             inv._ext.clear()
         return inv
 
-    def conjugation(env: Envelope, v: ElSeries) -> "MapSeries":  # noqa: N805
-        """Ad(v): x ↦ v x v^{-1} as a map series (v an arity-1 unit-leading series)."""
-        vinv = v.inverse()
-        order = v.order
-        tables: list[dict[int, El]] = [{} for _ in range(order + 1)]
-        for i in range(env.dim):
-            xi = ElSeries.constant(env, 1, order, El.term(((i,),)))
-            img = v.mul(xi).mul(vinv)
-            for k, el in enumerate(img.coeffs):
-                if el:
-                    tables[k][i] = el
-        return MapSeries(env, order, tables)
-
-    conjugation = staticmethod(conjugation)
-
     def is_identity(self) -> bool:
         if any(self.tables[k] for k in range(1, self.order + 1)):
             return False

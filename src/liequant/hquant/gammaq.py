@@ -16,10 +16,11 @@ sorted by order.  The slot product ``[m1|g1][m2|g2]`` and the coproduct of
 each basis element ``[m|g]`` are cached in that form, and one product kernel
 (``GammaQuantization._add_product``) adds the product of two term lists into
 an accumulator ``{(order, key): coeff}`` modulo h^{n+1}, stopping each slot
-list at the order budget.  ``mul`` and ``coproduct`` unpack an accumulator
-into a series; the axiom checks accumulate ``left - right`` of each
-identity in one accumulator on denominator-scaled integers and test it for
-zero.
+list at the order budget; one leg-map kernel (``_add_coproduct``) does the
+same for the coproduct and for the comparison witness, one leg at a time.
+``mul`` and ``coproduct`` unpack an accumulator into a series; the axiom
+checks accumulate ``left - right`` of each identity in one accumulator on
+denominator-scaled integers and test it for zero.
 """
 
 from __future__ import annotations
@@ -29,16 +30,16 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
-from ..errors import InternalCheckError, MathDefectError
+from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from ..groups import GammaLieBialgebra, GroupAction
 from ..linsolve import Certificate, lin_solve
 from ..sparse import El
 from ..tensors import q, qdiv
 from .core import CoproductSeries, ElSeries, MapSeries
 from .pipeline import gamma_v_cocycle_defects
-from .solvers import (GaugeLog, SolveRecord, composition_defect, conjugation_defect,
-                      solve_composition_v, solve_coproduct, solve_j_conjugator,
-                      solve_twist_pair, v_cocycle_defect)
+from .solvers import (GaugeLog, SolveRecord, _solve_with_supports, _supports_single,
+                      composition_defect, conjugation_defect, solve_composition_v,
+                      solve_coproduct, solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
 from .unknowns import LinearisedDefect, blocks, values_by_slot
 
 
@@ -190,8 +191,10 @@ class GammaQuantization:
         return terms
 
     def _add_coproduct(self, acc: dict, a: list[tuple], n: int, leg: int, cop=None):
-        """Add ``Delta`` on leg ``leg`` of the flat terms ``a``, modulo h^{n+1},
-        into ``acc``; ``cop`` gives the basis coproducts (default ``_cop_key``)."""
+        """Add the image of leg ``leg`` of the flat terms ``a``, modulo h^{n+1},
+        into ``acc``.  ``cop`` gives a basis element's image as flat terms
+        sorted by order: its coproduct by default (``_cop_key``), or another
+        leg map such as the comparison witness."""
         cop = cop or self._cop_key
         for oa, key, c in a:
             for o, dkey, d in cop(key[leg]):
@@ -568,29 +571,29 @@ class ComparisonWitness:
         }
 
 
-def _phi(env, j: MapSeries, w: dict[int, ElSeries], series: list[El], order: int,
-         cache: dict) -> list[El]:
-    out = [El() for _ in range(order + 1)]
-    for b, el in enumerate(series):
-        for key, c in el.data.items():
-            partial = [((), 0, c)]
-            for m, g in key:
-                img = cache.get((m, g))
-                if img is None:
-                    img = ElSeries(env, 1, j.ext_mon(m)[: order + 1]).mul(w[g])
-                    cache[(m, g)] = img
-                nxt = []
-                for prefix, used, coeff in partial:
-                    for o in range(order + 1 - b - used):
-                        term = img.coeffs[o]
-                        if not term:
-                            continue
-                        for (mon,), d in term.data.items():
-                            nxt.append((prefix + ((mon, g),), used + o, coeff * d))
-                partial = nxt
-            for kk, used, coeff in partial:
-                out[b + used].add_term(kk, coeff)
-    return out
+def _phi(assembly: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
+         series: list[El], order: int, cache: dict) -> list[El]:
+    """The witness map ``[m|g] ↦ [j(m) · w_g | g]`` on every leg of ``series``,
+    modulo h^{order+1}, through the leg-map kernel of ``assembly``.
+
+    ``cache`` holds the flat image terms of each ``(m, g)`` for one ``j, w``.
+    """
+
+    def image(mg) -> list[tuple]:
+        terms = cache.get(mg)
+        if terms is None:
+            m, g = mg
+            img = ElSeries(j.env, 1, j.ext_mon(m)[: order + 1]).mul(w[g])
+            terms = cache[mg] = [(o, ((mon, g),), c) for o, el in enumerate(img.coeffs)
+                                 for (mon,), c in el.data.items()]
+        return terms
+
+    acc = {(o, key): c for o, key, c in _terms(series)}
+    for leg in range(len(next(iter(acc))[1]) if acc else 0):
+        terms = [(o, key, c) for (o, key), c in acc.items() if c]
+        acc = {}
+        assembly._add_coproduct(acc, terms, order, leg, image)
+    return _series(acc, order)
 
 
 def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
@@ -651,7 +654,7 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
             cache: dict = {}
 
             def phi(series):
-                return _phi(env, j_cand, w_cand, series[: m + 1], m, cache)
+                return _phi(generic, j_cand, w_cand, series[: m + 1], m, cache)
 
             rows = {}
             for ia, a in enumerate(gen_keys):
@@ -666,8 +669,6 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
                 rows[(ia, 2)] = El.term((), direct.counit(phi_a)[m])
             return blocks(rows)
 
-        from ..errors import SolverInconsistencyError
-        from .solvers import _solve_with_supports, _supports_single
         supports_j = _supports_single(env, [k + 1, 2 * k + 1], None)
         supports_w = _supports_single(env, [2 * k, 2 * k + 2], None)
         supports = [(f"{lj}|{lw}", [(("j", i), kj) for i in range(n)]
@@ -688,15 +689,15 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
     cache: dict = {}
     for a in verify_basis:
         sa = generic.basis_series(*a)
-        pa = _phi(env, j_map, w_map, sa, order, cache)
+        pa = _phi(generic, j_map, w_map, sa, order, cache)
         for b in verify_basis:
-            left = _phi(env, j_map, w_map,
+            left = _phi(generic, j_map, w_map,
                         generic.mul(sa, generic.basis_series(*b)), order, cache)
-            right = direct.mul(pa, _phi(env, j_map, w_map, generic.basis_series(*b),
+            right = direct.mul(pa, _phi(generic, j_map, w_map, generic.basis_series(*b),
                                         order, cache))
             if any(x - y for x, y in zip(left, right)):
                 raise InternalCheckError(f"witness verification failed on {a},{b}")
-        left = _phi(env, j_map, w_map, generic.coproduct(sa), order, cache)
+        left = _phi(generic, j_map, w_map, generic.coproduct(sa), order, cache)
         right = direct.coproduct(pa)
         if any(x - y for x, y in zip(left, right)):
             raise InternalCheckError(f"witness coalgebra verification failed on {a}")

@@ -19,9 +19,8 @@ from ..lie import LieBialgebra
 from ..tensors import Tensor
 from ..twists import compose_twists, twist
 from .core import CoproductSeries, ElSeries, MapSeries
-from .solvers import (GaugeLog, composition_defect, iso_intertwine_defect,
-                      solve_composition_v, solve_coproduct, solve_iso, solve_twist_f,
-                      twisted_coproduct, v_cocycle_defect)
+from .solvers import (GaugeLog, iso_intertwine_defect, solve_composition_v, solve_coproduct,
+                      solve_iso, solve_twist_f, twisted_coproduct, v_cocycle_defect)
 
 
 @dataclass
@@ -45,11 +44,6 @@ class TwistPairData:
     v: ElSeries                       # composition element
     iso_total_redefined: bool
     log: GaugeLog
-
-    def composition_relation_defect(self) -> ElSeries:
-        pulled = self.iso_f.inverse().apply_all_legs(self.f_prime_series)
-        return composition_defect(self.env, self.f_total_series, pulled,
-                                  self.f_series, self.cop, self.v)
 
 
 def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
@@ -80,7 +74,7 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
     v = solve_composition_v(env, f_total_series, pulled, f_series, cop, order,
                             log=log, cap=cap)
 
-    ad_vinv = MapSeries.conjugation(env, v.inverse())
+    ad_vinv = twisted_coproduct(MapSeries.identity(env, order), v.inverse())
     iso_composed = iso_second.compose(iso_f).compose(ad_vinv)
     redefined = False
     if any(iso_composed.tables[k] != iso_total_solved.tables[k]
@@ -110,9 +104,8 @@ def gauge_transform(cop: CoproductSeries, f_series: ElSeries, iso: MapSeries,
     solution; the invariant tests re-verify the cocycle and intertwining
     defects of the transformed pair.
     """
-    env = cop.env
     f_new = u.tensor(u).mul(f_series).mul(cop.apply_series(u).inverse())
-    i_new = iso.compose(MapSeries.conjugation(env, u.inverse()))
+    i_new = iso.compose(twisted_coproduct(MapSeries.identity(cop.env, u.order), u.inverse()))
     return f_new, i_new
 
 

@@ -22,7 +22,7 @@ from ..sparse import El
 from ..tensors import Tensor, qdiv
 from ..twists import twist as twist_bialgebra
 from ..twists import twist_defect
-from .core import CoproductSeries, ElSeries, MapSeries
+from .core import AlgebraMapSeries, CoproductSeries, ElSeries, MapSeries
 from .unknowns import (LinearisedDefect, allocation_order, blocks, top_coeffs,
                        values_by_slot)
 
@@ -124,18 +124,18 @@ def _solve_with_supports(operation: str, order: int, supports, defect: Linearise
 # ---------------------------------------------------------------------------
 
 
-def algebra_compat_defect(bialg: LieBialgebra, cop: CoproductSeries) -> dict:
-    """Delta(x)Delta(y) - Delta(y)Delta(x) - Delta([x,y]) per basis pair."""
-    env = cop.env
+def algebra_compat_defect(bialg: LieBialgebra, series_map: AlgebraMapSeries) -> dict:
+    """m(x)m(y) - m(y)m(x) - m([x,y]) per basis pair: zero iff the series map
+    ``m`` (a coproduct or an intertwiner) respects the bracket."""
     out = {}
-    n = env.dim
+    n = series_map.env.dim
     for i in range(n):
         for j in range(i + 1, n):
-            di = cop.gen_series(i)
-            dj = cop.gen_series(j)
+            di = series_map.gen_series(i)
+            dj = series_map.gen_series(j)
             acc = di.mul(dj) - dj.mul(di)
             for k, c in bialg.lie.bracket_basis(i, j).items():
-                acc = acc - cop.gen_series(k).scale(c)
+                acc = acc - series_map.gen_series(k).scale(c)
             if not acc.is_zero():
                 out[(i, j)] = acc
     return out
@@ -234,18 +234,22 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
 # ---------------------------------------------------------------------------
 
 
-def conjugated_coproduct(env: Envelope, j_series: ElSeries) -> CoproductSeries:
-    """Ad(J) ∘ Delta_0 as generator tables."""
-    order = j_series.order
-    base = CoproductSeries.undeformed(env, order)
-    jinv = j_series.inverse()
-    tables: list[dict[int, El]] = [{} for _ in range(order + 1)]
+def twisted_coproduct(series_map: AlgebraMapSeries, u: ElSeries) -> AlgebraMapSeries:
+    """Ad(u) ∘ m, x ↦ u m(x) u^{-1}, as generator tables of the type of ``m``.
+
+    ``u`` is a unit-leading series of the arity and order of ``m``: a twist F
+    on a coproduct, J on the undeformed coproduct, or v on the identity map
+    (the inner automorphism Ad(v)).
+    """
+    env = series_map.env
+    uinv = u.inverse()
+    tables: list[dict[int, El]] = [{} for _ in range(series_map.order + 1)]
     for i in range(env.dim):
-        w = j_series.mul(base.gen_series(i)).mul(jinv)
+        w = u.mul(series_map.gen_series(i)).mul(uinv)
         for k, el in enumerate(w.coeffs):
             if el:
                 tables[k][i] = el
-    return CoproductSeries(env, order, tables)
+    return type(series_map)(env, series_map.order, tables)
 
 
 def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
@@ -263,8 +267,8 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
     if order >= 1:
         coeffs.append(_half(env, qt.r))
         cand = ElSeries(env, 2, coeffs[:2])
-        _verify_zero(coassoc_defect(conjugated_coproduct(env, cand)),
-                     "order-1 conjugated coassociativity")
+        cop1 = twisted_coproduct(CoproductSeries.undeformed(env, 1), cand)
+        _verify_zero(coassoc_defect(cop1), "order-1 conjugated coassociativity")
         log.records.append(SolveRecord("j-conjugator", 1, "pinned r/2", 0, 0, "pinned"))
 
     columns: dict = {}
@@ -272,7 +276,8 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
 
         def defect(top, n, slot):
             unknown = top.get("J", El())
-            cop = conjugated_coproduct(env, ElSeries(env, 2, coeffs[:n] + [unknown]))
+            cop = twisted_coproduct(CoproductSeries.undeformed(env, n),
+                                    ElSeries(env, 2, coeffs[:n] + [unknown]))
             return blocks(top_coeffs(coassoc_defect(cop), n),
                           {leg: env.counit_leg(unknown, leg) for leg in (0, 1)})
 
@@ -282,7 +287,7 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
         coeffs.append(solved["J"])
 
     j_series = ElSeries(env, 2, coeffs)
-    cop = conjugated_coproduct(env, j_series)
+    cop = twisted_coproduct(CoproductSeries.undeformed(env, order), j_series)
     _verify_zero(coassoc_defect(cop), "conjugated coassociativity")
     _verify_zero(counit_defect(cop), "conjugated counit")
     _verify_zero(classical_limit_defect(bialg, cop), "conjugated classical limit")
@@ -310,19 +315,6 @@ def twist_counit_defect(env: Envelope, f_series: ElSeries) -> list[El]:
         coeffs[0] = coeffs[0] - env.unit(1)
         out.extend(c for c in coeffs if c)
     return out
-
-
-def twisted_coproduct(cop: CoproductSeries, f_series: ElSeries) -> CoproductSeries:
-    """Ad(F) ∘ Delta as generator tables."""
-    env = cop.env
-    finv = f_series.inverse()
-    tables: list[dict[int, El]] = [{} for _ in range(cop.order + 1)]
-    for i in range(env.dim):
-        w = f_series.mul(cop.gen_series(i)).mul(finv)
-        for k, el in enumerate(w.coeffs):
-            if el:
-                tables[k][i] = el
-    return CoproductSeries(env, cop.order, tables)
 
 
 def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
@@ -380,22 +372,6 @@ def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: i
 # ---------------------------------------------------------------------------
 
 
-def iso_bracket_defect(bialg: LieBialgebra, iso: MapSeries) -> dict:
-    """i([x,y]) - [i(x), i(y)] per basis pair (algebra-map consistency)."""
-    env = iso.env
-    out = {}
-    n = env.dim
-    for i in range(n):
-        for j in range(i + 1, n):
-            si, sj = iso.gen_series(i), iso.gen_series(j)
-            acc = si.mul(sj) - sj.mul(si)
-            for k, c in bialg.lie.bracket_basis(i, j).items():
-                acc = acc - iso.gen_series(k).scale(c)
-            if not acc.is_zero():
-                out[(i, j)] = acc
-    return out
-
-
 def iso_intertwine_defect(src: CoproductSeries, dst: CoproductSeries,
                           iso: MapSeries) -> dict:
     """i^{⊗2}(src(x)) - dst(i(x)) per generator."""
@@ -446,7 +422,7 @@ def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
 
         def defect(top, n, slot):
             cand = MapSeries(env, n, [dict(t) for t in tables[:n]] + [top])
-            return blocks(top_coeffs(iso_bracket_defect(bialg, cand), n),
+            return blocks(top_coeffs(algebra_compat_defect(bialg, cand), n),
                           top_coeffs(iso_intertwine_defect(src_by_order[n], dst_by_order[n],
                                                            cand), n),
                           _counit_rows(env, top))
@@ -458,7 +434,7 @@ def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
         tables.append({i: el for i, el in solved.items() if el})
 
     iso = MapSeries(env, order, tables)
-    _verify_zero(iso_bracket_defect(bialg, iso), "iso algebra-map")
+    _verify_zero(algebra_compat_defect(bialg, iso), "iso algebra-map")
     _verify_zero(iso_intertwine_defect(src, dst, iso), "iso intertwining")
     if iso_counit_defect(iso):
         raise InternalCheckError("iso counit defect after solve")
@@ -517,7 +493,7 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
             return blocks(
                 {0: cocycle_defect(cop_by_order[n], f_cand).coeffs[n]} if twist_rows else {},
                 {leg: env.counit_leg(f_top, leg) for leg in (0, 1)} if f_top else {},
-                top_coeffs(iso_bracket_defect(bialg, iso_cand), n),
+                top_coeffs(algebra_compat_defect(bialg, iso_cand), n),
                 top_coeffs(iso_intertwine_defect(src_n, dst_by_order[n], iso_cand), n),
                 _counit_rows(env, iso_top))
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Mapping
 
 from .errors import MathDefectError
-from .tensors import BasedSpace, QLike, Scalar, Tensor, cyclic_sum3, q
+from .tensors import BasedSpace, LinearMap, QLike, Scalar, Tensor, cyclic_sum3, q
 
 Vec = dict[int, Scalar]
 
@@ -147,9 +147,6 @@ class LieBialgebra:
     def cobracket_tables(self) -> list[Tensor]:
         return list(self._cobr)
 
-    def co_opposite(self) -> "LieBialgebra":
-        return LieBialgebra(self.lie, cobracket_tensors=[-t for t in self._cobr])
-
     def __eq__(self, other):
         if not isinstance(other, LieBialgebra):
             return NotImplemented
@@ -175,6 +172,27 @@ def ad2(lie: LieAlgebra, i: int, t: Tensor) -> Tensor:
         for m, c in lie.bracket_basis(i, r).items():
             out.data[(p, m)] = out.data.get((p, m), 0) + v * c
     out.data = {k: v for k, v in out.data.items() if v}
+    return out
+
+
+def hom_defect(m: LinearMap, src: LieAlgebra, dst: LieAlgebra) -> dict[tuple[int, int], Vec]:
+    """m[x_i, x_j] - [m x_i, m x_j] on the basis pairs i < j of ``src``.
+
+    Only nonzero defects are returned, so ``m`` is a Lie-algebra
+    homomorphism iff the result is empty.
+    """
+    out = {}
+    for i in range(src.dim):
+        for j in range(i + 1, src.dim):
+            diff = m.apply_vec(src.bracket_basis(i, j))
+            for k, v in dst.bracket_vec(m.column(i), m.column(j)).items():
+                acc = diff.get(k, 0) - v
+                if acc:
+                    diff[k] = acc
+                else:
+                    diff.pop(k, None)
+            if diff:
+                out[(i, j)] = diff
     return out
 
 
@@ -252,20 +270,8 @@ def invariance_defect(lie: LieAlgebra, t: Tensor) -> Tensor:
 
 
 def coboundary_cobracket(lie: LieAlgebra, r: Tensor) -> list[Tensor]:
-    """delta(x) := [r, x⊗1 + 1⊗x] per basis vector."""
-    a = lie.space
-    out = []
-    for i in range(a.dim):
-        t = Tensor.zero((a, a))
-        for (p, rr), v in r.data.items():
-            # [p⊗rr, x⊗1] = [p,x]⊗rr ; [p⊗rr, 1⊗x] = p⊗[rr,x]
-            for m, c in lie.bracket_basis(p, i).items():
-                t.data[(m, rr)] = t.data.get((m, rr), 0) + v * c
-            for m, c in lie.bracket_basis(rr, i).items():
-                t.data[(p, m)] = t.data.get((p, m), 0) + v * c
-        t.data = {k: v for k, v in t.data.items() if v}
-        out.append(t)
-    return out
+    """delta(x) := [r, x⊗1 + 1⊗x] = -ad2_x(r) per basis vector."""
+    return [-ad2(lie, i, r) for i in range(lie.dim)]
 
 
 class QuasitriangularData:

@@ -44,11 +44,6 @@ class Solution:
     values: list[Scalar]
     pivot_columns: list[int]
 
-    @property
-    def free_columns(self):
-        pivots = set(self.pivot_columns)
-        return [c for c in range(len(self.values)) if c not in pivots]
-
 
 def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | Certificate:
     nvars = system.nvars

@@ -2,8 +2,8 @@
 
 Rationals travel as strings ("p" or "p/q"); structure constants are sparse
 with i < j keys ("i,j"); antisymmetry is reconstructed.  Monomials serialize
-as dot-joined indices with "1" for the empty monomial; tensor-power keys
-join their legs with "|", smash legs append "@label" for the group part.
+as dot-joined indices with "e" for the empty monomial; tensor-power keys
+join their legs with "|".
 """
 
 from __future__ import annotations
@@ -48,21 +48,38 @@ def _table(value, where: str) -> dict:
     return value
 
 
-def _index(text: str, what: str, bound: int, where: str) -> int:
+def _by_element(value, labels: tuple[str, ...], where: str) -> dict:
+    """An optional table keyed by group element labels; unknown labels are refused."""
+    table = _table(value or {}, where)
+    for label in table:
+        if label not in labels:
+            raise SchemaError(f"unknown group element {label!r}", f"{where}/{label}")
+    return table
+
+
+def canonical_int(text: str) -> int | None:
+    """The index ``text`` spells as ``str(i)``, else None: one spelling per index."""
     try:
         i = int(text)
     except ValueError:
-        raise SchemaError(f"bad {what} {text!r}", where) from None
+        return None
+    return i if str(i) == text else None
+
+
+def _index(text: str, what: str, bound: int, where: str) -> int:
+    i = canonical_int(text)
+    if i is None:
+        raise SchemaError(f"bad {what} {text!r}", where)
     if not 0 <= i < bound:
         raise SchemaError(f"{what} {i} out of range", where)
     return i
 
 
 def _pair_key(key: str, bound: int, where: str, strict_order: bool = True) -> tuple[int, int]:
-    try:
-        i, j = (int(part) for part in key.split(","))
-    except ValueError:
-        raise SchemaError(f"bad index pair {key!r}", where) from None
+    pair = [canonical_int(part) for part in key.split(",")]
+    if len(pair) != 2 or None in pair:
+        raise SchemaError(f"bad index pair {key!r}", where)
+    i, j = pair
     if not (0 <= i < bound and 0 <= j < bound):
         raise SchemaError(f"index pair {key!r} out of range 0..{bound - 1}", where)
     if strict_order and not i < j:
@@ -150,7 +167,7 @@ def parse_document(doc: dict) -> ParsedInput:
         except (KeyError, TypeError, ValueError):
             raise SchemaError("group needs 'elements' and 'table'", "/group") from None
         group = FiniteGroup(labels, table)
-        action_doc = _table(doc.get("action") or {}, "/action")
+        action_doc = _by_element(doc.get("action"), labels, "/action")
         maps = []
         for label in labels:
             if label in action_doc:
@@ -159,12 +176,18 @@ def parse_document(doc: dict) -> ParsedInput:
                         not isinstance(r, list) or len(r) != dim for r in rows):
                     raise SchemaError(f"action matrix for {label!r} must be {dim}x{dim}",
                                       f"/action/{label}")
-                maps.append(LinearMap(space, space, [
-                    [_rat(v, f"/action/{label}") for v in row] for row in rows]))
+                theta = LinearMap(space, space, [
+                    [_rat(v, f"/action/{label}") for v in row] for row in rows])
+                try:
+                    theta.inverse()
+                except ValueError:
+                    raise SchemaError(f"action matrix for {label!r} is singular",
+                                      f"/action/{label}") from None
+                maps.append(theta)
             else:
                 maps.append(LinearMap.identity(space))
         action = GroupAction(group, maps)
-        twists_doc = _table(doc.get("twists") or {}, "/twists")
+        twists_doc = _by_element(doc.get("twists"), labels, "/twists")
         twists = []
         for label in labels:
             t = Tensor.zero((space, space))
@@ -176,6 +199,9 @@ def parse_document(doc: dict) -> ParsedInput:
                     t.data[(j, i)] = -v
             twists.append(t)
         gamma = GammaLieBialgebra(bialg, action, twists)
+    else:
+        for name in ("action", "twists"):
+            _by_element(doc.get(name), (), f"/{name}")  # no group: every label is unknown
 
     options = dict(_table(doc.get("options") or {}, "/options"))
     return ParsedInput(document=doc, bialgebra=bialg, quasitriangular=qt,
@@ -241,51 +267,30 @@ def mon_str(m: Mon) -> str:
 def parse_mon(s: str, where: str) -> Mon:
     if s == "e":
         return ONE
-    try:
-        return tuple(int(p) for p in s.split("."))
-    except ValueError:
-        raise SchemaError(f"bad monomial {s!r}", where) from None
+    m = tuple(canonical_int(p) for p in s.split("."))
+    if None in m:
+        raise SchemaError(f"bad monomial {s!r}", where)
+    return m
 
 
-def el_to_json(el: El, group: FiniteGroup | None = None) -> dict:
-    out = {}
-    for key, coeff in el.items_sorted():
-        parts = []
-        for leg in key:
-            if group is not None:
-                m, g = leg
-                parts.append(f"{mon_str(m)}@{group.labels[g]}")
-            else:
-                parts.append(mon_str(leg))
-        out["|".join(parts)] = qstr(coeff)
-    return out
+def el_to_json(el: El) -> dict:
+    return {"|".join(mon_str(leg) for leg in key): qstr(coeff)
+            for key, coeff in el.items_sorted()}
 
 
-def el_from_json(data: dict, arity: int, group: FiniteGroup | None = None,
-                 where: str = "") -> El:
+def el_from_json(data: dict, arity: int, where: str = "") -> El:
     el = El()
     for key, value in data.items():
         parts = key.split("|")
         if len(parts) != arity:
             raise SchemaError(f"key {key!r} has wrong arity", where)
-        legs = []
-        for part in parts:
-            if group is not None:
-                try:
-                    mpart, glabel = part.split("@")
-                except ValueError:
-                    raise SchemaError(f"bad smash key {part!r}", where) from None
-                legs.append((parse_mon(mpart, where), group.labels.index(glabel)))
-            else:
-                legs.append(parse_mon(part, where))
-        el.add_term(tuple(legs), _rat(value, where))
+        el.add_term(tuple(parse_mon(part, where) for part in parts), _rat(value, where))
     return el
 
 
-def series_to_json(coeffs, group: FiniteGroup | None = None) -> list[dict]:
-    return [el_to_json(c, group) for c in coeffs]
+def series_to_json(coeffs) -> list[dict]:
+    return [el_to_json(c) for c in coeffs]
 
 
-def series_from_json(data: list, arity: int, group: FiniteGroup | None = None,
-                     where: str = "") -> list[El]:
-    return [el_from_json(entry, arity, group, where) for entry in data]
+def series_from_json(data: list, arity: int, where: str = "") -> list[El]:
+    return [el_from_json(entry, arity, where) for entry in data]

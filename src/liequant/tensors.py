@@ -223,10 +223,6 @@ def alt2(t: Tensor) -> Tensor:
     return t - t.swap()
 
 
-def is_antisymmetric(t: Tensor) -> bool:
-    return t.arity == 2 and (t + t.swap()).is_zero()
-
-
 class LinearMap:
     """Dense exact matrix ``dst <- src`` in the column convention:
     the image of the j-th basis vector of ``src`` is ``sum_i rows[i][j] e_i``.

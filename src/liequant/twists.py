@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InternalCheckError, MathDefectError
-from .lie import LieBialgebra, ad2, drinfeld_double
+from .lie import LieBialgebra, ad2, drinfeld_double, hom_defect
 from .linsolve import Certificate, LinSystem, lin_solve
 from .tensors import LinearMap, Scalar, Tensor, cyclic_sum3
 
@@ -178,19 +178,4 @@ def double_iso_defect(bialg: LieBialgebra, f: Tensor, m: LinearMap) -> dict:
     """Exact bracket-intertwining defect of a candidate map on all pairs."""
     d_src = drinfeld_double(bialg)
     d_dst = drinfeld_double(twist(bialg, f, check=False))
-    out = {}
-    dim = d_src.lie.dim
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            left = m.apply_vec(d_src.lie.bracket_basis(i, j))
-            right = d_dst.lie.bracket_vec(m.column(i), m.column(j))
-            diff = dict(left)
-            for k, v in right.items():
-                acc = diff.get(k, 0) - v
-                if acc:
-                    diff[k] = acc
-                else:
-                    diff.pop(k, None)
-            if diff:
-                out[(i, j)] = diff
-    return out
+    return hom_defect(m, d_src.lie, d_dst.lie)

@@ -17,7 +17,8 @@ from liequant.hquant.gammaq import (ComparisonWitness, assemble_gamma_quantizati
                                     compare_pipelines, quasitriangular_gamma_quantize)
 from liequant.hquant.pipeline import gamma_v_cocycle_defects, solve_pair
 from liequant.hquant.solvers import (GaugeLog, algebra_compat_defect, coassoc_defect,
-                                     classical_limit_defect, cocycle_defect, counit_defect,
+                                     classical_limit_defect, cocycle_defect,
+                                     composition_defect, counit_defect,
                                      iso_intertwine_defect, solve_coproduct,
                                      solve_j_conjugator, solve_twist_f, twist_counit_defect,
                                      twisted_coproduct)
@@ -51,6 +52,13 @@ class Timer:
         if exc_type is None:
             assert elapsed < self.budget, f"{self.criterion} exceeded its runtime budget"
         return False
+
+
+def composition_relation_defect(pair):
+    """F(f+f') minus the composition formula for a solved pair."""
+    pulled = pair.iso_f.inverse().apply_all_legs(pair.f_prime_series)
+    return composition_defect(pair.env, pair.f_total_series, pulled, pair.f_series,
+                              pair.cop, pair.v)
 
 
 def test_criterion_1_classical_axiom_suite():
@@ -164,7 +172,7 @@ def test_criterion_6_quantization_solvers():
         assert one - one.map_keys(lambda key: (key[1], key[0])) == env.embed_tensor(f)
         assert not iso_intertwine_defect(
             twisted_coproduct(pair.cop, pair.f_series), pair.cop_f, pair.iso_f)
-        assert pair.composition_relation_defect().is_zero()
+        assert composition_relation_defect(pair).is_zero()
         assert all(env.counit(c) == 0 for c in pair.v.coeffs[1:])
 
         # additional twists: the e∧h twist on sl2 and an abelian pair
@@ -176,12 +184,12 @@ def test_criterion_6_quantization_solvers():
         fa = Tensor((ab.space, ab.space), {(0, 1): 1, (1, 0): -1})
         fb = Tensor((ab.space, ab.space), {(0, 1): "1/2", (1, 0): "-1/2"})
         ab_pair = solve_pair(ab, fa, fb, 2)
-        assert ab_pair.composition_relation_defect().is_zero()
+        assert composition_relation_defect(ab_pair).is_zero()
         solv_fam = catalog.gamma_family("solvable2-tri-z2")
         fs = solv_fam.f(1)
         fs_prime = solv_fam.action.theta(1).apply_tensor(fs)
         solv_pair = solve_pair(solv_fam.bialgebra, fs, fs_prime, 2)
-        assert solv_pair.composition_relation_defect().is_zero()
+        assert composition_relation_defect(solv_pair).is_zero()
 
 
 def test_criterion_7_v_coherence():

@@ -345,10 +345,11 @@ def _rename_label(assembly):
     (lambda a: a["compositions"]["e,e"][0].update({"1.0": "1"}), "/assembly/compositions/e,e"),
     (lambda a: a.pop("intertwiners"), "/assembly/intertwiners"),
     (lambda a: a["intertwiners"]["g"].update({"1": [{}]}), "/assembly/intertwiners/g/1"),
+    (lambda a: a["compositions"]["e,e"][0].update({"00": "1"}), "/assembly/compositions/e,e"),
 ], ids=["order-not-int", "order-negative", "order-disagrees", "no-coproduct", "no-twist-family",
         "no-transport", "no-compositions", "unknown-label", "missing-element", "missing-pair",
         "generator-out-of-range", "monomial-not-normal-ordered", "no-intertwiners",
-        "intertwiner-wrong-length"])
+        "intertwiner-wrong-length", "monomial-zero-padded"])
 def test_verify_artifact_refuses_malformed_assembly(z2_artifact, mutate, location,
                                                      tmp_path, capsys):
     artifact = copy.deepcopy(z2_artifact)
@@ -376,6 +377,9 @@ def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
     assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
 
 
+Z2 = {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
+
+
 @pytest.mark.parametrize("doc, location", [
     ({"dimension": 2, "bracket": []}, "/bracket"),
     ({"dimension": 2, "bracket": {}, "cobracket": {"0": []}}, "/cobracket/0"),
@@ -390,10 +394,20 @@ def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
     ({"dimension": 2, "basis": [[1], [2]], "bracket": {}}, "/basis"),
     ({"dimension": 2, "basis": [1, "1"], "bracket": {}}, "/basis"),
     ({"dimension": 2, "basis": [True, "x"], "bracket": {}}, "/basis"),
+    ({"dimension": 1, "bracket": {}, "group": Z2, "action": {"g": [["0"]]}}, "/action/g"),
+    ({"dimension": 1, "bracket": {}, "group": Z2, "action": {"h": [["1"]]}}, "/action/h"),
+    ({"dimension": 2, "bracket": {}, "group": Z2, "twists": {"h": {"0,1": "1"}}}, "/twists/h"),
+    ({"dimension": 2, "bracket": {}, "twists": {"g": {"0,1": "1"}}}, "/twists/g"),
+    ({"dimension": 2, "bracket": {"00,1": {"1": "1"}}}, "/bracket/00,1"),
+    ({"dimension": 2, "bracket": {"0,0_1": {"1": "1"}}}, "/bracket/0,0_1"),
+    ({"dimension": 2, "bracket": {"0,1": {"+1": "1"}}}, "/bracket/0,1/+1"),
+    ({"dimension": 2, "bracket": {}, "cobracket": {" 1": {}}}, "/cobracket/ 1"),
 ], ids=["bracket-not-object", "cobracket-entry-not-object", "bracket-target-not-int",
         "basis-not-list", "action-row-not-list", "dimension-float", "dimension-bool",
         "dimension-zero", "dimension-missing", "basis-unhashable", "basis-collides-as-str",
-        "basis-bool"])
+        "basis-bool", "action-singular", "action-unknown-element", "twists-unknown-element",
+        "twists-without-group", "pair-key-zero-padded", "pair-key-underscore",
+        "target-key-signed", "generator-key-spaced"])
 def test_malformed_tables_are_schema_errors(doc, location, tmp_path, capsys):
     code, _, err = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
     assert code == 3
@@ -409,6 +423,33 @@ def test_verify_artifact_points_into_embedded_input(z2_artifact, tmp_path, capsy
     error = json.loads(err)
     assert error["location"] == "/input/bracket/0,1/1"
     assert error["message"].startswith("/input/bracket/0,1/1: ")
+
+
+def test_verify_artifact_refuses_singular_action(z2_artifact, tmp_path, capsys):
+    artifact = copy.deepcopy(z2_artifact)
+    artifact["input"]["action"]["g"] = [["1", "0"], ["0", "0"]]
+    code, _, err = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == "/input/action/g"
+
+
+def test_second_spelling_of_an_index_is_refused(z2_artifact, tmp_path, capsys):
+    # each second spelling comes before the real key, which used to replace it
+    path = tmp_path / "unsorted.json"
+    doc = catalog.input_document("solvable2-tri-z2")
+    doc["bracket"] = {"0, 1": {"0": "7"}, **doc["bracket"]}
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "check", str(path), "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == "/bracket/0, 1"
+    artifact = copy.deepcopy(z2_artifact)
+    cop = artifact["assembly"]["coproduct"]
+    artifact["assembly"]["coproduct"] = {"00": cop["1"], **cop}
+    path.write_text(json.dumps(artifact))
+    code, _, err = run(capsys, "verify-artifact", str(path), "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == "/assembly/coproduct/00"
 
 
 def failing_checks(out: str) -> dict:

@@ -13,8 +13,8 @@ from liequant.errors import MathDefectError, SolverInconsistencyError
 from liequant.hquant.core import CoproductSeries, ElSeries, MapSeries
 from liequant.hquant.pipeline import gauge_transform, solve_pair, solve_triple
 from liequant.hquant.solvers import (GaugeLog, algebra_compat_defect, classical_limit_defect,
-                                     coassoc_defect, cocycle_defect,
-                                     counit_defect, conjugated_coproduct, iso_intertwine_defect,
+                                     coassoc_defect, cocycle_defect, composition_defect,
+                                     counit_defect, iso_intertwine_defect,
                                      solve_composition_v, solve_coproduct, solve_iso,
                                      solve_j_conjugator, solve_twist_f, twist_counit_defect,
                                      twisted_coproduct, _solve_with_supports)
@@ -26,6 +26,13 @@ from liequant.tensors import Tensor
 from liequant.twists import twist
 
 Q = Fraction
+
+
+def composition_relation_defect(pair):
+    """F(f+f') minus the composition formula for a solved pair."""
+    pulled = pair.iso_f.inverse().apply_all_legs(pair.f_prime_series)
+    return composition_defect(pair.env, pair.f_total_series, pulled, pair.f_series,
+                              pair.cop, pair.v)
 
 
 @pytest.fixture(scope="module")
@@ -113,7 +120,7 @@ def test_j_order1_coassociativity_is_free(sl2_setup):
     bialg, env, _ = sl2_setup
     bad_r = Tensor((bialg.space, bialg.space), {(0, 1): 1})
     j1 = ElSeries(env, 2, [env.unit(2), Fraction(1, 2) * env.embed_tensor(bad_r)])
-    cop = conjugated_coproduct(env, j1)
+    cop = twisted_coproduct(CoproductSeries.undeformed(env, 1), j1)
     defects = coassoc_defect(cop)
     assert all(not series.coeffs[1] for series in defects.values())
 
@@ -237,7 +244,7 @@ def test_v_abelian_is_unit():
     f2 = Tensor((ab.space, ab.space), {(0, 1): "1/3", (1, 0): "-1/3"})
     pair = solve_pair(ab, f, f2, 2)
     assert pair.v == ElSeries.unit(pair.env, 1, 2)
-    assert pair.composition_relation_defect().is_zero()
+    assert composition_relation_defect(pair).is_zero()
 
 
 def test_v_cartan_pair(sl2_setup):
@@ -245,7 +252,7 @@ def test_v_cartan_pair(sl2_setup):
     f = catalog.sl2_cartan_twist()
     f_prime = catalog.sl2_cartan_involution().apply_tensor(f)
     pair = solve_pair(bialg, f, f_prime, 2, env=env)
-    assert pair.composition_relation_defect().is_zero()
+    assert composition_relation_defect(pair).is_zero()
     # nontrivial fixture: the composition element is not the unit
     assert any(pair.v.coeffs[k] for k in (1, 2))
     # counit normalization per order
@@ -261,7 +268,7 @@ def test_pair_eh_tower(sl2_setup):
     f = Tensor((bialg.space, bialg.space), {(0, 2): 1, (2, 0): -1})
     f_prime = Tensor((bialg.space, bialg.space), {(0, 2): 1, (2, 0): -1})
     pair = solve_pair(bialg, f, f_prime, 2, env=env)
-    assert pair.composition_relation_defect().is_zero()
+    assert composition_relation_defect(pair).is_zero()
 
 
 def test_gauge_invariance_of_defects(sl2_setup):

@@ -2,6 +2,7 @@
 output bytes of the solver-built pipeline."""
 
 import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -102,10 +103,14 @@ GOLDEN = {
         "0fa74377d124487ad2a10bd979a19a9bae96ee3e567ef330a6405dee8212167f",
 }
 GOLDEN_ARTIFACT = "1f2fd62a384e0d8b6998fd7b615b4146fca37e4665e73a2597727f3a51945e03"
+# sha256 of the `compare` JSON reports: a witness, and the exit-5 certificate
+# of an abelian swap family scaled to -4 times the one its r induces
+GOLDEN_COMPARE_WITNESS = "d192544286db8626e4ec233cff2e9a39b79540c242e0e033fa99826e912210fa"
+GOLDEN_COMPARE_CERTIFICATE = "0680446448b83338dae5c3021dec8bc2d297de680df4f3d3dc1461b37605fd7e"
 
 
-def report_digest(capsys, argv) -> str:
-    assert main(list(argv) + ["--format", "json"]) == 0
+def report_digest(capsys, argv, code: int = 0) -> str:
+    assert main(list(argv) + ["--format", "json"]) == code
     return hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
 
 
@@ -125,3 +130,17 @@ def test_seed_orders_in_one_process_match_separate_processes(capsys):
     assert len({GOLDEN[argv] for argv in runs}) == 3
     for argv in runs:
         assert report_digest(capsys, argv) == GOLDEN[argv], argv
+
+
+def test_golden_compare_reports(tmp_path, capsys):
+    argv = ("compare", "catalog:solvable2-tri-z2", "--order", "2")
+    assert report_digest(capsys, argv) == GOLDEN_COMPARE_WITNESS
+    doc = {"dimension": 2, "basis": ["a0", "a1"], "bracket": {}, "cobracket": {},
+           "r": {"0,1": "1", "1,0": "-1"},
+           "group": {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]},
+           "action": {"s": [["0", "1"], ["1", "0"]]}, "twists": {"s": {"0,1": "-4"}}}
+    path = tmp_path / "flip.json"
+    # the report's input digest is taken over these exact bytes
+    path.write_text(json.dumps(doc, sort_keys=True, indent=2))
+    argv = ("compare", str(path), "--order", "2")
+    assert report_digest(capsys, argv, code=5) == GOLDEN_COMPARE_CERTIFICATE

@@ -43,7 +43,7 @@ def test_free_variable_pinned_to_zero():
     result = lin_solve(sys)
     assert isinstance(result, Solution)
     assert result.values == [Q(0)]
-    assert result.free_columns == [0]
+    assert result.pivot_columns == []
 
 
 def test_unique_solution():
@@ -57,7 +57,7 @@ def test_underdetermined_gauge_pinning():
     result = lin_solve(dense([[1, 1]], [Q(1)]))
     assert isinstance(result, Solution)
     assert result.values == [Q(1), Q(0)]
-    assert result.free_columns == [1]
+    assert result.pivot_columns == [0]
 
 
 def test_inconsistent_system_certificate():
