@@ -29,7 +29,7 @@ from .hquant.solvers import (GaugeLog, algebra_compat_defect, coassoc_defect,
                              iso_intertwine_defect, twist_counit_defect, twisted_coproduct)
 from .lie import (LieBialgebra, cocycle_defect as bialg_cocycle_defect, cojacobi_defect,
                   coboundary_cobracket, cybe_defect, invariance_defect, jacobi_defect)
-from .schema import (ParsedInput, canonical_int, non_negative_int, parse_document,
+from .schema import (ParsedInput, canonical_int, non_negative_int, parse_document, pointer,
                      series_from_json, series_to_json)
 from .sparse import El
 
@@ -82,14 +82,14 @@ def _emit(report: dict, args) -> None:
         print(f"exit: {report['exit']}")
 
 
-def _base_report(raw: bytes, args) -> dict:
+def _base_report(raw: bytes, seed_order: int | None = None) -> dict:
     report = {
         "tool_version": __version__,
         "input_digest": _digest(raw),
         "checks": [],
     }
-    if args.seed_order is not None:
-        report["seed_order"] = args.seed_order
+    if seed_order is not None:
+        report["seed_order"] = seed_order
     return report
 
 
@@ -165,7 +165,7 @@ def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
 
 def cmd_check(args) -> int:
     raw, doc = _load_input(args.input)
-    report = _base_report(raw, args)
+    report = _base_report(raw)
     parsed = parse_document(doc)
     failed = run_classical_checks(parsed, report)
     report["exit"] = EXIT_DEFECT if failed else EXIT_OK
@@ -245,8 +245,8 @@ def _assembly_from_json(data: dict, parsed: ParsedInput
             i = canonical_int(gen)
             if i is None or not 0 <= i < n:
                 raise SchemaError(f"generator index {gen!r} out of range 0..{n - 1}",
-                                  f"{where}/{gen}")
-            for k, el in enumerate(series(value, arity, f"{where}/{gen}")):
+                                  pointer(where, gen))
+            for k, el in enumerate(series(value, arity, pointer(where, gen))):
                 if el:
                     tables[k][i] = el
         return tables
@@ -258,7 +258,7 @@ def _assembly_from_json(data: dict, parsed: ParsedInput
 
     def by_element(name: str) -> dict:
         where = f"/assembly/{name}"
-        out = {element(label, f"{where}/{label}"): (value, f"{where}/{label}")
+        out = {element(label, pointer(where, label)): (value, pointer(where, label))
                for label, value in table(data.get(name), where).items()}
         for g in grp.elements():
             if g not in out:
@@ -273,7 +273,7 @@ def _assembly_from_json(data: dict, parsed: ParsedInput
              for g, (value, where) in by_element("transport").items()}
     v_map = {}
     for key, value in table(data.get("compositions"), "/assembly/compositions").items():
-        where = f"/assembly/compositions/{key}"
+        where = pointer("/assembly/compositions", key)
         labels = key.split(",")
         if len(labels) != 2:
             raise SchemaError(f"bad group pair {key!r}", where)
@@ -365,7 +365,7 @@ def _seed_order(args, parsed: ParsedInput, report: dict) -> int | None:
 
 def cmd_quantize(args) -> int:
     raw, doc = _load_input(args.input)
-    report = _base_report(raw, args)
+    report = _base_report(raw, args.seed_order)
     parsed = parse_document(doc)
     if run_classical_checks(parsed, report):
         report["exit"] = EXIT_DEFECT
@@ -417,7 +417,7 @@ def cmd_quantize(args) -> int:
 
 def cmd_compare(args) -> int:
     raw, doc = _load_input(args.input)
-    report = _base_report(raw, args)
+    report = _base_report(raw, args.seed_order)
     parsed = parse_document(doc)
     if parsed.quasitriangular is None or parsed.gamma is None:
         raise SchemaError("compare needs both an r-matrix and a group action", "/")
@@ -461,7 +461,7 @@ def cmd_compare(args) -> int:
 
 def cmd_verify_artifact(args) -> int:
     raw, artifact = _load_input(args.input)
-    report = _base_report(raw, args)
+    report = _base_report(raw)
     if not isinstance(artifact, dict) or "assembly" not in artifact or "input" not in artifact:
         raise SchemaError("not a quantization artifact", "/")
     d_in = non_negative_int(artifact.get("d_in", 2), "d_in", "/d_in")
@@ -519,15 +519,16 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def output(p):
         p.add_argument("--format", choices=("json", "text"), default="text")
-        p.add_argument("--timestamps", choices=("on", "off"), default="off")
+
+    def seed_order(p):
         p.add_argument("--seed-order", type=int, default=None, dest="seed_order",
                        help="deterministic reshuffle of the gauge-pinning variable order")
 
     p = sub.add_parser("check", help="run every applicable classical check")
     p.add_argument("input", help="input JSON path or catalog:NAME")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("quantize", help="solve and assemble the graded quantization")
@@ -537,7 +538,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d-in", type=_non_negative, default=2, dest="d_in",
                    help="degree window for the axiom verification")
     p.add_argument("--out", default=None, help="artifact output path")
-    common(p)
+    p.add_argument("--timestamps", choices=("on", "off"), default="off")
+    output(p)
+    seed_order(p)
     p.set_defaults(func=cmd_quantize)
 
     p = sub.add_parser("compare", help="compare generic and direct quantizations")
@@ -545,16 +548,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--order", type=_non_negative, default=None)
     p.add_argument("--degree-cap", type=_non_negative, default=None, dest="degree_cap")
     p.add_argument("--d-in", type=_non_negative, default=2, dest="d_in")
-    common(p)
+    output(p)
+    seed_order(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("verify-artifact", help="re-verify a quantization artifact")
     p.add_argument("input")
-    common(p)
+    output(p)
     p.set_defaults(func=cmd_verify_artifact)
 
     p = sub.add_parser("catalog", help="list shipped examples")
-    p.add_argument("--format", choices=("json", "text"), default="text")
+    output(p)
     p.set_defaults(func=cmd_catalog)
     return parser
 

@@ -88,10 +88,6 @@ class Envelope:
     def unit(self, k: int) -> El:
         return El.term((ONE,) * k)
 
-    def gen(self, i: int, k: int = 1, leg: int = 0) -> El:
-        key = tuple((i,) if j == leg else ONE for j in range(k))
-        return El.term(key)
-
     # -- coalgebra structure ---------------------------------------------------
 
     def coproduct_mon(self, m: Mon) -> El:
@@ -106,13 +102,6 @@ class Envelope:
             result = self.k_mul(head, self.coproduct_mon(m[1:]), 2)
         self._coprod[m] = result
         return result
-
-    def coproduct(self, a: El) -> El:
-        out = El()
-        for (m,), c in a.data.items():
-            for key, d in self.coproduct_mon(m).data.items():
-                out.add_term(key, c * d)
-        return out
 
     def counit(self, a: El, k: int = 1):
         return a.coeff((ONE,) * k)

@@ -30,10 +30,6 @@ class ElSeries:
         return cls(alg, arity, [alg.unit(arity)] + [El() for _ in range(order)])
 
     @classmethod
-    def zero(cls, alg, arity: int, order: int) -> "ElSeries":
-        return cls(alg, arity, [El() for _ in range(order + 1)])
-
-    @classmethod
     def constant(cls, alg, arity: int, order: int, value: El) -> "ElSeries":
         return cls(alg, arity, [value] + [El() for _ in range(order)])
 
@@ -141,6 +137,7 @@ class AlgebraMapSeries:
             raise ValueError("need one table per order")
         self.tables = tables
         self._ext: dict[Mon, list[El]] = {}
+        self._truncations: dict[int, AlgebraMapSeries] = {}
 
     def gen_series(self, i: int) -> ElSeries:
         return ElSeries(self.env, self.arity, [t.get(i, El()) for t in self.tables])
@@ -194,7 +191,16 @@ class AlgebraMapSeries:
         return ElSeries(s.alg, s.arity + self.arity - 1, out)
 
     def truncated(self, order: int):
-        return type(self)(self.env, order, [dict(t) for t in self.tables[: order + 1]])
+        """The series modulo h^(order+1): ``self`` at its own order, otherwise
+        made once per order, so the truncation's ``ext_mon`` cache is shared
+        by every later caller."""
+        if order == self.order:
+            return self
+        cut = self._truncations.get(order)
+        if cut is None:
+            cut = self._truncations[order] = type(self)(
+                self.env, order, [dict(t) for t in self.tables[: order + 1]])
+        return cut
 
 
 class MapSeries(AlgebraMapSeries):

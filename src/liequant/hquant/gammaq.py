@@ -32,15 +32,14 @@ from functools import cached_property
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from ..groups import GammaLieBialgebra, GroupAction
-from ..linsolve import Certificate, lin_solve
 from ..sparse import El
 from ..tensors import q, qdiv
 from .core import CoproductSeries, ElSeries, MapSeries
 from .pipeline import gamma_v_cocycle_defects
-from .solvers import (GaugeLog, SolveRecord, _solve_with_supports, _supports_single,
-                      composition_defect, conjugation_defect, solve_composition_v,
-                      solve_coproduct, solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
-from .unknowns import LinearisedDefect, blocks, values_by_slot
+from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, composition_defect,
+                      conjugation_defect, solve_composition_v, solve_coproduct,
+                      solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
+from .unknowns import LinearisedDefect, blocks
 
 
 def _terms(series: list[El], scale=1) -> list[tuple]:
@@ -101,9 +100,6 @@ class GammaQuantization:
         out = [El() for _ in range(self.order + 1)]
         out[0] = El.term(((ONE, e),) * k)
         return out
-
-    def zero(self) -> list[El]:
-        return [El() for _ in range(self.order + 1)]
 
     def basis_series(self, m: Mon, g: int) -> list[El]:
         out = [El() for _ in range(self.order + 1)]
@@ -402,18 +398,18 @@ def _align_family_order(env: Envelope, g_bialg, t_map, v_coeffs, pairs, k: int,
                         t_map[g].apply_series(v(h, l))).coeffs[m]
         return blocks(conjugation, coherence)
 
-    unknowns = [(pair, ((i,),)) for pair in pairs for i in range(n)]
-    system = LinearisedDefect(defect, k).system(unknowns)
-    result = lin_solve(system)
-    if isinstance(result, Certificate):
-        raise InternalCheckError(f"family alignment at order {k} is inconsistent")
+    primitives = [((i,),) for i in range(n)]
+    try:
+        shifts = _solve_with_supports(
+            "v-alignment", k, [("primitive shifts", [(pair, primitives) for pair in pairs])],
+            LinearisedDefect(defect, k), log)
+    except SolverInconsistencyError:
+        raise InternalCheckError(f"family alignment at order {k} is inconsistent") from None
     corrected_pairs = 0
-    for pair, c_el in values_by_slot(unknowns, result.values, pairs).items():
+    for pair, c_el in shifts.items():
         if c_el:
             corrected_pairs += 1
             v_coeffs[pair][k] = v_coeffs[pair][k] + c_el
-    log.records.append(SolveRecord("v-alignment", k, "primitive shifts", len(unknowns),
-                                   system.nrows, "solved"))
     if corrected_pairs:
         log.note(f"order {k}: primitive correction applied to {corrected_pairs} pairs")
 
@@ -669,11 +665,9 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
                 rows[(ia, 2)] = El.term((), direct.counit(phi_a)[m])
             return blocks(rows)
 
-        supports_j = _supports_single(env, [k + 1, 2 * k + 1], None)
-        supports_w = _supports_single(env, [2 * k, 2 * k + 2], None)
-        supports = [(f"{lj}|{lw}", [(("j", i), kj) for i in range(n)]
-                     + [(("w", g), kw) for g in grp.elements() if g != e])
-                    for (lj, kj), (lw, kw) in zip(supports_j, supports_w)]
+        supports = _support_ladder(env, None, ([("j", i) for i in range(n)], [k + 1, 2 * k + 1]),
+                                   ([("w", g) for g in grp.elements() if g != e],
+                                    [2 * k, 2 * k + 2]))
         try:
             solved = _solve_with_supports("pipeline-witness", k, supports,
                                           LinearisedDefect(defect, k, columns), log, seed_order)

@@ -20,7 +20,7 @@ from ..tensors import Tensor
 from ..twists import compose_twists, twist
 from .core import CoproductSeries, ElSeries, MapSeries
 from .solvers import (GaugeLog, iso_intertwine_defect, solve_composition_v, solve_coproduct,
-                      solve_iso, solve_twist_f, twisted_coproduct, v_cocycle_defect)
+                      solve_twist_f, solve_twist_pair, twisted_coproduct, v_cocycle_defect)
 
 
 @dataclass
@@ -60,15 +60,11 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
     cop_f = solve_coproduct(bf, order, env, log, cap=cap)
     cop_total = solve_coproduct(b_total, order, env, log, cap=cap)
 
-    f_series = solve_twist_f(bialg, cop, f, order, log=log, cap=cap)
-    iso_f = solve_iso(bialg, twisted_coproduct(cop, f_series), cop_f, order,
-                      log=log, cap=cap)
-    f_prime_series = solve_twist_f(bf, cop_f, f_prime, order, log=log, cap=cap)
-    iso_second = solve_iso(bf, twisted_coproduct(cop_f, f_prime_series), cop_total,
-                           order, log=log, cap=cap)
-    f_total_series = solve_twist_f(bialg, cop, pair.total, order, log=log, cap=cap)
-    iso_total_solved = solve_iso(bialg, twisted_coproduct(cop, f_total_series),
-                                 cop_total, order, log=log, cap=cap)
+    f_series, iso_f = solve_twist_pair(bialg, cop, f, cop_f, order, log=log, cap=cap)
+    f_prime_series, iso_second = solve_twist_pair(bf, cop_f, f_prime, cop_total, order,
+                                                  log=log, cap=cap)
+    f_total_series, iso_total_solved = solve_twist_pair(bialg, cop, pair.total, cop_total,
+                                                        order, log=log, cap=cap)
 
     pulled = iso_f.inverse().apply_all_legs(f_prime_series)
     v = solve_composition_v(env, f_total_series, pulled, f_series, cop, order,
@@ -81,9 +77,7 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
            for k in range(order + 1)):
         redefined = True
         log.note("composed-intertwiner formula replaces the independent solve")
-    defect = iso_intertwine_defect(twisted_coproduct(cop, f_total_series), cop_total,
-                                   iso_composed)
-    if defect:
+    if iso_intertwine_defect(twisted_coproduct(cop, f_total_series), cop_total, iso_composed):
         raise InternalCheckError("composed intertwiner fails to intertwine")
 
     return TwistPairData(

@@ -64,32 +64,38 @@ class GaugeLog:
         return {"solves": [r.as_dict() for r in self.records], "events": list(self.events)}
 
 
-def _supports_pairs(env: Envelope, k: int, cap_override: int | None):
-    """Support ladder for arity-2 unknown tables at order k."""
-    ladder = [
-        (f"legs<={k},total<={2 * k}", k, 2 * k),
-        (f"legs<={k + 2},total<={2 * (k + 2)}", k + 2, 2 * (k + 2)),
-    ]
-    if cap_override is not None and cap_override > k + 2:
-        ladder.append((f"legs<={cap_override}", cap_override, 2 * cap_override))
-    return [(label, env.keys_up_to(2, leg, total)) for label, leg, total in ladder]
+def _pair_rungs(k: int) -> list[tuple[int, int]]:
+    """The fixed rungs of a two-leg unknown (J, F) at order k."""
+    return [(k, 2 * k), (k + 2, 2 * (k + 2))]
 
 
-def _supports_coproduct(env: Envelope, k: int, cap_override: int | None):
-    ladder = [
-        (f"total<={k + 1}", k + 1, k + 1),
-        (f"legs<={k + 2},total<={2 * (k + 2)}", k + 2, 2 * (k + 2)),
-    ]
-    if cap_override is not None and cap_override > k + 2:
-        ladder.append((f"legs<={cap_override}", cap_override, 2 * cap_override))
-    return [(label, env.keys_up_to(2, leg, total)) for label, leg, total in ladder]
+def _support_ladder(env: Envelope, cap: int | None, *parts) -> list:
+    """The support ladder of one solve: ``(label, [(slot, keys), ...])`` per rung.
 
-
-def _supports_single(env: Envelope, deg_list, cap_override: int | None):
-    ladder = [(f"deg<={d}", d) for d in deg_list]
-    if cap_override is not None and cap_override > deg_list[-1]:
-        ladder.append((f"deg<={cap_override}", cap_override))
-    return [(label, env.keys_up_to(1, d, d)) for label, d in ladder]
+    Each part ``(slots, rungs)`` gives all its slots one key support per
+    rung: an int ``d`` bounds the degree of a one-leg unknown (label
+    ``deg<=d``), a pair ``(legs, total)`` the degree per leg and in all of a
+    two-leg one (``legs<=L,total<=T``, or ``total<=T`` when both bounds
+    agree).  A ``cap`` above a part's last leg bound adds the rung
+    ``deg<=cap`` (``legs<=cap`` with total ``2·cap``).  The parts' ladders
+    are zipped rung by rung, their labels joined by ``|``.
+    """
+    ladders = []
+    for slots, rungs in parts:
+        arity = 1 if isinstance(rungs[0], int) else 2
+        bounds = [(d, d) if arity == 1 else d for d in rungs]
+        labels = [f"deg<={legs}" if arity == 1 else f"total<={total}" if legs == total
+                  else f"legs<={legs},total<={total}" for legs, total in bounds]
+        if cap is not None and cap > bounds[-1][0]:
+            bounds.append((cap, arity * cap))
+            labels.append(f"{'deg' if arity == 1 else 'legs'}<={cap}")
+        ladder = []
+        for label, (legs, total) in zip(labels, bounds):
+            keys = env.keys_up_to(arity, legs, total)
+            ladder.append((label, [(slot, keys) for slot in slots]))
+        ladders.append(ladder)
+    return [("|".join(label for label, _ in rung), [sk for _, sks in rung for sk in sks])
+            for rung in zip(*ladders)]
 
 
 def _solve_with_supports(operation: str, order: int, supports, defect: LinearisedDefect,
@@ -210,13 +216,13 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
     for k in range(2, order + 1):
 
         def defect(top, n, slot):
-            cand = CoproductSeries(env, n, [dict(t) for t in tables[:n]] + [top])
+            cand = CoproductSeries(env, n, tables[:n] + [top])
             return blocks(top_coeffs(algebra_compat_defect(bialg, cand), n),
                           top_coeffs(coassoc_defect(cand), n),
                           top_coeffs(counit_defect(cand), n))
 
-        supports = [(label, [(i, keys) for i in range(env.dim)])
-                    for label, keys in _supports_coproduct(env, k, cap)]
+        supports = _support_ladder(env, cap,
+                                   (range(env.dim), [(k + 1, k + 1), (k + 2, 2 * (k + 2))]))
         solved = _solve_with_supports("coproduct", k, supports,
                                       LinearisedDefect(defect, k, columns), log, seed_order)
         tables.append({i: el for i, el in solved.items() if el})
@@ -263,11 +269,12 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
     env = env or Envelope(qt.lie)
     log = log or GaugeLog()
     bialg = qt.bialgebra()
+    undeformed = CoproductSeries.undeformed(env, order)
     coeffs = [env.unit(2)]
     if order >= 1:
         coeffs.append(_half(env, qt.r))
         cand = ElSeries(env, 2, coeffs[:2])
-        cop1 = twisted_coproduct(CoproductSeries.undeformed(env, 1), cand)
+        cop1 = twisted_coproduct(undeformed.truncated(1), cand)
         _verify_zero(coassoc_defect(cop1), "order-1 conjugated coassociativity")
         log.records.append(SolveRecord("j-conjugator", 1, "pinned r/2", 0, 0, "pinned"))
 
@@ -276,18 +283,18 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
 
         def defect(top, n, slot):
             unknown = top.get("J", El())
-            cop = twisted_coproduct(CoproductSeries.undeformed(env, n),
+            cop = twisted_coproduct(undeformed.truncated(n),
                                     ElSeries(env, 2, coeffs[:n] + [unknown]))
             return blocks(top_coeffs(coassoc_defect(cop), n),
                           {leg: env.counit_leg(unknown, leg) for leg in (0, 1)})
 
-        supports = [(label, [("J", keys)]) for label, keys in _supports_pairs(env, k, cap)]
+        supports = _support_ladder(env, cap, (["J"], _pair_rungs(k)))
         solved = _solve_with_supports("j-conjugator", k, supports,
                                       LinearisedDefect(defect, k, columns), log, seed_order)
         coeffs.append(solved["J"])
 
     j_series = ElSeries(env, 2, coeffs)
-    cop = twisted_coproduct(CoproductSeries.undeformed(env, order), j_series)
+    cop = twisted_coproduct(undeformed, j_series)
     _verify_zero(coassoc_defect(cop), "conjugated coassociativity")
     _verify_zero(counit_defect(cop), "conjugated counit")
     _verify_zero(classical_limit_defect(bialg, cop), "conjugated classical limit")
@@ -295,7 +302,7 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
 
 
 # ---------------------------------------------------------------------------
-# quantized twists
+# quantized twists and intertwiners
 # ---------------------------------------------------------------------------
 
 
@@ -317,61 +324,6 @@ def twist_counit_defect(env: Envelope, f_series: ElSeries) -> list[El]:
     return out
 
 
-def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
-                  log: GaugeLog | None = None, cap: int | None = None,
-                  seed_order: int | None = None) -> ElSeries:
-    """Quantized twist F = 1 + h f/2 + ... for a classical twist f."""
-    defect = twist_defect(bialg, f)
-    if not defect.is_zero():
-        raise MathDefectError("classical twist defect is nonzero", defect)
-    env = cop.env
-    log = log or GaugeLog()
-    if cop.order < order:
-        raise ValueError("base coproduct truncated below the requested order")
-    coeffs = [env.unit(2)]
-    if order >= 1:
-        coeffs.append(_half(env, f))
-        cand = ElSeries(env, 2, coeffs[:2])
-        cdef = cocycle_defect(cop.truncated(1), cand)
-        if not cdef.is_zero():
-            raise InternalCheckError("order-1 twist cocycle defect is nonzero")
-        log.records.append(SolveRecord("twist-F", 1, "pinned f/2", 0, 0, "pinned"))
-
-    cop_by_order: dict[int, CoproductSeries] = {}
-    columns: dict = {}
-    for k in range(2, order + 1):
-        for n in (1, k):
-            if n not in cop_by_order:
-                cop_by_order[n] = cop.truncated(n)
-
-        def defect(top, n, slot):
-            unknown = top.get("F", El())
-            cand = ElSeries(env, 2, coeffs[:n] + [unknown])
-            return blocks({0: cocycle_defect(cop_by_order[n], cand).coeffs[n]},
-                          {leg: env.counit_leg(unknown, leg) for leg in (0, 1)})
-
-        supports = [(label, [("F", keys)]) for label, keys in _supports_pairs(env, k, cap)]
-        solved = _solve_with_supports("twist-F", k, supports,
-                                      LinearisedDefect(defect, k, columns), log, seed_order)
-        coeffs.append(solved["F"])
-
-    f_series = ElSeries(env, 2, coeffs)
-    if not cocycle_defect(cop, f_series).is_zero():
-        raise InternalCheckError("twist cocycle defect after solve")
-    if twist_counit_defect(env, f_series):
-        raise InternalCheckError("twist counit defect after solve")
-    # classical limit of the twisted coproduct: antisymmetric order-1 part
-    twisted = twisted_coproduct(cop, f_series)
-    _verify_zero(classical_limit_defect(twist_bialgebra(bialg, f, check=False), twisted),
-                 "twisted classical limit")
-    return f_series
-
-
-# ---------------------------------------------------------------------------
-# intertwiner between a twisted coproduct and a target coproduct
-# ---------------------------------------------------------------------------
-
-
 def iso_intertwine_defect(src: CoproductSeries, dst: CoproductSeries,
                           iso: MapSeries) -> dict:
     """i^{⊗2}(src(x)) - dst(i(x)) per generator."""
@@ -386,22 +338,88 @@ def iso_intertwine_defect(src: CoproductSeries, dst: CoproductSeries,
     return out
 
 
-def iso_counit_defect(iso: MapSeries) -> dict:
-    env = iso.env
-    out = {}
-    for i in range(env.dim):
-        for k in range(1, iso.order + 1):
-            el = iso.tables[k].get(i)
-            if el:
-                c = env.counit(el)
-                if c:
-                    out[(i, k)] = c
-    return out
+def _twist_rows(cop: CoproductSeries, f_cand: ElSeries) -> list[dict]:
+    """F's row families at the order n of ``f_cand``: its cocycle identity
+    over ``cop``, then the counit of its order-n coefficient on either leg."""
+    n = f_cand.order
+    top = f_cand.coeffs[n]
+    return [{0: cocycle_defect(cop.truncated(n), f_cand).coeffs[n]},
+            {leg: cop.env.counit_leg(top, leg) for leg in (0, 1)}]
 
 
-def _counit_rows(env: Envelope, top: dict) -> dict:
-    """One scalar row per generator image: its counit."""
-    return {i: El.term((), env.counit(el)) for i, el in top.items()}
+def _check_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
+                 f_series: ElSeries) -> CoproductSeries:
+    """F's closing checks: cocycle, counit, and the classical limit of the
+    twisted coproduct Ad(F)∘cop (its antisymmetric order-1 part), which is
+    returned."""
+    if not cocycle_defect(cop, f_series).is_zero():
+        raise InternalCheckError("twist cocycle defect after solve")
+    if twist_counit_defect(cop.env, f_series):
+        raise InternalCheckError("twist counit defect after solve")
+    twisted = twisted_coproduct(cop, f_series)
+    _verify_zero(classical_limit_defect(twist_bialgebra(bialg, f, check=False), twisted),
+                 "twisted classical limit")
+    return twisted
+
+
+def _iso_rows(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
+              iso_cand: MapSeries) -> list[dict]:
+    """i's row families at the order n of ``iso_cand``: algebra map,
+    intertwining src onto dst, and one counit row per generator image."""
+    n = iso_cand.order
+    env = iso_cand.env
+    return [top_coeffs(algebra_compat_defect(bialg, iso_cand), n),
+            top_coeffs(iso_intertwine_defect(src.truncated(n), dst.truncated(n), iso_cand), n),
+            {i: El.term((), env.counit(el)) for i, el in iso_cand.tables[n].items()}]
+
+
+def _check_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
+               iso: MapSeries):
+    """i's closing checks: algebra map, intertwining src onto dst, counit."""
+    _verify_zero(algebra_compat_defect(bialg, iso), "iso algebra-map")
+    _verify_zero(iso_intertwine_defect(src, dst, iso), "iso intertwining")
+    if any(iso.env.counit(el) for table in iso.tables[1:] for el in table.values()):
+        raise InternalCheckError("iso counit defect after solve")
+
+
+def _solve_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
+                 log: GaugeLog, cap: int | None,
+                 seed_order: int | None) -> tuple[ElSeries, CoproductSeries]:
+    """F for the classical twist f, and the twisted coproduct Ad(F)∘cop."""
+    defect = twist_defect(bialg, f)
+    if not defect.is_zero():
+        raise MathDefectError("classical twist defect is nonzero", defect)
+    env = cop.env
+    if cop.order < order:
+        raise ValueError("base coproduct truncated below the requested order")
+    coeffs = [env.unit(2)]
+    if order >= 1:
+        coeffs.append(_half(env, f))
+        cand = ElSeries(env, 2, coeffs[:2])
+        if not cocycle_defect(cop.truncated(1), cand).is_zero():
+            raise InternalCheckError("order-1 twist cocycle defect is nonzero")
+        log.records.append(SolveRecord("twist-F", 1, "pinned f/2", 0, 0, "pinned"))
+
+    columns: dict = {}
+    for k in range(2, order + 1):
+
+        def defect(top, n, slot):
+            return blocks(*_twist_rows(cop, ElSeries(env, 2, coeffs[:n] + [top.get("F", El())])))
+
+        supports = _support_ladder(env, cap, (["F"], _pair_rungs(k)))
+        solved = _solve_with_supports("twist-F", k, supports,
+                                      LinearisedDefect(defect, k, columns), log, seed_order)
+        coeffs.append(solved["F"])
+
+    f_series = ElSeries(env, 2, coeffs)
+    return f_series, _check_twist(bialg, cop, f, f_series)
+
+
+def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
+                  log: GaugeLog | None = None, cap: int | None = None,
+                  seed_order: int | None = None) -> ElSeries:
+    """Quantized twist F = 1 + h f/2 + ... for a classical twist f."""
+    return _solve_twist(bialg, cop, f, order, log or GaugeLog(), cap, seed_order)[0]
 
 
 def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
@@ -412,32 +430,19 @@ def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
     log = log or GaugeLog()
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
 
-    src_by_order: dict[int, CoproductSeries] = {}
-    dst_by_order: dict[int, CoproductSeries] = {}
     columns: dict = {}
     for k in range(1, order + 1):
-        for n in (1, k):
-            if n not in src_by_order:
-                src_by_order[n], dst_by_order[n] = src.truncated(n), dst.truncated(n)
 
         def defect(top, n, slot):
-            cand = MapSeries(env, n, [dict(t) for t in tables[:n]] + [top])
-            return blocks(top_coeffs(algebra_compat_defect(bialg, cand), n),
-                          top_coeffs(iso_intertwine_defect(src_by_order[n], dst_by_order[n],
-                                                           cand), n),
-                          _counit_rows(env, top))
+            return blocks(*_iso_rows(bialg, src, dst, MapSeries(env, n, tables[:n] + [top])))
 
-        supports = [(label, [(i, keys) for i in range(env.dim)])
-                    for label, keys in _supports_single(env, [k + 1, 2 * k + 1], cap)]
+        supports = _support_ladder(env, cap, (range(env.dim), [k + 1, 2 * k + 1]))
         solved = _solve_with_supports("iso-i", k, supports,
                                       LinearisedDefect(defect, k, columns), log, seed_order)
         tables.append({i: el for i, el in solved.items() if el})
 
     iso = MapSeries(env, order, tables)
-    _verify_zero(algebra_compat_defect(bialg, iso), "iso algebra-map")
-    _verify_zero(iso_intertwine_defect(src, dst, iso), "iso intertwining")
-    if iso_counit_defect(iso):
-        raise InternalCheckError("iso counit defect after solve")
+    _check_iso(bialg, src, dst, iso)
     return iso
 
 
@@ -449,60 +454,42 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
 
     Tries the sequential route (solve F, then i); if the intertwiner solve is
     inconsistent, re-solves F and i jointly order by order, which is the
-    aligned-gauge fallback.
+    aligned-gauge fallback.  Both routes use the same row families and
+    closing checks.
     """
     env = cop.env
     log = log or GaugeLog()
     try:
-        f_series = solve_twist_f(bialg, cop, f, order, log=log, cap=cap,
-                                 seed_order=seed_order)
-        iso = solve_iso(bialg, twisted_coproduct(cop, f_series), dst, order, log=log,
-                        cap=cap, seed_order=seed_order)
-        return f_series, iso
+        f_series, twisted = _solve_twist(bialg, cop, f, order, log, cap, seed_order)
+        return f_series, solve_iso(bialg, twisted, dst, order, log=log, cap=cap,
+                                   seed_order=seed_order)
     except SolverInconsistencyError:
         log.note("sequential twist-pair solve inconsistent; retrying jointly")
 
     coeffs = [env.unit(2), _half(env, f)]
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
-    twisted = twist_bialgebra(bialg, f, check=False)
-
-    cop_by_order: dict[int, CoproductSeries] = {}
-    dst_by_order: dict[int, CoproductSeries] = {}
     columns: dict = {}
     for k in range(1, order + 1):
-        for n in (1, k):
-            if n not in cop_by_order:
-                cop_by_order[n], dst_by_order[n] = cop.truncated(n), dst.truncated(n)
+        # Ad(F)∘cop at order n for the candidates without an F unknown
         twisted_by_order: dict[int, CoproductSeries] = {}
 
         def defect(top, n, slot):
             f_top = top.get("F")
-            if k >= 2:
-                f_cand = ElSeries(env, 2, coeffs[:n] + [f_top or El()])
-            else:
-                f_cand = ElSeries(env, 2, coeffs[: n + 1])
+            f_cand = ElSeries(env, 2, coeffs[:n] + [f_top or El()] if k >= 2 else coeffs[:n + 1])
             if f_top is None:
                 if n not in twisted_by_order:
-                    twisted_by_order[n] = twisted_coproduct(cop_by_order[n], f_cand)
+                    twisted_by_order[n] = twisted_coproduct(cop.truncated(n), f_cand)
                 src_n = twisted_by_order[n]
             else:
-                src_n = twisted_coproduct(cop_by_order[n], f_cand)
+                src_n = twisted_coproduct(cop.truncated(n), f_cand)
             iso_top = {i: top[("i", i)] for i in range(env.dim) if ("i", i) in top}
-            iso_cand = MapSeries(env, n, [dict(t) for t in tables[:n]] + [iso_top])
-            twist_rows = k >= 2 and slot in (None, "F")
-            return blocks(
-                {0: cocycle_defect(cop_by_order[n], f_cand).coeffs[n]} if twist_rows else {},
-                {leg: env.counit_leg(f_top, leg) for leg in (0, 1)} if f_top else {},
-                top_coeffs(algebra_compat_defect(bialg, iso_cand), n),
-                top_coeffs(iso_intertwine_defect(src_n, dst_by_order[n], iso_cand), n),
-                _counit_rows(env, iso_top))
+            # F is pinned at order 1, and its rows do not involve the i unknowns
+            twist_rows = _twist_rows(cop, f_cand) if k >= 2 and slot in (None, "F") else [{}, {}]
+            return blocks(*twist_rows,
+                          *_iso_rows(bialg, src_n, dst, MapSeries(env, n, tables[:n] + [iso_top])))
 
-        slots_single = [("i", i) for i in range(env.dim)]
-        supports = [
-            (f"{pl}|{sl}", ([("F", pk)] if k >= 2 else []) + [(s, sk) for s in slots_single])
-            for (pl, pk), (sl, sk) in zip(_supports_pairs(env, k, cap),
-                                          _supports_single(env, [k + 1, 2 * k + 1], cap))
-        ]
+        supports = _support_ladder(env, cap, (["F"] if k >= 2 else [], _pair_rungs(k)),
+                                   ([("i", i) for i in range(env.dim)], [k + 1, 2 * k + 1]))
         solved = _solve_with_supports("twist-pair", k, supports,
                                       LinearisedDefect(defect, k, columns), log, seed_order)
         if k >= 2:
@@ -511,25 +498,13 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
 
     f_series = ElSeries(env, 2, coeffs[: order + 1])
     iso = MapSeries(env, order, tables)
-    if not cocycle_defect(cop, f_series).is_zero():
-        raise InternalCheckError("joint solve: cocycle defect")
-    _verify_zero(iso_intertwine_defect(twisted_coproduct(cop, f_series), dst, iso),
-                 "joint solve intertwining")
-    _verify_zero(classical_limit_defect(twisted, twisted_coproduct(cop, f_series)),
-                 "joint solve classical limit")
+    _check_iso(bialg, _check_twist(bialg, cop, f, f_series), dst, iso)
     return f_series, iso
 
 
 # ---------------------------------------------------------------------------
 # composition elements
 # ---------------------------------------------------------------------------
-
-
-def composition_rhs(env: Envelope, f_second_pulled: ElSeries, f_first: ElSeries,
-                    cop: CoproductSeries, v: ElSeries) -> ElSeries:
-    """v^{⊗2} * G * Delta(v)^{-1} with G the pulled-back composed twist."""
-    g = f_second_pulled.mul(f_first)
-    return v.tensor(v).mul(g).mul(cop.apply_series(v).inverse())
 
 
 def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeries,
@@ -546,22 +521,16 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
     """
     log = log or GaugeLog()
     coeffs = [c.copy() for c in lower] if lower else [env.unit(1)]
-    data: dict[int, tuple] = {}
     columns: dict = {}
     for k in range(len(coeffs), order + 1):
-        for n in (1, k):
-            if n not in data:
-                data[n] = tuple(s.truncated(n) for s in (f_total, f_second_pulled, f_first, cop))
 
         def defect(top, n, slot):
             unknown = top.get("v", El())
-            tot_n, sec_n, fir_n, cop_n = data[n]
-            cand = ElSeries(env, 1, coeffs[:n] + [unknown])
-            rel = tot_n - composition_rhs(env, sec_n, fir_n, cop_n, cand)
+            data = (s.truncated(n) for s in (f_total, f_second_pulled, f_first, cop))
+            rel = composition_defect(env, *data, ElSeries(env, 1, coeffs[:n] + [unknown]))
             return blocks({0: rel.coeffs[n]}, {0: El.term((), env.counit(unknown))})
 
-        supports = [(label, [("v", keys)])
-                    for label, keys in _supports_single(env, [2 * k, 2 * k + 2], cap)]
+        supports = _support_ladder(env, cap, (["v"], [2 * k, 2 * k + 2]))
         try:
             solved = _solve_with_supports("composition-v", k, supports,
                                           LinearisedDefect(defect, k, columns), log, seed_order)
@@ -578,7 +547,9 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
 
 def composition_defect(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeries,
                        f_first: ElSeries, cop: CoproductSeries, v: ElSeries) -> ElSeries:
-    return f_total - composition_rhs(env, f_second_pulled, f_first, cop, v)
+    """F(f+f') - v^{⊗2} G Delta(v)^{-1}, G = F(f') pulled back times F(f)."""
+    g = f_second_pulled.mul(f_first)
+    return f_total - v.tensor(v).mul(g).mul(cop.apply_series(v).inverse())
 
 
 def v_cocycle_defect(env: Envelope, v_total_second: ElSeries, v_pair: ElSeries,

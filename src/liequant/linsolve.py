@@ -45,12 +45,12 @@ class Solution:
     pivot_columns: list[int]
 
 
-def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | Certificate:
+def lin_solve(system: LinSystem) -> Solution | Certificate:
     nvars = system.nvars
     rows = [dict(r) for r in system.rows]
     rhs = list(system.rhs)
     nrows = len(rows)
-    comb: list[dict[int, Scalar]] = [{i: 1} for i in range(nrows)] if track_certificate else [{} for _ in range(nrows)]
+    comb: list[dict[int, Scalar]] = [{i: 1} for i in range(nrows)]
 
     # column -> set of active (non-pivot) row ids that mention it
     col_rows: dict[int, set[int]] = {}
@@ -88,14 +88,13 @@ def lin_solve(system: LinSystem, track_certificate: bool = True) -> Solution | C
                         if s is not None:
                             s.discard(rid)
             rhs[rid] -= factor * rhs[piv]
-            if track_certificate:
-                crow = comb[rid]
-                for orig, cv in comb[piv].items():
-                    acc = crow.get(orig, 0) - factor * cv
-                    if acc:
-                        crow[orig] = acc
-                    else:
-                        crow.pop(orig, None)
+            crow = comb[rid]
+            for orig, cv in comb[piv].items():
+                acc = crow.get(orig, 0) - factor * cv
+                if acc:
+                    crow[orig] = acc
+                else:
+                    crow.pop(orig, None)
         # retire the pivot column and row from the active index
         for c in list(piv_row):
             s = col_rows.get(c)

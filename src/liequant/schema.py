@@ -18,6 +18,12 @@ from .sparse import El
 from .tensors import BasedSpace, LinearMap, Scalar, Tensor, q, qstr
 
 
+def pointer(base: str, *keys) -> str:
+    """The JSON pointer ``base`` extended by document keys, each escaped as
+    RFC 6901 asks: ``~`` as ``~0``, then ``/`` as ``~1``."""
+    return base + "".join("/" + str(key).replace("~", "~0").replace("/", "~1") for key in keys)
+
+
 def _rat(value, where: str) -> Scalar:
     if isinstance(value, bool) or isinstance(value, float):
         raise SchemaError("rationals must be strings or integers", where)
@@ -53,7 +59,7 @@ def _by_element(value, labels: tuple[str, ...], where: str) -> dict:
     table = _table(value or {}, where)
     for label in table:
         if label not in labels:
-            raise SchemaError(f"unknown group element {label!r}", f"{where}/{label}")
+            raise SchemaError(f"unknown group element {label!r}", pointer(where, label))
     return table
 
 
@@ -121,32 +127,33 @@ def parse_document(doc: dict) -> ParsedInput:
         raise SchemaError("missing 'bracket' table", "/bracket")
     brackets = {}
     for key, entry in _table(doc["bracket"], "/bracket").items():
-        i, j = _pair_key(key, dim, f"/bracket/{key}")
+        where = pointer("/bracket", key)
+        i, j = _pair_key(key, dim, where)
         if not isinstance(entry, dict):
-            raise SchemaError("bracket entry must map target index to rational",
-                              f"/bracket/{key}")
+            raise SchemaError("bracket entry must map target index to rational", where)
         vec = {}
         for target, value in entry.items():
-            k = _index(target, "target index", dim, f"/bracket/{key}/{target}")
-            vec[k] = _rat(value, f"/bracket/{key}/{target}")
+            k = _index(target, "target index", dim, pointer(where, target))
+            vec[k] = _rat(value, pointer(where, target))
         brackets[(i, j)] = vec
     lie = LieAlgebra(space, brackets)
 
     cobrackets = {}
     for gen, entry in _table(doc.get("cobracket") or {}, "/cobracket").items():
-        g = _index(gen, "generator index", dim, f"/cobracket/{gen}")
+        where = pointer("/cobracket", gen)
+        g = _index(gen, "generator index", dim, where)
         table = {}
-        for key, value in _table(entry, f"/cobracket/{gen}").items():
-            j, k = _pair_key(key, dim, f"/cobracket/{gen}/{key}")
-            table[(j, k)] = _rat(value, f"/cobracket/{gen}/{key}")
+        for key, value in _table(entry, where).items():
+            j, k = _pair_key(key, dim, pointer(where, key))
+            table[(j, k)] = _rat(value, pointer(where, key))
         cobrackets[g] = table
 
     qt = None
     if doc.get("r") is not None:
         r = Tensor.zero((space, space))
         for key, value in _table(doc["r"], "/r").items():
-            i, j = _pair_key(key, dim, f"/r/{key}", strict_order=False)
-            v = _rat(value, f"/r/{key}")
+            i, j = _pair_key(key, dim, pointer("/r", key), strict_order=False)
+            v = _rat(value, pointer("/r", key))
             if v:
                 r.data[(i, j)] = v
         qt = QuasitriangularData(lie, r)
@@ -171,18 +178,17 @@ def parse_document(doc: dict) -> ParsedInput:
         maps = []
         for label in labels:
             if label in action_doc:
+                where = pointer("/action", label)
                 rows = action_doc[label]
                 if not isinstance(rows, list) or len(rows) != dim or any(
                         not isinstance(r, list) or len(r) != dim for r in rows):
-                    raise SchemaError(f"action matrix for {label!r} must be {dim}x{dim}",
-                                      f"/action/{label}")
-                theta = LinearMap(space, space, [
-                    [_rat(v, f"/action/{label}") for v in row] for row in rows])
+                    raise SchemaError(f"action matrix for {label!r} must be {dim}x{dim}", where)
+                theta = LinearMap(space, space, [[_rat(v, where) for v in row] for row in rows])
                 try:
                     theta.inverse()
                 except ValueError:
                     raise SchemaError(f"action matrix for {label!r} is singular",
-                                      f"/action/{label}") from None
+                                      where) from None
                 maps.append(theta)
             else:
                 maps.append(LinearMap.identity(space))
@@ -191,9 +197,10 @@ def parse_document(doc: dict) -> ParsedInput:
         twists = []
         for label in labels:
             t = Tensor.zero((space, space))
-            for key, value in _table(twists_doc.get(label) or {}, f"/twists/{label}").items():
-                i, j = _pair_key(key, dim, f"/twists/{label}/{key}")
-                v = _rat(value, f"/twists/{label}/{key}")
+            where = pointer("/twists", label)
+            for key, value in _table(twists_doc.get(label) or {}, where).items():
+                i, j = _pair_key(key, dim, pointer(where, key))
+                v = _rat(value, pointer(where, key))
                 if v:
                     t.data[(i, j)] = v
                     t.data[(j, i)] = -v

@@ -263,6 +263,21 @@ def test_timestamps_flag_adds_timings(tmp_path, capsys):
     assert "timings" in report
 
 
+@pytest.mark.parametrize("argv", [
+    ("check", "catalog:sl2", "--timestamps", "on"),
+    ("check", "catalog:sl2", "--seed-order", "7"),
+    ("compare", "catalog:solvable2-tri-z2", "--timestamps", "on"),
+    ("verify-artifact", "artifact.json", "--timestamps", "on"),
+    ("verify-artifact", "artifact.json", "--seed-order", "7"),
+], ids=["check-timestamps", "check-seed-order", "compare-timestamps",
+        "verify-timestamps", "verify-seed-order"])
+def test_options_without_effect_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(list(argv))
+    assert info.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_negative_numbers_are_usage_errors(capsys):
     import pytest
 
@@ -339,6 +354,7 @@ def _rename_label(assembly):
     (lambda a: a.pop("transport"), "/assembly/transport"),
     (lambda a: a.pop("compositions"), "/assembly/compositions"),
     (_rename_label, "/assembly/twist_family/no-such-element"),
+    (lambda a: a["twist_family"].update({"a/b~c": []}), "/assembly/twist_family/a~1b~0c"),
     (lambda a: a["transport"].pop("e"), "/assembly/transport"),
     (_drop_first_pair, "/assembly/compositions"),
     (lambda a: a["coproduct"].update({"2": a["coproduct"]["0"]}), "/assembly/coproduct/2"),
@@ -347,9 +363,9 @@ def _rename_label(assembly):
     (lambda a: a["intertwiners"]["g"].update({"1": [{}]}), "/assembly/intertwiners/g/1"),
     (lambda a: a["compositions"]["e,e"][0].update({"00": "1"}), "/assembly/compositions/e,e"),
 ], ids=["order-not-int", "order-negative", "order-disagrees", "no-coproduct", "no-twist-family",
-        "no-transport", "no-compositions", "unknown-label", "missing-element", "missing-pair",
-        "generator-out-of-range", "monomial-not-normal-ordered", "no-intertwiners",
-        "intertwiner-wrong-length", "monomial-zero-padded"])
+        "no-transport", "no-compositions", "unknown-label", "escaped-label", "missing-element",
+        "missing-pair", "generator-out-of-range", "monomial-not-normal-ordered",
+        "no-intertwiners", "intertwiner-wrong-length", "monomial-zero-padded"])
 def test_verify_artifact_refuses_malformed_assembly(z2_artifact, mutate, location,
                                                      tmp_path, capsys):
     artifact = copy.deepcopy(z2_artifact)
@@ -402,12 +418,16 @@ Z2 = {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
     ({"dimension": 2, "bracket": {"0,0_1": {"1": "1"}}}, "/bracket/0,0_1"),
     ({"dimension": 2, "bracket": {"0,1": {"+1": "1"}}}, "/bracket/0,1/+1"),
     ({"dimension": 2, "bracket": {}, "cobracket": {" 1": {}}}, "/cobracket/ 1"),
+    ({"dimension": 1, "bracket": {}, "group": {**Z2, "elements": ["e", "a/b"]},
+      "action": {"a/b": [["0"]]}}, "/action/a~1b"),
+    ({"dimension": 2, "bracket": {}, "group": {**Z2, "elements": ["e", "a~b"]},
+      "twists": {"a~b": {"0/1": "1"}}}, "/twists/a~0b/0~11"),
 ], ids=["bracket-not-object", "cobracket-entry-not-object", "bracket-target-not-int",
         "basis-not-list", "action-row-not-list", "dimension-float", "dimension-bool",
         "dimension-zero", "dimension-missing", "basis-unhashable", "basis-collides-as-str",
         "basis-bool", "action-singular", "action-unknown-element", "twists-unknown-element",
         "twists-without-group", "pair-key-zero-padded", "pair-key-underscore",
-        "target-key-signed", "generator-key-spaced"])
+        "target-key-signed", "generator-key-spaced", "label-with-slash", "label-with-tilde"])
 def test_malformed_tables_are_schema_errors(doc, location, tmp_path, capsys):
     code, _, err = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
     assert code == 3

@@ -7,11 +7,13 @@ from fractions import Fraction
 
 import pytest
 
+import liequant.hquant.gammaq as gammaq_module
 import liequant.hquant.solvers as solvers_module
 from liequant import catalog
 from liequant.cli import main
 from liequant.envelope import Envelope
 from liequant.errors import SolverInconsistencyError
+from liequant.hquant.gammaq import assemble_gamma_quantization
 from liequant.hquant.solvers import (solve_coproduct, solve_iso, solve_twist_f,
                                      solve_twist_pair, twisted_coproduct)
 from liequant.linsolve import LinSystem
@@ -40,7 +42,8 @@ def brute_force_system(defect, k: int, unknowns: list[tuple]) -> LinSystem:
 
 @pytest.fixture
 def checked(monkeypatch):
-    """Compare every solve's first-support system against the brute force."""
+    """Compare every solve's first-support system against the brute force,
+    at both modules that solve through ``_solve_with_supports``."""
     seen = []
     original = solvers_module._solve_with_supports
 
@@ -55,6 +58,7 @@ def checked(monkeypatch):
         return original(operation, order, supports, defect, log, seed_order)
 
     monkeypatch.setattr(solvers_module, "_solve_with_supports", checking)
+    monkeypatch.setattr(gammaq_module, "_solve_with_supports", checking)
     return seen
 
 
@@ -89,6 +93,12 @@ def test_joint_twist_pair_rows_match_brute_force(checked, monkeypatch):
     solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), target, 2)
     ops = [(op, k) for op, k, _ in checked]
     assert ("twist-pair", 1) in ops and ("twist-pair", 2) in ops
+
+
+def test_alignment_rows_match_brute_force(checked):
+    assemble_gamma_quantization(catalog.gamma_family("solvable2-tri-z2"), 2)
+    ops = [(op, k) for op, k, _ in checked]
+    assert ("v-alignment", 1) in ops and ("v-alignment", 2) in ops
 
 
 # sha256 of the CLI report (stdout), each recorded in a fresh process

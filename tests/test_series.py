@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from liequant import catalog
 from liequant.envelope import ONE, Envelope
 from liequant.errors import InternalCheckError
-from liequant.hquant.core import ElSeries
+from liequant.hquant.core import CoproductSeries, ElSeries
+from liequant.hquant.solvers import solve_coproduct
 from liequant.sparse import El
 
 ENV = Envelope(catalog.sl2().lie)
@@ -105,3 +106,13 @@ def test_map_and_truncate():
     assert s.scale(2) == series(el((UNIT, 2)), el((E, 4)), el((F, 6)))
     assert s.truncated(1) == series(ENV.unit(1), el((E, 2)))
     assert (s - s).is_zero()
+
+
+def test_algebra_map_truncation_is_memoised():
+    cop = solve_coproduct(catalog.sl2(), 2, ENV)
+    one = cop.truncated(1)
+    assert cop.truncated(1) is one
+    assert cop.truncated(2) is cop
+    fresh = CoproductSeries(ENV, 1, [dict(t) for t in cop.tables[:2]])
+    assert one.tables == fresh.tables
+    assert one.ext_mon((0, 1, 2)) == fresh.ext_mon((0, 1, 2))
