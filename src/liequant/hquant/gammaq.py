@@ -36,9 +36,9 @@ from ..sparse import El
 from ..tensors import q, qdiv
 from .core import CoproductSeries, ElSeries, MapSeries
 from .pipeline import gamma_v_cocycle_defects
-from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, composition_defect,
-                      conjugation_defect, solve_composition_v, solve_coproduct,
-                      solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
+from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, antisymmetric_part,
+                      composition_defect, conjugation_defect, solve_composition_v,
+                      solve_coproduct, solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
 from .unknowns import LinearisedDefect, blocks
 
 
@@ -334,6 +334,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
         v_coeffs[pair] = [env.unit(1)]
 
     pulled = {(g, h): t_map[g].apply_all_legs(f_map[h]) for g, h in pairs}
+    composed = {(g, h): t_map[g].compose(t_map[h]) for g, h in pairs}
 
     for k in range(1, order + 1):
         for pair in pairs:
@@ -344,7 +345,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
                 f_map[g].truncated(k), cop.truncated(k), k, log=log, cap=cap,
                 lower=v_coeffs[pair], seed_order=seed_order)
             v_coeffs[pair] = v_new.coeffs
-        _align_family_order(env, g_bialg, t_map, v_coeffs, pairs, k, log)
+        _align_family_order(env, g_bialg, t_map, composed, v_coeffs, pairs, k, log)
 
     v_map = {pair: ElSeries(env, 1, coeffs) for pair, coeffs in v_coeffs.items()}
     for pair, series in v_map.items():
@@ -356,9 +357,11 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
     return assembly
 
 
-def _align_family_order(env: Envelope, g_bialg, t_map, v_coeffs, pairs, k: int,
+def _align_family_order(env: Envelope, g_bialg, t_map, composed, v_coeffs, pairs, k: int,
                         log: GaugeLog):
     """Primitive-shift correction making the pair family coherent at order k.
+
+    ``composed`` holds ``T_g ∘ T_h`` per pair, composed once for all orders.
 
     The per-pair solves determine each composition element only up to a
     primitive summand per order; this solve pins those summands so that the
@@ -368,7 +371,6 @@ def _align_family_order(env: Envelope, g_bialg, t_map, v_coeffs, pairs, k: int,
     """
     grp = g_bialg.group
     n = env.dim
-    composed = {(g, h): t_map[g].compose(t_map[h]) for g, h in pairs}
 
     def defect(top, m, slot):
         """Both identities at order m with ``top`` added to the order-m
@@ -592,6 +594,25 @@ def _phi(assembly: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
     return _series(acc, order)
 
 
+def _witness_defects(generic: GammaQuantization, direct: GammaQuantization, phi,
+                     keys: list, right_keys: list, products: dict, coproducts: dict) -> dict:
+    """The witness identities as series: ``(ia, 0, ib)`` φ(ab) − φ(a)φ(b) for
+    ``a = keys[ia]``, ``b = right_keys[ib]``; ``(ia, 1)`` (φ⊗φ)Δ(a) − Δ(φ(a));
+    ``(ia, 2)`` ε(φ(a)) − ε(a).  ``products`` and ``coproducts`` hold the
+    generic structure on those basis elements."""
+    out = {}
+    for ia, a in enumerate(keys):
+        sa = generic.basis_series(*a)
+        phi_a = phi(sa)
+        for ib, b in enumerate(right_keys):
+            right = direct.mul(phi_a, phi(generic.basis_series(*b)))
+            out[(ia, 0, ib)] = [x - y for x, y in zip(phi(products[(a, b)]), right)]
+        out[(ia, 1)] = [x - y for x, y in zip(phi(coproducts[a]), direct.coproduct(phi_a))]
+        out[(ia, 2)] = [El.term((), x - y)
+                        for x, y in zip(direct.counit(phi_a), generic.counit(sa))]
+    return out
+
+
 def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
                       window: int = 2, log: GaugeLog | None = None,
                       seed_order: int | None = None):
@@ -616,13 +637,13 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
     row_basis = generic.basis_up_to(window + 2)
     verify_basis = generic.basis_up_to(window)
 
-    gen_products: dict = {}
-    gen_coproducts: dict = {}
-    for a in gen_keys:
-        sa = generic.basis_series(*a)
-        gen_coproducts[a] = generic.coproduct(sa)
-        for b in row_basis:
-            gen_products[(a, b)] = generic.mul(sa, generic.basis_series(*b))
+    def structure(keys, right_keys):
+        """The generic products ``keys × right_keys`` and coproducts ``keys``."""
+        basis = generic.basis_series
+        return ({(a, b): generic.mul(basis(*a), basis(*b)) for a in keys for b in right_keys},
+                {a: generic.coproduct(basis(*a)) for a in keys})
+
+    gen_structure = structure(gen_keys, row_basis)
 
     j_tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
     w_coeffs: dict[int, list[El]] = {g: [env.unit(1)] for g in grp.elements()}
@@ -652,18 +673,8 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
             def phi(series):
                 return _phi(generic, j_cand, w_cand, series[: m + 1], m, cache)
 
-            rows = {}
-            for ia, a in enumerate(gen_keys):
-                phi_a = phi(generic.basis_series(*a))
-                for ib, b in enumerate(row_basis):
-                    left = phi(gen_products[(a, b)])
-                    right = direct.mul(phi_a, phi(generic.basis_series(*b)))
-                    rows[(ia, 0, ib)] = left[m] - right[m]
-                left = phi(gen_coproducts[a])
-                right = direct.coproduct(phi_a)
-                rows[(ia, 1)] = left[m] - right[m]
-                rows[(ia, 2)] = El.term((), direct.counit(phi_a)[m])
-            return blocks(rows)
+            defects = _witness_defects(generic, direct, phi, gen_keys, row_basis, *gen_structure)
+            return blocks({key: series[m] for key, series in defects.items()})
 
         supports = _support_ladder(env, None, ([("j", i) for i in range(n)], [k + 1, 2 * k + 1]),
                                    ([("w", g) for g in grp.elements() if g != e],
@@ -681,22 +692,14 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
     w_map = {g: ElSeries(env, 1, coeffs) for g, coeffs in w_coeffs.items()}
 
     cache: dict = {}
-    for a in verify_basis:
-        sa = generic.basis_series(*a)
-        pa = _phi(generic, j_map, w_map, sa, order, cache)
-        for b in verify_basis:
-            left = _phi(generic, j_map, w_map,
-                        generic.mul(sa, generic.basis_series(*b)), order, cache)
-            right = direct.mul(pa, _phi(generic, j_map, w_map, generic.basis_series(*b),
-                                        order, cache))
-            if any(x - y for x, y in zip(left, right)):
-                raise InternalCheckError(f"witness verification failed on {a},{b}")
-        left = _phi(generic, j_map, w_map, generic.coproduct(sa), order, cache)
-        right = direct.coproduct(pa)
-        if any(x - y for x, y in zip(left, right)):
-            raise InternalCheckError(f"witness coalgebra verification failed on {a}")
-        if direct.counit(pa) != generic.counit(sa):
-            raise InternalCheckError(f"witness counit verification failed on {a}")
+    defects = _witness_defects(generic, direct,
+                               lambda series: _phi(generic, j_map, w_map, series, order, cache),
+                               verify_basis, verify_basis, *structure(verify_basis, verify_basis))
+    for key, series in defects.items():
+        if any(series):
+            identity = ("product", "coproduct", "counit")[key[1]]
+            raise InternalCheckError(
+                f"witness {identity} identity fails on {verify_basis[key[0]]}")
     return ComparisonWitness(j=j_map, w=w_map, log=log)
 
 
@@ -721,8 +724,7 @@ def classical_limit_check(assembly: GammaQuantization, g_bialg: GammaLieBialgebr
         d = assembly.coproduct(assembly.basis_series(*a))
         if assembly.order < 1:
             continue
-        antisym = d[1] - d[1].map_keys(lambda key: (key[1], key[0]))
-        diff = antisym - structure.delta_basis(*a)
+        diff = antisymmetric_part(d[1]) - structure.delta_basis(*a)
         if diff:
             out["copoisson1"][a] = diff
     return out

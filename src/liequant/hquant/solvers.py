@@ -78,7 +78,8 @@ def _support_ladder(env: Envelope, cap: int | None, *parts) -> list:
     two-leg one (``legs<=L,total<=T``, or ``total<=T`` when both bounds
     agree).  A ``cap`` above a part's last leg bound adds the rung
     ``deg<=cap`` (``legs<=cap`` with total ``2·cap``).  The parts' ladders
-    are zipped rung by rung, their labels joined by ``|``.
+    are joined rung by rung, their labels by ``|``; a shorter ladder repeats
+    its last rung, so a cap rung that only one part gains is still tried.
     """
     ladders = []
     for slots, rungs in parts:
@@ -94,6 +95,8 @@ def _support_ladder(env: Envelope, cap: int | None, *parts) -> list:
             keys = env.keys_up_to(arity, legs, total)
             ladder.append((label, [(slot, keys) for slot in slots]))
         ladders.append(ladder)
+    depth = max(len(ladder) for ladder in ladders)
+    ladders = [ladder + ladder[-1:] * (depth - len(ladder)) for ladder in ladders]
     return [("|".join(label for label, _ in rung), [sk for _, sks in rung for sk in sks])
             for rung in zip(*ladders)]
 
@@ -172,6 +175,11 @@ def counit_defect(cop: CoproductSeries) -> dict:
     return out
 
 
+def antisymmetric_part(el: El) -> El:
+    """``x - x^op`` of a two-leg element: the order-1 slice a classical limit reads."""
+    return el - el.map_keys(lambda key: (key[1], key[0]))
+
+
 def classical_limit_defect(bialg: LieBialgebra, cop: CoproductSeries) -> dict:
     """Delta_1 - Delta_1^op - delta per generator (exact)."""
     env = cop.env
@@ -179,17 +187,27 @@ def classical_limit_defect(bialg: LieBialgebra, cop: CoproductSeries) -> dict:
     if cop.order < 1:
         return out
     for i in range(env.dim):
-        d1 = cop.tables[1].get(i, El())
-        diff = d1 - d1.map_keys(lambda key: (key[1], key[0])) - env.embed_tensor(
+        diff = antisymmetric_part(cop.tables[1].get(i, El())) - env.embed_tensor(
             bialg.cobracket_basis(i))
         if diff:
             out[i] = diff
     return out
 
 
-def _verify_zero(defects: dict, what: str):
-    if defects:
-        raise InternalCheckError(f"{what} defect is nonzero: {sorted(defects)[:3]}")
+def coproduct_defects(bialg: LieBialgebra, cop: CoproductSeries) -> dict[str, dict]:
+    """The defect table of a deformed coproduct: ``{check: defects}`` in check
+    order, an empty entry where the identity holds."""
+    return {"algebra-map": algebra_compat_defect(bialg, cop),
+            "coassociativity": coassoc_defect(cop),
+            "counit": counit_defect(cop),
+            "classical-limit": classical_limit_defect(bialg, cop)}
+
+
+def _verify_zero(table: dict[str, dict], what: str):
+    """Raise on the first failed check of a defect table."""
+    for name, defects in table.items():
+        if defects:
+            raise InternalCheckError(f"{what} {name} defect is nonzero: {sorted(defects)[:3]}")
 
 
 def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None,
@@ -206,10 +224,8 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
             if el:
                 t1[i] = el
         tables.append(t1)
-        cop1 = CoproductSeries(env, 1, tables[:2])
-        _verify_zero(algebra_compat_defect(bialg, cop1), "order-1 coproduct algebra-map")
-        _verify_zero(coassoc_defect(cop1), "order-1 coassociativity")
-        _verify_zero(counit_defect(cop1), "order-1 counit")
+        _verify_zero(coproduct_defects(bialg, CoproductSeries(env, 1, tables[:2])),
+                     "order-1 coproduct")
         log.records.append(SolveRecord("coproduct", 1, "pinned delta/2", 0, 0, "pinned"))
 
     columns: dict = {}
@@ -228,10 +244,7 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
         tables.append({i: el for i, el in solved.items() if el})
 
     cop = CoproductSeries(env, order, tables)
-    _verify_zero(algebra_compat_defect(bialg, cop), "coproduct algebra-map")
-    _verify_zero(coassoc_defect(cop), "coassociativity")
-    _verify_zero(counit_defect(cop), "counit")
-    _verify_zero(classical_limit_defect(bialg, cop), "coproduct classical limit")
+    _verify_zero(coproduct_defects(bialg, cop), "coproduct")
     return cop
 
 
@@ -275,7 +288,7 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
         coeffs.append(_half(env, qt.r))
         cand = ElSeries(env, 2, coeffs[:2])
         cop1 = twisted_coproduct(undeformed.truncated(1), cand)
-        _verify_zero(coassoc_defect(cop1), "order-1 conjugated coassociativity")
+        _verify_zero({"coassociativity": coassoc_defect(cop1)}, "order-1 conjugated coproduct")
         log.records.append(SolveRecord("j-conjugator", 1, "pinned r/2", 0, 0, "pinned"))
 
     columns: dict = {}
@@ -295,9 +308,7 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
 
     j_series = ElSeries(env, 2, coeffs)
     cop = twisted_coproduct(undeformed, j_series)
-    _verify_zero(coassoc_defect(cop), "conjugated coassociativity")
-    _verify_zero(counit_defect(cop), "conjugated counit")
-    _verify_zero(classical_limit_defect(bialg, cop), "conjugated classical limit")
+    _verify_zero(coproduct_defects(bialg, cop), "conjugated coproduct")
     return j_series, cop
 
 
@@ -322,6 +333,18 @@ def twist_counit_defect(env: Envelope, f_series: ElSeries) -> list[El]:
         coeffs[0] = coeffs[0] - env.unit(1)
         out.extend(c for c in coeffs if c)
     return out
+
+
+def twist_defects(cop: CoproductSeries, f_series: ElSeries, f: Tensor) -> dict[str, dict]:
+    """The defect table of a quantized twist F of ``cop`` for the classical
+    twist ``f``: the cocycle identity per order, the counit on either leg, and
+    the classical limit F_1 - F_1^op = f; an empty entry where it holds."""
+    env = cop.env
+    limit = (antisymmetric_part(f_series.coeffs[1]) - env.embed_tensor(f)
+             if f_series.order >= 1 else El())
+    return {"cocycle": {k: c for k, c in enumerate(cocycle_defect(cop, f_series).coeffs) if c},
+            "counit": dict(enumerate(twist_counit_defect(env, f_series))),
+            "classical-limit": limit.data}
 
 
 def iso_intertwine_defect(src: CoproductSeries, dst: CoproductSeries,
@@ -349,16 +372,13 @@ def _twist_rows(cop: CoproductSeries, f_cand: ElSeries) -> list[dict]:
 
 def _check_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
                  f_series: ElSeries) -> CoproductSeries:
-    """F's closing checks: cocycle, counit, and the classical limit of the
+    """F's closing checks: its defect table, and the classical limit of the
     twisted coproduct Ad(F)∘cop (its antisymmetric order-1 part), which is
     returned."""
-    if not cocycle_defect(cop, f_series).is_zero():
-        raise InternalCheckError("twist cocycle defect after solve")
-    if twist_counit_defect(cop.env, f_series):
-        raise InternalCheckError("twist counit defect after solve")
+    _verify_zero(twist_defects(cop, f_series, f), "twist")
     twisted = twisted_coproduct(cop, f_series)
-    _verify_zero(classical_limit_defect(twist_bialgebra(bialg, f, check=False), twisted),
-                 "twisted classical limit")
+    _verify_zero({"classical-limit": classical_limit_defect(
+        twist_bialgebra(bialg, f, check=False), twisted)}, "twisted coproduct")
     return twisted
 
 
@@ -376,10 +396,10 @@ def _iso_rows(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
 def _check_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
                iso: MapSeries):
     """i's closing checks: algebra map, intertwining src onto dst, counit."""
-    _verify_zero(algebra_compat_defect(bialg, iso), "iso algebra-map")
-    _verify_zero(iso_intertwine_defect(src, dst, iso), "iso intertwining")
-    if any(iso.env.counit(el) for table in iso.tables[1:] for el in table.values()):
-        raise InternalCheckError("iso counit defect after solve")
+    _verify_zero({"algebra-map": algebra_compat_defect(bialg, iso),
+                  "intertwining": iso_intertwine_defect(src, dst, iso),
+                  "counit": {(k, i): c for k, table in enumerate(iso.tables[1:], 1)
+                             for i, el in table.items() if (c := iso.env.counit(el))}}, "iso")
 
 
 def _solve_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
@@ -395,9 +415,8 @@ def _solve_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: in
     coeffs = [env.unit(2)]
     if order >= 1:
         coeffs.append(_half(env, f))
-        cand = ElSeries(env, 2, coeffs[:2])
-        if not cocycle_defect(cop.truncated(1), cand).is_zero():
-            raise InternalCheckError("order-1 twist cocycle defect is nonzero")
+        _verify_zero(twist_defects(cop.truncated(1), ElSeries(env, 2, coeffs), f),
+                     "order-1 twist")
         log.records.append(SolveRecord("twist-F", 1, "pinned f/2", 0, 0, "pinned"))
 
     columns: dict = {}

@@ -7,7 +7,8 @@ from fractions import Fraction
 import pytest
 
 from liequant import catalog
-from liequant.cli import _assembly_from_json, main
+from liequant.artifact import _assembly_from_json
+from liequant.cli import main
 from liequant.hquant.gammaq import bialgebra_axiom_defects
 from liequant.schema import parse_document
 
@@ -219,6 +220,25 @@ def test_quantize_solver_cap_failure_maps_to_exit_4(tmp_path, capsys, monkeypatc
     assert code == 4
     report = json.loads(out)
     assert "degree-cap" in report["solver_error"]
+
+
+def test_compare_solver_cap_failure_maps_to_exit_4(capsys, monkeypatch):
+    from liequant import cli
+    from liequant.errors import SolverInconsistencyError
+
+    def boom(*args, **kwargs):
+        raise SolverInconsistencyError("probe", certificate=None,
+                                       hint="increase --degree-cap")
+
+    # the generic pipeline solves, then the direct one fails
+    monkeypatch.setattr(cli, "quasitriangular_gamma_quantize", boom)
+    code, out, _ = run(capsys, "compare", "catalog:solvable2-tri-z2", "--order", "2",
+                       "--format", "json")
+    assert code == 4
+    report = json.loads(out)
+    assert "degree-cap" in report["solver_error"]
+    # the exit-4 report keeps the gauge log of the solves that ran, as quantize's does
+    assert report["gauge_log"]["solves"]
 
 
 def test_text_format_output(capsys):

@@ -323,6 +323,17 @@ def test_support_ladder_exhaustion_reports_hint():
     assert info.value.certificate is not None
 
 
+def test_support_ladder_repeats_the_last_rung_of_a_shorter_part(sl2_setup):
+    from liequant.hquant.solvers import _pair_rungs, _support_ladder
+
+    _, env, _ = sl2_setup
+    # the cap adds a rung to F's ladder (last leg bound 5) but not to i's (7)
+    ladder = _support_ladder(env, 6, (["F"], _pair_rungs(3)), ([0, 1, 2], [4, 7]))
+    assert [label for label, _ in ladder] == [
+        "legs<=3,total<=6|deg<=4", "legs<=5,total<=10|deg<=7", "legs<=6|deg<=7"]
+    assert ladder[2][1][1:] == ladder[1][1][1:]
+
+
 def test_joint_twist_pair_fallback(monkeypatch, sl2_setup):
     # force the sequential route to fail so the joint per-order solve runs;
     # its output must satisfy the same exact postconditions

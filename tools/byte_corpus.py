@@ -1,0 +1,133 @@
+"""Hash every output of a fixed corpus of liequant CLI runs.
+
+Usage (from anywhere):
+
+    python3 tools/byte_corpus.py [--root CHECKOUT] [--jobs N]
+
+Each run is a sequence of steps in its own empty working directory; each
+step is a fresh ``python -m liequant.cli`` child with ``CHECKOUT/src`` on
+``PYTHONPATH`` (``CHECKOUT`` defaults to the checkout holding this script).
+One line is printed per step: its name and the sha256 of its stdout, stderr,
+exit code and, for a step that writes ``artifact.json``, the artifact.  Two
+checkouts that print the same lines give the same bytes on every run, so
+``diff`` of two outputs is the byte check of a refactor.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+DEFAULT_ROOT = Path(__file__).resolve().parents[1]
+
+CATALOG = ["abelian2", "sl2", "sl2-cartan-z2", "sl2-s3", "sl2-trivial", "sl2-trivial-group",
+           "solvable2", "solvable2-tri", "solvable2-tri-s3", "solvable2-tri-z2"]
+COMPARE = ["solvable2-tri-z2", "sl2-cartan-z2", "sl2-trivial-group", "solvable2-tri-s3"]
+SEEDS = [None, 1, 7, 77, 20061]
+
+
+def _break_jacobi(root: Path, work: Path) -> None:
+    """``input.json``: sl2 with [e,f] = e, which breaks Jacobi."""
+    doc = _catalog_document(root, "sl2")
+    doc["bracket"]["0,1"] = {"0": "1"}
+    (work / "input.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+
+
+def _shift_composition(root: Path, work: Path) -> None:
+    """``shifted.json``: the artifact with 1/997 added to the generator-1
+    coefficient of the order-2 composition element v_{g,g}."""
+    artifact = json.loads((work / "artifact.json").read_text())
+    artifact["assembly"]["compositions"]["g,g"][2]["1"] = "1/997"
+    (work / "shifted.json").write_text(json.dumps(artifact, sort_keys=True, indent=2))
+
+
+def _catalog_document(root: Path, name: str) -> dict:
+    out = subprocess.run([sys.executable, "-c",
+                          "import json, sys; from liequant import catalog; "
+                          "print(json.dumps(catalog.input_document(sys.argv[1])))", name],
+                         env=_env(root), capture_output=True, check=True, text=True)
+    return json.loads(out.stdout)
+
+
+def corpus() -> list[tuple[str, list]]:
+    """``(run name, steps)``; a step is CLI argv or a callable(root, workdir)."""
+    runs = []
+    for name in CATALOG:
+        for fmt in ("json", "text"):
+            runs.append((f"check {name} {fmt}",
+                         [("check", f"catalog:{name}", "--format", fmt)]))
+    for name in CATALOG:
+        if name == "sl2-s3":
+            continue
+        runs.append((f"quantize+verify {name}", [
+            ("quantize", f"catalog:{name}", "--out", "artifact.json", "--format", "json"),
+            ("verify-artifact", "artifact.json", "--format", "json"),
+            ("verify-artifact", "artifact.json", "--format", "text")]))
+    for seed in SEEDS:
+        argv = ("quantize", "catalog:sl2-cartan-z2", "--order", "3", "--d-in", "1",
+                "--format", "json")
+        runs.append((f"quantize sl2-cartan-z2 order 3 seed {seed}",
+                     [argv if seed is None else argv + ("--seed-order", str(seed))]))
+    for name in COMPARE:
+        for fmt in ("json", "text"):
+            runs.append((f"compare {name} {fmt}",
+                         [("compare", f"catalog:{name}", "--order", "2", "--format", fmt)]))
+    runs.append(("fail: broken jacobi", [
+        _break_jacobi, ("check", "input.json", "--format", "json")]))
+    runs.append(("fail: z2 composition shifted by 1/997", [
+        ("quantize", "catalog:solvable2-tri-z2", "--order", "2", "--out", "artifact.json",
+         "--format", "json"),
+        _shift_composition, ("verify-artifact", "shifted.json", "--format", "json")]))
+    return runs
+
+
+def _env(root: Path) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(root / "src")
+    env["PYTHONHASHSEED"] = "0"
+    return env
+
+
+def run_one(root: Path, name: str, steps: list) -> list[str]:
+    lines = []
+    with tempfile.TemporaryDirectory(prefix="byte-corpus-") as tmp:
+        work = Path(tmp)
+        for step in steps:
+            if callable(step):
+                step(root, work)
+                continue
+            proc = subprocess.run([sys.executable, "-m", "liequant.cli", *step], cwd=work,
+                                  env=_env(root), capture_output=True)
+            digest = hashlib.sha256()
+            for part in (proc.stdout, proc.stderr, str(proc.returncode).encode()):
+                digest.update(len(part).to_bytes(8, "big") + part)
+            if "--out" in step:
+                digest.update((work / step[step.index("--out") + 1]).read_bytes())
+            lines.append(f"{digest.hexdigest()}  exit={proc.returncode}  {name}: "
+                         f"{' '.join(step)}")
+    return lines
+
+
+def main(argv: list[str]) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
+                        help="liequant checkout whose src/ is run")
+    parser.add_argument("--jobs", type=int, default=2, help="runs at a time")
+    args = parser.parse_args(argv)
+    root = args.root.resolve()
+    with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
+        results = pool.map(lambda run: run_one(root, *run), corpus())
+        for lines in results:
+            print("\n".join(lines), flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
