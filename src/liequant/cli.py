@@ -165,9 +165,19 @@ def _solver_settings(args, parsed: ParsedInput, report: dict) -> list[int | None
     return settings
 
 
+def _certificate_json(cert) -> dict | None:
+    """An inconsistency certificate as reported: its row combination and residual."""
+    if cert is None:
+        return None
+    return {"rows": {str(k): str(v) for k, v in sorted(cert.combination.items())},
+            "residual": str(cert.residual)}
+
+
 def _solver_failure(report: dict, args, exc: SolverInconsistencyError, log: GaugeLog) -> int:
-    """Exit 4: a solve exhausted its support ladder; the report keeps the gauge log."""
+    """Exit 4: a solve exhausted its support ladder; the report keeps the gauge
+    log and the certificate of the last rung."""
     report["solver_error"] = str(exc)
+    report["certificate"] = _certificate_json(exc.certificate)
     report["gauge_log"] = log.as_dict()
     return _finish(report, args, EXIT_SOLVER)
 
@@ -235,10 +245,7 @@ def cmd_compare(args) -> int:
         report["witness"] = witness.as_dict(lambda s: series_to_json(s.coeffs))
         return _finish(report, args, EXIT_OK)
     _add_check(report, "pipeline-equivalence", False, "no witness within ladder")
-    report["certificate"] = {
-        "rows": {str(k): str(v) for k, v in sorted((witness.combination or {}).items())},
-        "residual": str(witness.residual),
-    } if witness is not None else None
+    report["certificate"] = _certificate_json(witness)
     return _finish(report, args, EXIT_NO_WITNESS)
 
 
@@ -297,7 +304,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("json", "text"), default="text")
 
     def seed_order(p):
-        p.add_argument("--seed-order", type=int, default=None, dest="seed_order",
+        p.add_argument("--seed-order", type=_non_negative, default=None, dest="seed_order",
                        help="deterministic reshuffle of the gauge-pinning variable order")
 
     p = sub.add_parser("check", help="run every applicable classical check")

@@ -2,8 +2,10 @@
 
 Coefficients are exact rationals.  Series arithmetic is always truncated at
 the series order, so in the order-k coefficient of a product an order-k
-coefficient of one factor only meets order-0 coefficients of the others; the
-solvers' linearised build in :mod:`liequant.hquant.unknowns` relies on this.
+coefficient of one factor only meets order-0 coefficients of the others.  The
+solvers' columns in :mod:`liequant.hquant.unknowns` rely on this: they are
+derivatives, computed in first-order forward mode on :class:`DualSeries` and
+:class:`DualMap`, which the plain series classes accept as operands.
 """
 
 from __future__ import annotations
@@ -57,6 +59,8 @@ class ElSeries:
         return ElSeries(self.alg, self.arity, [a + b for a, b in zip(self.coeffs, other.coeffs)])
 
     def __sub__(self, other: "ElSeries") -> "ElSeries":
+        if isinstance(other, DualSeries):
+            return NotImplemented
         self._check(other)
         return ElSeries(self.alg, self.arity, [a - b for a, b in zip(self.coeffs, other.coeffs)])
 
@@ -69,6 +73,8 @@ class ElSeries:
     __rmul__ = scale
 
     def mul(self, other: "ElSeries") -> "ElSeries":
+        if isinstance(other, DualSeries):
+            return other.lift(self).mul(other)
         self._check(other)
         n = self.order
         out = []
@@ -96,17 +102,15 @@ class ElSeries:
 
     def tensor(self, other: "ElSeries") -> "ElSeries":
         """Concatenate legs: arity adds, orders convolve."""
+        if isinstance(other, DualSeries):
+            return other.lift(self).tensor(other)
         self._check_order_only(other)
         n = self.order
         out = []
         for k in range(n + 1):
             acc = El()
             for a in range(k + 1):
-                ca, cb = self.coeffs[a], other.coeffs[k - a]
-                if ca and cb:
-                    for ka, va in ca.data.items():
-                        for kb, vb in cb.data.items():
-                            acc.add_term(ka + kb, va * vb)
+                _add_tensor(acc, self.coeffs[a], other.coeffs[k - a])
             out.append(acc)
         return ElSeries(self.alg, self.arity + other.arity, out)
 
@@ -116,6 +120,218 @@ class ElSeries:
 
     def truncated(self, order: int) -> "ElSeries":
         return ElSeries(self.alg, self.arity, self.coeffs[: order + 1])
+
+
+def _add_tensor(out: El, a: El, b: El) -> El:
+    """Add ``a ⊗ b`` (legs concatenated) into ``out``."""
+    for ka, va in a.data.items():
+        for kb, vb in b.data.items():
+            out.add_term(ka + kb, va * vb)
+    return out
+
+
+def _splice(out: El, el: El, leg: int, image) -> El:
+    """Add leg ``leg`` of ``el`` mapped by ``image`` (a monomial's image
+    element, or None for zero), spliced in place of the leg, into ``out``."""
+    for key, c in el.data.items():
+        img = image(key[leg])
+        if img:
+            head, tail = key[:leg], key[leg + 1:]
+            for ikey, d in img.data.items():
+                out.add_term(head + ikey + tail, c * d)
+    return out
+
+
+def _plus(a: El | None, b: El | None) -> El | None:
+    """Sum of two tangents, None standing for zero."""
+    return b if a is None else a if b is None else a + b
+
+
+class DualSeries:
+    """A series in first-order forward mode: its order-0 ``value`` and its
+    ``tangent``, the derivative with respect to one unknown's unit element
+    (None when zero).
+
+    It reads as a series of order 1, ``s[0]`` the value and ``s[1]`` the
+    tangent, so a defect that reads its order-n coefficient returns its
+    derivative when evaluated on duals at n = 1.  A product computes only
+    ``a0·b' + a'·b0``.  The value is made on first use, so a term whose
+    tangent is zero costs nothing unless a product with a tangent needs its
+    value.  A plain series mixed in is a constant: only its order-0
+    coefficient counts.  ``order0`` is the solve's memo of order-0 maps, which
+    the dual maps made from this series share.
+    """
+
+    __slots__ = ("alg", "arity", "tangent", "order0", "_value", "_make")
+
+    order = 1
+
+    def __init__(self, alg, arity: int, value: El | None = None, tangent: El | None = None,
+                 order0: dict | None = None, make=None):
+        self.alg = alg
+        self.arity = arity
+        self.tangent = tangent or None
+        self.order0 = order0
+        self._value = value
+        self._make = make
+
+    @property
+    def value(self) -> El:
+        if self._value is None:
+            self._value, self._make = self._make(), None
+        return self._value
+
+    def _derived(self, arity: int, tangent: El | None, make) -> "DualSeries":
+        return DualSeries(self.alg, arity, None, tangent, self.order0, make)
+
+    def lift(self, other) -> "DualSeries":
+        """``other`` as a dual: itself, or a plain series as the constant of
+        its order-0 coefficient."""
+        if isinstance(other, DualSeries):
+            return other
+        return DualSeries(other.alg, other.arity, other.coeffs[0], None, self.order0)
+
+    def __getitem__(self, k: int) -> El:
+        return self.value if k == 0 else self.tangent or El()
+
+    @property
+    def coeffs(self) -> list[El]:
+        return [self[0], self[1]]
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def is_zero(self) -> bool:
+        """True when the derivative vanishes (only the derivative is read)."""
+        return self.tangent is None
+
+    def __add__(self, other) -> "DualSeries":
+        if not isinstance(other, (ElSeries, DualSeries)):
+            return NotImplemented
+        other = self.lift(other)
+        return self._derived(self.arity, _plus(self.tangent, other.tangent),
+                             lambda: self.value + other.value)
+
+    def __neg__(self) -> "DualSeries":
+        return self._derived(self.arity, -self.tangent if self.tangent else None,
+                             lambda: -self.value)
+
+    def __sub__(self, other) -> "DualSeries":
+        if not isinstance(other, (ElSeries, DualSeries)):
+            return NotImplemented
+        return self + -self.lift(other)
+
+    def __rsub__(self, other) -> "DualSeries":
+        return self.lift(other) + -self
+
+    def scale(self, factor) -> "DualSeries":
+        return self._derived(self.arity, self.tangent.scale(factor) if self.tangent else None,
+                             lambda: self.value.scale(factor))
+
+    __rmul__ = scale
+
+    def mul(self, other) -> "DualSeries":
+        other = self.lift(other)
+        if other.arity != self.arity:
+            raise ValueError("series shape mismatch")
+        k_mul, arity = self.alg.k_mul, self.arity
+        tangent = k_mul(self.value, other.tangent, arity) if other.tangent else None
+        if self.tangent:
+            tangent = _plus(tangent, k_mul(self.tangent, other.value, arity))
+        return self._derived(arity, tangent, lambda: k_mul(self.value, other.value, arity))
+
+    def inverse(self) -> "DualSeries":
+        # the value is the unit, so the tangent of the inverse is -tangent
+        if self.value != self.alg.unit(self.arity):
+            raise InternalCheckError("series inverse needs unit leading coefficient")
+        return DualSeries(self.alg, self.arity, self.value,
+                          -self.tangent if self.tangent else None, self.order0)
+
+    def tensor(self, other) -> "DualSeries":
+        other = self.lift(other)
+        tangent = _add_tensor(El(), self.tangent, other.value) if self.tangent else None
+        if other.tangent:
+            tangent = _plus(tangent, _add_tensor(El(), self.value, other.tangent))
+        return self._derived(self.arity + other.arity, tangent,
+                             lambda: _add_tensor(El(), self.value, other.value))
+
+    def map_leg(self, leg: int, image, dimage, arity: int) -> "DualSeries":
+        """Leg ``leg`` mapped by an algebra map into ``arity`` legs, given the
+        order-0 image ``image(m)`` of a monomial and, for a map that carries
+        the unknown, its tangent ``dimage(m)`` (otherwise ``dimage`` is None)."""
+        tangent = _splice(El(), self.tangent, leg, image) if self.tangent else El()
+        if dimage is not None:
+            _splice(tangent, self.value, leg, dimage)
+        return self._derived(self.arity + arity - 1, tangent,
+                             lambda: _splice(El(), self.value, leg, image))
+
+
+class DualMap:
+    """An algebra-map series (a coproduct, an intertwiner or a transport map)
+    in first-order forward mode: one :class:`DualSeries` per generator,
+    extended multiplicatively like :class:`AlgebraMapSeries`.
+
+    The order-0 extension of a monomial comes from one order-0 map per
+    generator table, of type ``kind``, kept in the solve's ``order0`` memo,
+    so every column of the solve shares it.  The tangents of extensions are
+    kept for this map, that is for one column.
+    """
+
+    order = 1
+
+    def __init__(self, kind: type, env: Envelope, gens: list[DualSeries], order0: dict):
+        self.kind = kind
+        self.env = env
+        self.arity = kind.arity
+        self.gens = gens
+        self.order0 = order0
+        self._map0 = None
+        self._dext: dict[Mon, El | None] = {}
+
+    def gen_series(self, i: int) -> DualSeries:
+        return self.gens[i]
+
+    def truncated(self, order: int) -> "DualMap":
+        return self
+
+    def ext0(self, m: Mon) -> El:
+        """The order-0 image of a monomial."""
+        if self._map0 is None:
+            table = {i: g.value for i, g in enumerate(self.gens) if g.value}
+            key = (self.kind, tuple((i, tuple(sorted(el.data.items())))
+                                    for i, el in table.items()))
+            self._map0 = self.order0.get(key)
+            if self._map0 is None:
+                self._map0 = self.order0[key] = self.kind(self.env, 0, [table])
+        return self._map0.ext_mon(m)[0]
+
+    def dext(self, m: Mon) -> El | None:
+        """The tangent of a monomial's image: d(x·rest) = dx·rest + x·d(rest)."""
+        if m in self._dext:
+            return self._dext[m]
+        out = None
+        if m:
+            head, rest = self.gens[m[0]], m[1:]
+            if head.tangent:
+                out = self.env.k_mul(head.tangent, self.ext0(rest), self.arity)
+            drest = self.dext(rest)
+            if drest:
+                out = _plus(out, self.env.k_mul(head.value, drest, self.arity))
+        self._dext[m] = out = out or None
+        return out
+
+    def ext_mon(self, m: Mon) -> DualSeries:
+        return DualSeries(self.env, self.arity, self.ext0(m), self.dext(m), self.order0)
+
+    def apply_leg(self, s, leg: int) -> DualSeries:
+        if not isinstance(s, DualSeries):
+            s = DualSeries(s.alg, s.arity, s.coeffs[0], None, self.order0)
+        return s.map_leg(leg, self.ext0, self.dext, self.arity)
+
+    def apply_all_legs(self, s) -> DualSeries:
+        for leg in range(s.arity):
+            s = self.apply_leg(s, leg)
+        return s
 
 
 class AlgebraMapSeries:
@@ -166,6 +382,8 @@ class AlgebraMapSeries:
 
     def apply_series(self, s: ElSeries) -> ElSeries:
         """Map an arity-1 series, truncated at its order."""
+        if isinstance(s, DualSeries):
+            return self.apply_leg(s, 0)
         out = [El() for _ in range(s.order + 1)]
         for b, coeff in enumerate(s.coeffs):
             if not coeff:
@@ -179,6 +397,9 @@ class AlgebraMapSeries:
 
     def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
         """Map one leg of a series: the image key is spliced in place of the leg."""
+        if isinstance(s, DualSeries):
+            base = self.truncated(0)
+            return s.map_leg(leg, lambda m: base.ext_mon(m)[0], None, self.arity)
         out = [El() for _ in range(s.order + 1)]
         for b, coeff in enumerate(s.coeffs):
             for key, c in coeff.data.items():

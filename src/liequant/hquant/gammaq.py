@@ -34,12 +34,12 @@ from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyErr
 from ..groups import GammaLieBialgebra, GroupAction
 from ..sparse import El
 from ..tensors import q, qdiv
-from .core import CoproductSeries, ElSeries, MapSeries
+from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries
 from .pipeline import gamma_v_cocycle_defects
 from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, antisymmetric_part,
                       composition_defect, conjugation_defect, solve_composition_v,
                       solve_coproduct, solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
-from .unknowns import LinearisedDefect, blocks
+from .unknowns import Columns, LinearisedDefect, blocks, candidate, candidate_map
 
 
 def _terms(series: list[El], scale=1) -> list[tuple]:
@@ -162,7 +162,16 @@ class GammaQuantization:
                             at = (used + o1 + o2, (key1, key2))
                             acc[at] = acc.get(at, 0) + first * c2
 
+    def k_mul(self, a: El, b: El, k: int = 1) -> El:
+        """The order-0 product of two elements: the algebra that a
+        forward-mode series (``DualSeries``) over this structure multiplies in."""
+        acc: dict = {}
+        self._add_product(acc, _terms([a]), _terms([b]), 0, k)
+        return _series(acc, 0)[0]
+
     def mul(self, a: list[El], b: list[El], k: int = 1) -> list[El]:
+        if isinstance(a, DualSeries):
+            return a.mul(b)
         if len(a) != len(b):
             raise ValueError("series order mismatch")
         acc: dict = {}
@@ -200,6 +209,9 @@ class GammaQuantization:
                 acc[at] = acc.get(at, 0) + c * d
 
     def coproduct(self, a: list[El]) -> list[El]:
+        if isinstance(a, DualSeries):
+            return a.map_leg(0, lambda mg: El({key: c for o, key, c in self._cop_key(mg) if not o}),
+                             None, 2)
         return self.coproduct_leg(a, 0)
 
     def coproduct_leg(self, a: list[El], leg: int) -> list[El]:
@@ -376,17 +388,15 @@ def _align_family_order(env: Envelope, g_bialg, t_map, composed, v_coeffs, pairs
         """Both identities at order m with ``top`` added to the order-m
         coefficients; with ``slot`` only the identities containing that pair."""
 
-        def v(g, h) -> ElSeries:
-            coeffs = [c.copy() for c in v_coeffs[(g, h)][:m]]
-            coeffs.append(v_coeffs[(g, h)][m] + top.get((g, h), El()))
-            return ElSeries(env, 1, coeffs)
+        def v(g, h):
+            return candidate(env, 1, v_coeffs[(g, h)], m, top, (g, h))
 
         conjugation = {}
         for g, h in pairs if slot is None else [slot]:
             v_gh = v(g, h)
             for i in range(n):
                 conjugation[((g, h), i)] = conjugation_defect(
-                    t_map[grp.mul(g, h)], composed[(g, h)], v_gh, i).coeffs[m]
+                    t_map[grp.mul(g, h)], composed[(g, h)], v_gh, i)[m]
         coherence = {}
         # with ``slot``, only the triples whose identity contains that pair
         for g in grp.elements():
@@ -397,7 +407,7 @@ def _align_family_order(env: Envelope, g_bialg, t_map, composed, v_coeffs, pairs
                         continue
                     coherence[(g, h, l)] = v_cocycle_defect(
                         env, v(gh, l), v(g, h), v(g, hl),
-                        t_map[g].apply_series(v(h, l))).coeffs[m]
+                        t_map[g].apply_series(v(h, l)))[m]
         return blocks(conjugation, coherence)
 
     primitives = [((i,),) for i in range(n)]
@@ -569,13 +579,31 @@ class ComparisonWitness:
         }
 
 
-def _phi(assembly: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
+def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
          series: list[El], order: int, cache: dict) -> list[El]:
     """The witness map ``[m|g] ↦ [j(m) · w_g | g]`` on every leg of ``series``,
-    modulo h^{order+1}, through the leg-map kernel of ``assembly``.
+    modulo h^{order+1}, through the leg-map kernel of ``target``.  For a dual
+    ``j`` (a column evaluation) it is the dual over ``target`` of the image of
+    the order-0 coefficient of ``series``.
 
-    ``cache`` holds the flat image terms of each ``(m, g)`` for one ``j, w``.
+    ``cache`` holds the images of each ``(m, g)`` for one ``j, w``.
     """
+    if isinstance(j, DualMap):
+
+        def dual_image(mg, part: int) -> El:
+            img = cache.get((mg, part))
+            if img is None:
+                m, g = mg
+                if mg not in cache:
+                    cache[mg] = j.ext_mon(m).mul(w[g])
+                img = cache[(mg, part)] = El({((mon, g),): c
+                                              for (mon,), c in cache[mg][part].data.items()})
+            return img
+
+        out = DualSeries(target, len(next(iter(series[0].data), ())), series[0], None, j.order0)
+        for leg in range(out.arity):
+            out = out.map_leg(leg, lambda mg: dual_image(mg, 0), lambda mg: dual_image(mg, 1), 1)
+        return out
 
     def image(mg) -> list[tuple]:
         terms = cache.get(mg)
@@ -590,7 +618,7 @@ def _phi(assembly: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
     for leg in range(len(next(iter(acc))[1]) if acc else 0):
         terms = [(o, key, c) for (o, key), c in acc.items() if c]
         acc = {}
-        assembly._add_coproduct(acc, terms, order, leg, image)
+        target._add_coproduct(acc, terms, order, leg, image)
     return _series(acc, order)
 
 
@@ -600,14 +628,17 @@ def _witness_defects(generic: GammaQuantization, direct: GammaQuantization, phi,
     ``a = keys[ia]``, ``b = right_keys[ib]``; ``(ia, 1)`` (φ⊗φ)Δ(a) − Δ(φ(a));
     ``(ia, 2)`` ε(φ(a)) − ε(a).  ``products`` and ``coproducts`` hold the
     generic structure on those basis elements."""
+    def minus(x, y):
+        return x - y if isinstance(x, DualSeries) else [p - q for p, q in zip(x, y)]
+
     out = {}
     for ia, a in enumerate(keys):
         sa = generic.basis_series(*a)
         phi_a = phi(sa)
         for ib, b in enumerate(right_keys):
             right = direct.mul(phi_a, phi(generic.basis_series(*b)))
-            out[(ia, 0, ib)] = [x - y for x, y in zip(phi(products[(a, b)]), right)]
-        out[(ia, 1)] = [x - y for x, y in zip(phi(coproducts[a]), direct.coproduct(phi_a))]
+            out[(ia, 0, ib)] = minus(phi(products[(a, b)]), right)
+        out[(ia, 1)] = minus(phi(coproducts[a]), direct.coproduct(phi_a))
         out[(ia, 2)] = [El.term((), x - y)
                         for x, y in zip(direct.counit(phi_a), generic.counit(sa))]
     return out
@@ -648,30 +679,18 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
     j_tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
     w_coeffs: dict[int, list[El]] = {g: [env.unit(1)] for g in grp.elements()}
 
-    def candidate(k: int, j_top: dict[int, El] | None, w_top: dict[int, El] | None):
-        jt = [dict(t) for t in j_tables[: k]] + [j_top or {}]
-        j_cand = MapSeries(env, k, jt)
-        w_cand = {}
-        for g in grp.elements():
-            coeffs = [c.copy() for c in w_coeffs[g][: k]]
-            if g == e:
-                coeffs.append(El())
-            else:
-                coeffs.append((w_top or {}).get(g, El()))
-            w_cand[g] = ElSeries(env, 1, coeffs)
-        return j_cand, w_cand
-
-    columns: dict = {}
+    columns = Columns()
     for k in range(1, order + 1):
 
         def defect(top, m, slot):
-            j_cand, w_cand = candidate(
-                m, {i: top[("j", i)] for i in range(n) if ("j", i) in top},
-                {g: top[("w", g)] for g in grp.elements() if ("w", g) in top})
+            # w_e is 1: there is no ("w", e) unknown
+            j_cand = candidate_map(MapSeries, env, j_tables, m, top, lambda i: ("j", i))
+            w_cand = {g: candidate(env, 1, w_coeffs[g], m, top, ("w", g))
+                      for g in grp.elements()}
             cache: dict = {}
 
             def phi(series):
-                return _phi(generic, j_cand, w_cand, series[: m + 1], m, cache)
+                return _phi(direct, j_cand, w_cand, series[: m + 1], m, cache)
 
             defects = _witness_defects(generic, direct, phi, gen_keys, row_basis, *gen_structure)
             return blocks({key: series[m] for key, series in defects.items()})
@@ -693,7 +712,7 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
 
     cache: dict = {}
     defects = _witness_defects(generic, direct,
-                               lambda series: _phi(generic, j_map, w_map, series, order, cache),
+                               lambda series: _phi(direct, j_map, w_map, series, order, cache),
                                verify_basis, verify_basis, *structure(verify_basis, verify_basis))
     for key, series in defects.items():
         if any(series):

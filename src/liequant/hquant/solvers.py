@@ -22,9 +22,9 @@ from ..sparse import El
 from ..tensors import Tensor, qdiv
 from ..twists import twist as twist_bialgebra
 from ..twists import twist_defect
-from .core import AlgebraMapSeries, CoproductSeries, ElSeries, MapSeries
-from .unknowns import (LinearisedDefect, allocation_order, blocks, top_coeffs,
-                       values_by_slot)
+from .core import AlgebraMapSeries, CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries
+from .unknowns import (Columns, LinearisedDefect, allocation_order, blocks, candidate,
+                       candidate_map, top_coeffs, values_by_slot)
 
 
 def _half(env: Envelope, t: Tensor) -> El:
@@ -228,11 +228,11 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
                      "order-1 coproduct")
         log.records.append(SolveRecord("coproduct", 1, "pinned delta/2", 0, 0, "pinned"))
 
-    columns: dict = {}
+    columns = Columns()
     for k in range(2, order + 1):
 
         def defect(top, n, slot):
-            cand = CoproductSeries(env, n, tables[:n] + [top])
+            cand = candidate_map(CoproductSeries, env, tables, n, top)
             return blocks(top_coeffs(algebra_compat_defect(bialg, cand), n),
                           top_coeffs(coassoc_defect(cand), n),
                           top_coeffs(counit_defect(cand), n))
@@ -262,9 +262,11 @@ def twisted_coproduct(series_map: AlgebraMapSeries, u: ElSeries) -> AlgebraMapSe
     """
     env = series_map.env
     uinv = u.inverse()
+    images = [u.mul(series_map.gen_series(i)).mul(uinv) for i in range(env.dim)]
+    if isinstance(u, DualSeries):
+        return DualMap(type(series_map), env, images, u.order0)
     tables: list[dict[int, El]] = [{} for _ in range(series_map.order + 1)]
-    for i in range(env.dim):
-        w = u.mul(series_map.gen_series(i)).mul(uinv)
+    for i, w in enumerate(images):
         for k, el in enumerate(w.coeffs):
             if el:
                 tables[k][i] = el
@@ -291,15 +293,14 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
         _verify_zero({"coassociativity": coassoc_defect(cop1)}, "order-1 conjugated coproduct")
         log.records.append(SolveRecord("j-conjugator", 1, "pinned r/2", 0, 0, "pinned"))
 
-    columns: dict = {}
+    columns = Columns()
     for k in range(2, order + 1):
 
         def defect(top, n, slot):
-            unknown = top.get("J", El())
-            cop = twisted_coproduct(undeformed.truncated(n),
-                                    ElSeries(env, 2, coeffs[:n] + [unknown]))
+            j_cand = candidate(env, 2, coeffs, n, top, "J")
+            cop = twisted_coproduct(undeformed.truncated(n), j_cand)
             return blocks(top_coeffs(coassoc_defect(cop), n),
-                          {leg: env.counit_leg(unknown, leg) for leg in (0, 1)})
+                          {leg: env.counit_leg(j_cand[n], leg) for leg in (0, 1)})
 
         supports = _support_ladder(env, cap, (["J"], _pair_rungs(k)))
         solved = _solve_with_supports("j-conjugator", k, supports,
@@ -365,9 +366,8 @@ def _twist_rows(cop: CoproductSeries, f_cand: ElSeries) -> list[dict]:
     """F's row families at the order n of ``f_cand``: its cocycle identity
     over ``cop``, then the counit of its order-n coefficient on either leg."""
     n = f_cand.order
-    top = f_cand.coeffs[n]
-    return [{0: cocycle_defect(cop.truncated(n), f_cand).coeffs[n]},
-            {leg: cop.env.counit_leg(top, leg) for leg in (0, 1)}]
+    return [{0: cocycle_defect(cop.truncated(n), f_cand)[n]},
+            {leg: cop.env.counit_leg(f_cand[n], leg) for leg in (0, 1)}]
 
 
 def _check_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
@@ -390,7 +390,7 @@ def _iso_rows(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
     env = iso_cand.env
     return [top_coeffs(algebra_compat_defect(bialg, iso_cand), n),
             top_coeffs(iso_intertwine_defect(src.truncated(n), dst.truncated(n), iso_cand), n),
-            {i: El.term((), env.counit(el)) for i, el in iso_cand.tables[n].items()}]
+            {i: El.term((), env.counit(iso_cand.gen_series(i)[n])) for i in range(env.dim)}]
 
 
 def _check_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
@@ -419,11 +419,11 @@ def _solve_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: in
                      "order-1 twist")
         log.records.append(SolveRecord("twist-F", 1, "pinned f/2", 0, 0, "pinned"))
 
-    columns: dict = {}
+    columns = Columns()
     for k in range(2, order + 1):
 
         def defect(top, n, slot):
-            return blocks(*_twist_rows(cop, ElSeries(env, 2, coeffs[:n] + [top.get("F", El())])))
+            return blocks(*_twist_rows(cop, candidate(env, 2, coeffs, n, top, "F")))
 
         supports = _support_ladder(env, cap, (["F"], _pair_rungs(k)))
         solved = _solve_with_supports("twist-F", k, supports,
@@ -449,11 +449,11 @@ def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
     log = log or GaugeLog()
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
 
-    columns: dict = {}
+    columns = Columns()
     for k in range(1, order + 1):
 
         def defect(top, n, slot):
-            return blocks(*_iso_rows(bialg, src, dst, MapSeries(env, n, tables[:n] + [top])))
+            return blocks(*_iso_rows(bialg, src, dst, candidate_map(MapSeries, env, tables, n, top)))
 
         supports = _support_ladder(env, cap, (range(env.dim), [k + 1, 2 * k + 1]))
         solved = _solve_with_supports("iso-i", k, supports,
@@ -487,25 +487,17 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
 
     coeffs = [env.unit(2), _half(env, f)]
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
-    columns: dict = {}
+    columns = Columns()
     for k in range(1, order + 1):
-        # Ad(F)∘cop at order n for the candidates without an F unknown
-        twisted_by_order: dict[int, CoproductSeries] = {}
 
         def defect(top, n, slot):
-            f_top = top.get("F")
-            f_cand = ElSeries(env, 2, coeffs[:n] + [f_top or El()] if k >= 2 else coeffs[:n + 1])
-            if f_top is None:
-                if n not in twisted_by_order:
-                    twisted_by_order[n] = twisted_coproduct(cop.truncated(n), f_cand)
-                src_n = twisted_by_order[n]
-            else:
-                src_n = twisted_coproduct(cop.truncated(n), f_cand)
-            iso_top = {i: top[("i", i)] for i in range(env.dim) if ("i", i) in top}
-            # F is pinned at order 1, and its rows do not involve the i unknowns
-            twist_rows = _twist_rows(cop, f_cand) if k >= 2 and slot in (None, "F") else [{}, {}]
-            return blocks(*twist_rows,
-                          *_iso_rows(bialg, src_n, dst, MapSeries(env, n, tables[:n] + [iso_top])))
+            # at k = 1 the candidate's order-1 coefficient is the pinned F_1
+            f_cand = candidate(env, 2, coeffs, n, top, "F")
+            iso_cand = candidate_map(MapSeries, env, tables, n, top, lambda i: ("i", i))
+            # F is pinned at order 1, so its rows enter from order 2
+            twist_rows = _twist_rows(cop, f_cand) if k >= 2 else [{}, {}]
+            return blocks(*twist_rows, *_iso_rows(
+                bialg, twisted_coproduct(cop.truncated(n), f_cand), dst, iso_cand))
 
         supports = _support_ladder(env, cap, (["F"] if k >= 2 else [], _pair_rungs(k)),
                                    ([("i", i) for i in range(env.dim)], [k + 1, 2 * k + 1]))
@@ -540,14 +532,14 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
     """
     log = log or GaugeLog()
     coeffs = [c.copy() for c in lower] if lower else [env.unit(1)]
-    columns: dict = {}
+    columns = Columns()
     for k in range(len(coeffs), order + 1):
 
         def defect(top, n, slot):
-            unknown = top.get("v", El())
+            v = candidate(env, 1, coeffs, n, top, "v")
             data = (s.truncated(n) for s in (f_total, f_second_pulled, f_first, cop))
-            rel = composition_defect(env, *data, ElSeries(env, 1, coeffs[:n] + [unknown]))
-            return blocks({0: rel.coeffs[n]}, {0: El.term((), env.counit(unknown))})
+            return blocks({0: composition_defect(env, *data, v)[n]},
+                          {0: El.term((), env.counit(v[n]))})
 
         supports = _support_ladder(env, cap, (["v"], [2 * k, 2 * k + 2]))
         try:

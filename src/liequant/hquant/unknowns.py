@@ -1,4 +1,4 @@
-"""Linearised solver systems: a constant part plus cached per-unknown columns.
+"""Linearised solver systems: a constant part plus per-unknown columns.
 
 At order k every solver's defect is affine in the order-k unknowns: series
 are truncated at order k, so an order-k unknown only ever meets order-0 data.
@@ -6,17 +6,24 @@ A system is therefore built from two exact parts:
 
 * the constant part, the defect evaluated with an empty top-order table, on
   plain rationals, once per (operation, order);
-* one column per unknown, ``D(E) - D(0)`` where ``D`` is the same defect
-  truncated at order 1 and ``E`` is the unit element of the unknown's key in
-  the order-1 slot.  At order 1 every product pairs ``E`` with order-0 data,
-  exactly as the order-k unknown is paired in the order-k coefficient, and
-  the subtraction removes everything that does not involve ``E``.
+* one column per unknown: the derivative of the defect with respect to the
+  unit element ``E`` of the unknown's key, evaluated in first-order forward
+  mode.  The defect is called with a :class:`Tangent` top table at n = 1;
+  its candidates (:func:`candidate`, :func:`candidate_map`) are then
+  :class:`~liequant.hquant.core.DualSeries` and
+  :class:`~liequant.hquant.core.DualMap` carrying ``E`` as their tangent, and
+  every known series enters through its order-0 coefficient only.  A product
+  computes only ``a0·b' + a'·b0``, a term whose tangent is zero is never
+  evaluated, and the order-0 images of monomials are made once per solve.
+  The order-n readout of a dual is its tangent, which is the column.
 
 A column depends on the (slot, key) of its unknown and on order-0 data only,
-so it is cached for the whole solve: a support-ladder escalation, or the next
-order, computes only the keys it adds.  A defect is returned as blocks
-``{block id: El}`` (one block per identity and defect key); rows come out in
-sorted (block id, element key) order with zero rows skipped.
+so it is cached for the whole solve, with the order-0 data it shares
+(:class:`Columns`): a support-ladder escalation, or the next order, computes
+only the keys it adds, and both are dropped with the solve.  A defect is
+returned as blocks ``{block id: El}`` (one block per identity and defect
+key); rows come out in sorted (block id, element key) order with zero rows
+skipped.
 """
 
 from __future__ import annotations
@@ -27,12 +34,58 @@ from typing import Callable, Hashable
 from ..linsolve import LinSystem
 from ..sparse import El
 from ..tensors import Scalar
+from .core import DualMap, DualSeries, ElSeries
 
 Blocks = dict[Hashable, El]
 # defect(top, n, slot): the blocks of the order-n coefficient with ``top`` as
-# the order-n table; with ``slot`` given, the defect may restrict itself to
-# the identities that slot's unknowns enter (the others do not depend on it).
+# the order-n table.  The unknowns enter only through candidate() and
+# candidate_map(), so on a Tangent top at n = 1 the same callable returns the
+# column of top's slot.  With ``slot`` given (a column), the defect may also
+# restrict itself to the identities that slot's unknowns enter.
 Defect = Callable[[dict, int, Hashable], Blocks]
+
+
+class Tangent(dict):
+    """The top table of a column evaluation, ``{slot: E}``, with ``order0``,
+    the order-0 memo of the solve."""
+
+    def __init__(self, slot: Hashable, element: El, order0: dict):
+        super().__init__({slot: element})
+        self.order0 = order0
+
+
+class Columns(dict):
+    """One solve's columns, ``{(slot, key): blocks}``, shared by its orders and
+    ladder rungs, and ``order0``, the order-0 maps their evaluations share."""
+
+    def __init__(self):
+        super().__init__()
+        self.order0: dict = {}
+
+
+def candidate(alg, arity: int, coeffs: list[El], n: int, top: dict, name: Hashable):
+    """The order-n candidate series of the unknown ``name``: ``coeffs`` below
+    order n, and at order n the known coefficient ``coeffs[n]`` (if any) plus
+    ``top[name]``.  On a :class:`Tangent` top it is the dual with value
+    ``coeffs[0]`` and tangent ``top[name]``."""
+    if isinstance(top, Tangent):
+        return DualSeries(alg, arity, coeffs[0], top.get(name), top.order0)
+    last = top.get(name, El())
+    if len(coeffs) > n:
+        last = coeffs[n] + last
+    return ElSeries(alg, arity, coeffs[:n] + [last])
+
+
+def candidate_map(kind: type, env, tables: list[dict], n: int, top: dict,
+                  slot=lambda i: i):
+    """The order-n candidate map of type ``kind``: generator tables below
+    order n and, at order n, generator i from ``top[slot(i)]``.  On a
+    :class:`Tangent` top it is the dual map with order-0 table ``tables[0]``."""
+    tops = {i: top[slot(i)] for i in range(env.dim) if slot(i) in top}
+    if isinstance(top, Tangent):
+        return DualMap(kind, env, [DualSeries(env, kind.arity, tables[0].get(i, El()), tops.get(i),
+                                              top.order0) for i in range(env.dim)], top.order0)
+    return kind(env, n, tables[:n] + [tops])
 
 
 def blocks(*families: dict) -> Blocks:
@@ -41,8 +94,8 @@ def blocks(*families: dict) -> Blocks:
 
 
 def top_coeffs(defects: dict, n: int) -> dict:
-    """Order-n coefficients of a ``{key: ElSeries}`` defect table."""
-    return {key: series.coeffs[n] for key, series in defects.items()}
+    """Order-n coefficients of a ``{key: series}`` defect table."""
+    return {key: series[n] for key, series in defects.items()}
 
 
 def allocation_order(keys, seed_order: int | None) -> list:
@@ -60,31 +113,20 @@ def allocation_order(keys, seed_order: int | None) -> list:
 class LinearisedDefect:
     """Affine order-k defect: constant part plus per-unknown columns.
 
-    ``columns`` is the column cache; the orders of one solve pass the same
-    dict, since a column pairs its unknown with order-0 data only.
+    ``columns`` is the solve's :class:`Columns`; the orders of one solve pass
+    the same one, since a column pairs its unknown with order-0 data only.
     """
 
-    def __init__(self, defect: Defect, k: int, columns: dict | None = None):
+    def __init__(self, defect: Defect, k: int, columns: Columns | None = None):
         self.defect = defect
         self.constant = defect({}, k, None)
-        self._base: dict[Hashable, Blocks] = {}
-        self._columns: dict[tuple, Blocks] = {} if columns is None else columns
+        self._columns = Columns() if columns is None else columns
 
     def column(self, slot, key) -> Blocks:
-        cached = self._columns.get((slot, key))
-        if cached is not None:
-            return cached
-        base = self._base.get(slot)
-        if base is None:
-            base = self._base[slot] = self.defect({slot: El()}, 1, slot)
-        col = self.defect({slot: El.term(key)}, 1, slot)
-        for bid, el in base.items():
-            diff = col.get(bid, El()) - el
-            if diff:
-                col[bid] = diff
-            else:
-                col.pop(bid, None)
-        self._columns[(slot, key)] = col
+        col = self._columns.get((slot, key))
+        if col is None:
+            col = self._columns[(slot, key)] = self.defect(
+                Tangent(slot, El.term(key), self._columns.order0), 1, slot)
         return col
 
     def system(self, unknowns: list[tuple]) -> LinSystem:

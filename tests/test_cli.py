@@ -301,7 +301,7 @@ def test_options_without_effect_are_usage_errors(argv, capsys):
 def test_negative_numbers_are_usage_errors(capsys):
     import pytest
 
-    for flag in ("--order", "--d-in", "--degree-cap"):
+    for flag in ("--order", "--d-in", "--degree-cap", "--seed-order"):
         for command in ("quantize", "compare"):
             with pytest.raises(SystemExit) as info:
                 main([command, "catalog:solvable2-tri-z2", flag, "-1"])
@@ -311,6 +311,47 @@ def test_negative_numbers_are_usage_errors(capsys):
     with pytest.raises(SystemExit) as info:
         main(["quantize", "catalog:solvable2-tri-z2", "--order", "2", "--d-in", "-3"])
     assert info.value.code == 2
+
+
+def test_negative_seed_order_is_refused_not_mirrored(capsys):
+    # random.Random(-7) shuffles like random.Random(7): a negative seed-order
+    # would report -7 and pin the gauge of 7
+    for command in ("quantize", "compare"):
+        with pytest.raises(SystemExit) as info:
+            main([command, "catalog:abelian2", "--order", "1", "--seed-order", "-7"])
+        assert info.value.code == 2
+        assert "non-negative" in capsys.readouterr().err
+
+
+def test_solver_failure_reports_the_checked_certificate(capsys):
+    from argparse import Namespace
+
+    from liequant.cli import _solver_failure
+    from liequant.envelope import Envelope
+    from liequant.errors import SolverInconsistencyError
+    from liequant.hquant.solvers import (GaugeLog, solve_coproduct, solve_iso, solve_twist_f,
+                                         twisted_coproduct)
+    from liequant.linsolve import verify_certificate
+
+    # the Cartan-twisted and the untwisted sl2 coproducts differ in their
+    # classical limits, so no intertwiner exists at order 1 on any rung
+    bialg = catalog.sl2()
+    env = Envelope(bialg.lie)
+    cop = solve_coproduct(bialg, 1, env)
+    twisted = twisted_coproduct(cop, solve_twist_f(bialg, cop, catalog.sl2_cartan_twist(), 1))
+    log = GaugeLog()
+    with pytest.raises(SolverInconsistencyError) as info:
+        solve_iso(bialg, twisted, cop, 1, log=log)
+    cert = info.value.certificate
+    assert _solver_failure({}, Namespace(format="json"), info.value, log) == 4
+    report = json.loads(capsys.readouterr().out)
+    assert report["exit"] == 4 and "degree-cap" in report["solver_error"]
+    assert [s["status"] for s in report["gauge_log"]["solves"]] == ["inconsistent"] * 2
+    assert report["certificate"]["residual"] == str(cert.residual) != "0"
+    assert report["certificate"]["rows"] == {str(k): str(v)
+                                             for k, v in sorted(cert.combination.items())}
+    assert cert.system.nrows == report["gauge_log"]["solves"][-1]["nrows"]
+    assert verify_certificate(cert.system, cert)
 
 
 def test_negative_order_option_is_a_schema_error(tmp_path, capsys):

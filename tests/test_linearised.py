@@ -101,6 +101,16 @@ def test_alignment_rows_match_brute_force(checked):
     assert ("v-alignment", 1) in ops and ("v-alignment", 2) in ops
 
 
+def test_compare_rows_match_brute_force(checked, capsys):
+    # the direct pipeline's conjugator, the composition elements and the
+    # comparison witness, at orders 1 and 2
+    assert main(["compare", "catalog:solvable2-tri-z2", "--order", "2", "--format", "json"]) == 0
+    capsys.readouterr()
+    ops = {(op, k) for op, k, _ in checked}
+    assert {("j-conjugator", 2), ("composition-v", 1), ("composition-v", 2),
+            ("pipeline-witness", 1), ("pipeline-witness", 2)} <= ops
+
+
 # sha256 of the CLI report (stdout), each recorded in a fresh process
 GOLDEN = {
     ("quantize", "catalog:solvable2-tri-z2", "--order", "2"):

@@ -2,6 +2,9 @@
 
 from fractions import Fraction
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from liequant.linsolve import Certificate, LinSystem, Solution, lin_solve, verify_certificate
 
 Q = Fraction
@@ -98,3 +101,70 @@ def test_rank_deficient_consistent():
     result = lin_solve(dense([[1, 2], [2, 4]], [Q(3), Q(6)]))
     assert isinstance(result, Solution)
     assert result.values == [Q(3), Q(0)]
+
+
+def eager_certificate(system: LinSystem):
+    """Reference elimination that updates every row's combination at every
+    step (the pivot rule of ``lin_solve``); ``(combination, residual)`` of
+    the first row reduced to ``0 = residual != 0``, or None."""
+    rows = [dict(r) for r in system.rows]
+    rhs = list(system.rhs)
+    comb = [{i: 1} for i in range(len(rows))]
+    pivot_rows = set()
+    for col in range(system.nvars):
+        cands = [rid for rid, row in enumerate(rows) if col in row and rid not in pivot_rows]
+        if not cands:
+            continue
+        piv = min(cands, key=lambda rid: (len(rows[rid]), rid))
+        pivot_rows.add(piv)
+        for rid in cands:
+            if rid == piv:
+                continue
+            factor = Fraction(rows[rid][col]) / rows[piv][col]
+            for c, v in rows[piv].items():
+                acc = rows[rid].get(c, 0) - factor * v
+                if acc:
+                    rows[rid][c] = acc
+                else:
+                    rows[rid].pop(c, None)
+            rhs[rid] -= factor * rhs[piv]
+            for orig, cv in comb[piv].items():
+                acc = comb[rid].get(orig, 0) - factor * cv
+                if acc:
+                    comb[rid][orig] = acc
+                else:
+                    comb[rid].pop(orig, None)
+    for rid, row in enumerate(rows):
+        if rid not in pivot_rows and not row and rhs[rid]:
+            return comb[rid], rhs[rid]
+    return None
+
+
+@st.composite
+def inconsistent_systems(draw):
+    """A small random integer system with one row made inconsistent: a
+    combination of other rows with its right-hand side moved off."""
+    nvars = draw(st.integers(1, 5))
+    entry = st.integers(-3, 3)
+    rows = draw(st.lists(st.tuples(st.lists(entry, min_size=nvars, max_size=nvars), entry),
+                         min_size=1, max_size=6))
+    weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    combined = [sum(w * row[c] for w, (row, _) in zip(weights, rows)) for c in range(nvars)]
+    shift = draw(st.integers(1, 3))
+    rows.append((combined, sum(w * b for w, (_, b) in zip(weights, rows)) + shift))
+    order = draw(st.permutations(range(len(rows))))
+    system = LinSystem(nvars=nvars)
+    for i in order:
+        system.add_row(dict(enumerate(rows[i][0])), rows[i][1])
+    return system
+
+
+@settings(max_examples=200, deadline=None)
+@given(inconsistent_systems())
+def test_lazy_certificate_equals_eager_elimination(system):
+    result = lin_solve(system)
+    assert isinstance(result, Certificate)
+    combination, residual = eager_certificate(system)
+    assert result.residual == residual
+    assert result.combination == combination
+    assert verify_certificate(system, result)

@@ -48,6 +48,16 @@ def _shift_composition(root: Path, work: Path) -> None:
     (work / "shifted.json").write_text(json.dumps(artifact, sort_keys=True, indent=2))
 
 
+def _swap_family(root: Path, work: Path) -> None:
+    """``flip.json``: the abelian swap family with its twist scaled to -4
+    times the one its r induces, so ``compare`` finds no witness (exit 5)."""
+    doc = {"dimension": 2, "basis": ["a0", "a1"], "bracket": {}, "cobracket": {},
+           "r": {"0,1": "1", "1,0": "-1"},
+           "group": {"elements": ["e", "s"], "table": [[0, 1], [1, 0]]},
+           "action": {"s": [["0", "1"], ["1", "0"]]}, "twists": {"s": {"0,1": "-4"}}}
+    (work / "flip.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
+
+
 def _catalog_document(root: Path, name: str) -> dict:
     out = subprocess.run([sys.executable, "-c",
                           "import json, sys; from liequant import catalog; "
@@ -79,6 +89,10 @@ def corpus() -> list[tuple[str, list]]:
         for fmt in ("json", "text"):
             runs.append((f"compare {name} {fmt}",
                          [("compare", f"catalog:{name}", "--order", "2", "--format", fmt)]))
+    runs.append(("fail: swap family without witness", [
+        _swap_family, ("compare", "flip.json", "--order", "2", "--format", "json")]))
+    runs.append(("fail: negative seed-order", [
+        ("quantize", "catalog:abelian2", "--order", "1", "--seed-order", "-7")]))
     runs.append(("fail: broken jacobi", [
         _break_jacobi, ("check", "input.json", "--format", "json")]))
     runs.append(("fail: z2 composition shifted by 1/997", [
