@@ -234,11 +234,18 @@ class DualSeries:
         other = self.lift(other)
         if other.arity != self.arity:
             raise ValueError("series shape mismatch")
-        k_mul, arity = self.alg.k_mul, self.arity
-        tangent = k_mul(self.value, other.tangent, arity) if other.tangent else None
+        unit = {(ONE,) * self.arity: 1}
+
+        def times(a: El, b: El) -> El:
+            # order-0 values are mostly units (F_0, J_0, v_0, w_0 and their products)
+            if a.data == unit:
+                return b
+            return a if b.data == unit else self.alg.k_mul(a, b, self.arity)
+
+        tangent = times(self.value, other.tangent) if other.tangent else None
         if self.tangent:
-            tangent = _plus(tangent, k_mul(self.tangent, other.value, arity))
-        return self._derived(arity, tangent, lambda: k_mul(self.value, other.value, arity))
+            tangent = _plus(tangent, times(self.tangent, other.value))
+        return self._derived(self.arity, tangent, lambda: times(self.value, other.value))
 
     def inverse(self) -> "DualSeries":
         # the value is the unit, so the tangent of the inverse is -tangent
