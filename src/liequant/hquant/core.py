@@ -13,7 +13,7 @@ from __future__ import annotations
 from ..envelope import Envelope, Mon, ONE
 from ..errors import InternalCheckError
 from ..sparse import El
-from ..tensors import LinearMap
+from ..tensors import LinearMap, q
 
 
 class ElSeries:
@@ -374,7 +374,9 @@ class AlgebraMapSeries:
         else:
             head = self.gen_series(m[0])
             tail = ElSeries(self.env, self.arity, self.ext_mon(m[1:]))
-            result = head.mul(tail).coeffs
+            # cached images feed every later product: keep them under the scalar rule
+            result = [El({key: q(c) for key, c in el.data.items()})
+                      for el in head.mul(tail).coeffs]
         self._ext[m] = result
         return result
 

@@ -18,6 +18,10 @@ each basis element ``[m|g]`` are cached in that form, and one product kernel
 an accumulator ``{(order, key): coeff}`` modulo h^{n+1}, stopping each slot
 list at the order budget; one leg-map kernel (``_add_coproduct``) does the
 same for the coproduct and for the comparison witness, one leg at a time.
+A term of order ``o`` asks the leg map for its image only to order ``n - o``,
+so a coproduct entry is filled to the order its first caller needs and
+refilled deeper only when a later caller needs more; most high-degree
+monomials appear only at high orders and are filled at order 0 alone.
 ``mul`` and ``coproduct`` unpack an accumulator into a series; the axiom
 checks accumulate ``left - right`` of each identity in one accumulator on
 denominator-scaled integers and test it for zero.
@@ -92,6 +96,7 @@ class GammaQuantization:
         self.v_inv = {pair: s.inverse() for pair, s in v_map.items()}
         self._slot_cache: dict = {}
         self._cop_cache: dict = {}
+        self._cop_depth: dict = {}
 
     # -- elements ---------------------------------------------------------------
 
@@ -180,29 +185,39 @@ class GammaQuantization:
 
     # -- coproduct -----------------------------------------------------------------
 
-    def _cop_key(self, mg) -> list[tuple]:
-        """``Delta([m|g])`` as flat terms ``(order, ((m1, g), (m2, g)), coeff)``,
-        sorted by order."""
-        cached = self._cop_cache.get(mg)
-        if cached is not None:
-            return cached
+    def _cop_key(self, mg, upto: int) -> list[tuple]:
+        """``Delta([m|g])`` modulo h^{upto+1} at least, as flat terms
+        ``(order, ((m1, g), (m2, g)), coeff)`` sorted by order.
+
+        An entry is filled to the order its first caller needs, from the
+        memoised truncations of the coproduct and of ``F_g^{-1}``; a later
+        request for more orders refills it at the deeper order, and one for
+        fewer orders reads the deeper entry (so it may get more orders than
+        it asked for).  ``_cop_depth`` holds the order each entry reaches.
+        """
+        if self._cop_depth.get(mg, -1) >= upto:
+            return self._cop_cache[mg]
         m, g = mg
-        core = ElSeries(self.env, 2, self.cop.ext_mon(m)).mul(self.f_inv[g])
+        core = ElSeries(self.env, 2, self.cop.truncated(upto).ext_mon(m)).mul(
+            self.f_inv[g].truncated(upto))
         # one (monomial, g) leg object per monomial: the terms share them
         legs = {k: (k, g) for el in core.coeffs for key in el.data for k in key}
         terms = [(o, (legs[k1], legs[k2]), q(c)) for o, el in enumerate(core.coeffs)
                  for (k1, k2), c in el.data.items()]
         self._cop_cache[mg] = terms
+        self._cop_depth[mg] = upto
         return terms
 
     def _add_coproduct(self, acc: dict, a: list[tuple], n: int, leg: int, cop=None):
         """Add the image of leg ``leg`` of the flat terms ``a``, modulo h^{n+1},
-        into ``acc``.  ``cop`` gives a basis element's image as flat terms
-        sorted by order: its coproduct by default (``_cop_key``), or another
-        leg map such as the comparison witness."""
+        into ``acc``.  ``cop(mg, upto)`` gives a basis element's image as flat
+        terms sorted by order, at least to order ``upto``: its coproduct by
+        default (``_cop_key``), or another leg map such as the comparison
+        witness.  A term of order ``oa`` asks for its image only to order
+        ``n - oa``, all that the sum modulo h^{n+1} reads of it."""
         cop = cop or self._cop_key
         for oa, key, c in a:
-            for o, dkey, d in cop(key[leg]):
+            for o, dkey, d in cop(key[leg], n - oa):
                 if oa + o > n:
                     break
                 at = (oa + o, key[:leg] + dkey + key[leg + 1:])
@@ -210,8 +225,8 @@ class GammaQuantization:
 
     def coproduct(self, a: list[El]) -> list[El]:
         if isinstance(a, DualSeries):
-            return a.map_leg(0, lambda mg: El({key: c for o, key, c in self._cop_key(mg) if not o}),
-                             None, 2)
+            return a.map_leg(0, lambda mg: El({key: c for o, key, c in self._cop_key(mg, 0)
+                                               if not o}), None, 2)
         return self.coproduct_leg(a, 0)
 
     def coproduct_leg(self, a: list[El], leg: int) -> list[El]:
@@ -605,7 +620,8 @@ def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
             out = out.map_leg(leg, lambda mg: dual_image(mg, 0), lambda mg: dual_image(mg, 1), 1)
         return out
 
-    def image(mg) -> list[tuple]:
+    def image(mg, upto: int) -> list[tuple]:
+        # the images are cut at ``order`` already: every budget reads them whole
         terms = cache.get(mg)
         if terms is None:
             m, g = mg

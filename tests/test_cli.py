@@ -454,6 +454,34 @@ def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
     assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1) for v in values)
 
 
+@pytest.fixture(scope="module")
+def sl2_z2_artifact(tmp_path_factory):
+    path = tmp_path_factory.mktemp("artifact") / "sl2-z2.json"
+    assert main(["quantize", "catalog:sl2-cartan-z2", "--order", "2",
+                 "--out", str(path), "--format", "json"]) == 0
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("fixture", ["z2_artifact", "sl2_z2_artifact"])
+def test_scalar_rule_holds_in_extension_caches(fixture, request):
+    artifact = request.getfixturevalue(fixture)
+    assembly, _ = _assembly_from_json(artifact["assembly"], parse_document(artifact["input"]))
+    assert bialgebra_axiom_defects(assembly, artifact["d_in"]).all_zero
+
+    def with_truncations(maps):
+        for series_map in maps:
+            yield series_map
+            yield from with_truncations(series_map._truncations.values())
+
+    for maps in ([assembly.cop], assembly.t_map.values()):
+        values = [c for series_map in with_truncations(maps)
+                  for images in series_map._ext.values() for el in images
+                  for c in el.data.values()]
+        assert values
+        assert all(type(v) is int or (type(v) is Fraction and v.denominator > 1)
+                   for v in values)
+
+
 Z2 = {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
 
 

@@ -6,12 +6,13 @@ import pytest
 
 from liequant import catalog
 from liequant.envelope import Envelope
-from liequant.hquant.core import ElSeries
+from liequant.hquant.core import CoproductSeries, ElSeries
 from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization, _scaled_view,
                                     assemble_gamma_quantization, bialgebra_axiom_defects,
                                     classical_limit_check, compare_pipelines,
                                     quasitriangular_gamma_quantize)
 from liequant.hquant.pipeline import gamma_v_cocycle_defects
+from liequant.tensors import q
 
 Q = Fraction
 
@@ -135,6 +136,47 @@ def test_scaled_views_keep_uncleared_fractions_exact():
     view = _scaled_view(lambda *key: [(0, key, Q(1, 3)), (1, key, Q(1, 2))], 4)
     assert view("k") == [(0, ("k",), Q(4, 3)), (1, ("k",), 2)]
     assert type(view("k")[1][2]) is int
+
+
+@pytest.fixture(scope="module")
+def order3(flagship):
+    fam, env, _ = flagship
+    return assemble_gamma_quantization(fam, 3, env=env, seed_order=1)
+
+
+def _fresh(assembly):
+    """The assembly with empty caches, its coproduct's truncations included."""
+    cop = CoproductSeries(assembly.env, assembly.order, [dict(t) for t in assembly.cop.tables])
+    return GammaQuantization(assembly.env, assembly.action, cop, assembly.f_map,
+                             assembly.t_map, assembly.v_map, assembly.order)
+
+
+def test_budgeted_coproduct_fills_are_truncations_of_the_full_fill(order3):
+    n = order3.order
+    full = _fresh(order3)
+    shallow_first = {upto: _fresh(order3) for upto in range(n)}
+    for mg in order3.basis_up_to(4):
+        want = full._cop_key(mg, n)
+        for upto in range(n + 1):
+            cut = [t for t in want if t[0] <= upto]
+            # deep then shallow: the deeper entry, read to the budget
+            assert [t for t in full._cop_key(mg, upto) if t[0] <= upto] == cut, (mg, upto)
+            if upto < n:
+                # shallow then deep: a fresh fill to the budget, then the refill
+                assert shallow_first[upto]._cop_key(mg, upto) == cut, (mg, upto)
+                assert shallow_first[upto]._cop_key(mg, n) == want, (mg, upto)
+
+
+def test_scaled_coproduct_view_serves_deep_requests_deep_terms(order3):
+    n = order3.order
+    assembly = _fresh(order3)
+    full = _fresh(order3)
+    view = _scaled_view(assembly._cop_key, 6)
+    for mg in order3.basis_up_to(2):
+        shallow = view(mg, 0)
+        assert {t[0] for t in shallow} == {0}
+        want = [(o, key, q(6 * c)) for o, key, c in full._cop_key(mg, n)]
+        assert view(mg, n) == want, mg
 
 
 def test_compare_pipelines_flagship(flagship):

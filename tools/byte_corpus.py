@@ -48,6 +48,14 @@ def _shift_composition(root: Path, work: Path) -> None:
     (work / "shifted.json").write_text(json.dumps(artifact, sort_keys=True, indent=2))
 
 
+def _shift_coproduct(root: Path, work: Path) -> None:
+    """``shifted.json``: the artifact with the ``e ⊗ h`` coefficient of the
+    order-2 coproduct of generator 0 set to 1/7."""
+    artifact = json.loads((work / "artifact.json").read_text())
+    artifact["assembly"]["coproduct"]["0"][2]["0|2"] = "1/7"
+    (work / "shifted.json").write_text(json.dumps(artifact, sort_keys=True, indent=2))
+
+
 def _swap_family(root: Path, work: Path) -> None:
     """``flip.json``: the abelian swap family with its twist scaled to -4
     times the one its r induces, so ``compare`` finds no witness (exit 5)."""
@@ -99,6 +107,10 @@ def corpus() -> list[tuple[str, list]]:
         ("quantize", "catalog:solvable2-tri-z2", "--order", "2", "--out", "artifact.json",
          "--format", "json"),
         _shift_composition, ("verify-artifact", "shifted.json", "--format", "json")]))
+    runs.append(("fail: sl2-cartan-z2 order-3 coproduct shifted to 1/7", [
+        ("quantize", "catalog:sl2-cartan-z2", "--order", "3", "--d-in", "1", "--seed-order", "1",
+         "--out", "artifact.json", "--format", "json"),
+        _shift_coproduct, ("verify-artifact", "shifted.json", "--format", "json")]))
     return runs
 
 
