@@ -14,12 +14,14 @@ Element keys follow one convention throughout:
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
+from math import lcm
 
 from .errors import WindowOverflowError
 from .groups import GroupAction
 from .lie import LieAlgebra
 from .sparse import El
-from .tensors import LinearMap, Scalar, Tensor
+from .tensors import LinearMap, Scalar, Tensor, q
 
 Mon = tuple[int, ...]
 
@@ -28,6 +30,35 @@ ONE: Mon = ()
 
 def key_deg(key) -> int:
     return sum(len(m) for m in key)
+
+
+def _int_terms(data: dict):
+    """``(d, terms)``: ``d`` is the lcm of the denominators of the values,
+    and ``terms`` the ``(key, d·c)`` pairs, whose values are ``int``s."""
+    d = 1
+    for c in data.values():
+        if type(c) is not int:
+            d = lcm(d, c.denominator)
+    if d == 1:
+        return 1, data.items()
+    return d, [(key, c.numerator * (d // c.denominator)) for key, c in data.items()]
+
+
+def _descaled(acc: dict, d: int) -> dict:
+    """``{key: c / d}`` over the nonzero ``c``, under the scalar rule.  ``c``
+    is an ``int`` unless a structure constant (or an integral ``Fraction``
+    operand) made it a ``Fraction``."""
+    if d == 1:
+        return {key: c if type(c) is int else q(c) for key, c in acc.items() if c}
+    out = {}
+    for key, c in acc.items():
+        if c:
+            if type(c) is int:
+                quo, rem = divmod(c, d)
+                out[key] = Fraction(c, d) if rem else quo
+            else:
+                out[key] = q(c / d)
+    return out
 
 
 class Envelope:
@@ -72,17 +103,45 @@ class Envelope:
         return self.straighten(m1 + m2)
 
     def k_mul(self, a: El, b: El, k: int) -> El:
-        """Componentwise product on the k-th tensor power of U."""
+        """Componentwise product on the k-th tensor power of U.
+
+        Each operand is scaled to integers by the lcm of its denominators, so
+        the products and sums run on ints; each output coefficient is divided
+        once, back under the scalar rule.  One and two legs (nearly every
+        call) have unrolled loops; more legs are multiplied one at a time."""
+        da, terms_a = _int_terms(a.data)
+        db, terms_b = _int_terms(b.data)
+        straighten = self.straighten
+        acc: dict = {}
+        get = acc.get
+        if k == 1:
+            for (ma,), ca in terms_a:
+                for (mb,), cb in terms_b:
+                    c0 = ca * cb
+                    for m, d in straighten(ma + mb).items():
+                        key = (m,)
+                        acc[key] = get(key, 0) + c0 * d
+        elif k == 2:
+            for (ma0, ma1), ca in terms_a:
+                for (mb0, mb1), cb in terms_b:
+                    c0 = ca * cb
+                    second = straighten(ma1 + mb1).items()
+                    for m0, d0 in straighten(ma0 + mb0).items():
+                        c1 = c0 * d0
+                        for m1, d1 in second:
+                            key = (m0, m1)
+                            acc[key] = get(key, 0) + c1 * d1
+        else:
+            for ka, ca in terms_a:
+                for kb, cb in terms_b:
+                    partial = [((), ca * cb)]
+                    for leg in range(k):
+                        legs = straighten(ka[leg] + kb[leg]).items()
+                        partial = [(key + (m,), c * d) for key, c in partial for m, d in legs]
+                    for key, c in partial:
+                        acc[key] = get(key, 0) + c
         out = El()
-        for ka, ca in a.data.items():
-            for kb, cb in b.data.items():
-                parts = [self.mul_mon(ka[i], kb[i]) for i in range(k)]
-                base = ca * cb
-                for combo in itertools.product(*(p.items() for p in parts)):
-                    factor = 1
-                    for _, c in combo:
-                        factor *= c
-                    out.add_term(tuple(m for m, _ in combo), base * factor)
+        out.data = _descaled(acc, da * db)
         return out
 
     def unit(self, k: int) -> El:

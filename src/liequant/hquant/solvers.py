@@ -471,20 +471,15 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
                      seed_order: int | None = None) -> tuple[ElSeries, MapSeries]:
     """(F, i) for one twist with a prescribed target coproduct.
 
-    Tries the sequential route (solve F, then i); if the intertwiner solve is
-    inconsistent, re-solves F and i jointly order by order, which is the
-    aligned-gauge fallback.  Both routes use the same row families and
-    closing checks.
+    F and i are solved jointly, order by order from order 1: F's order-k
+    coefficient is chosen together with i's, so its gauge is the one an
+    intertwiner onto ``dst`` exists for.  (Solving F first and i after it can
+    leave no intertwiner at all: on sl2 with the Cartan twist the sequential
+    iso system is inconsistent at order 3.)  The closing checks are those of
+    :func:`solve_twist_f` and :func:`solve_iso`.
     """
     env = cop.env
     log = log or GaugeLog()
-    try:
-        f_series, twisted = _solve_twist(bialg, cop, f, order, log, cap, seed_order)
-        return f_series, solve_iso(bialg, twisted, dst, order, log=log, cap=cap,
-                                   seed_order=seed_order)
-    except SolverInconsistencyError:
-        log.note("sequential twist-pair solve inconsistent; retrying jointly")
-
     coeffs = [env.unit(2), _half(env, f)]
     tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
     columns = Columns()

@@ -1,4 +1,5 @@
-"""Deterministic sparse Gaussian elimination over the rationals.
+"""Deterministic sparse Gaussian elimination over the rationals, done on
+integers.
 
 The solver processes pivot columns in ascending variable order; among the
 active rows containing the column it picks the shortest one (ties broken by
@@ -6,14 +7,24 @@ row id), eliminates forward, and back-substitutes.  Variables that never
 acquire a pivot are pinned to zero.  Inconsistent systems yield a left null
 vector ``y`` of the matrix with ``y·b != 0`` instead of raising; ``y`` is
 made only when it is read (see :class:`Certificate`).
+
+The elimination is fraction-free: each row and its right-hand side become a
+primitive integer vector, a step replaces a row by an integer combination of
+it and the pivot row, and the row's content (the gcd of its entries) is
+divided out.  A row stays a nonzero multiple of the row the rational
+elimination would hold, so supports, pivots and solutions are the same; the
+multiple (the row's scale) is tracked so that a certificate's residual and
+combination are the rational ones.  Only the solution values and reported
+certificates leave the module, as rationals under the scalar rule.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import gcd, lcm
 
 from .errors import InternalCheckError
-from .tensors import Scalar, qdiv
+from .tensors import Scalar, q, qdiv
 
 
 @dataclass
@@ -25,8 +36,9 @@ class LinSystem:
     rhs: list[Scalar] = field(default_factory=list)
 
     def add_row(self, row: dict[int, Scalar], rhs: Scalar):
-        self.rows.append({c: v for c, v in row.items() if v})
-        self.rhs.append(rhs)
+        """Append a row; its values and right-hand side go through ``q``."""
+        self.rows.append({c: q(v) for c, v in row.items() if v})
+        self.rhs.append(q(rhs))
 
     @property
     def nrows(self) -> int:
@@ -54,9 +66,11 @@ class Certificate:
     def combination(self) -> dict[int, Scalar]:
         if self._combination is None:
             comb: list[dict[int, Scalar]] = [{i: 1} for i in range(self.system.nrows)]
-            _, rhs, _ = _eliminate(self.system, comb)
-            self._combination = comb[self.row]
-            if rhs[self.row] != self.residual or not verify_certificate(self.system, self):
+            _, rhs, scale, _ = _eliminate(self.system, comb)
+            self._combination = {orig: _descale(v, scale[self.row])
+                                 for orig, v in comb[self.row].items()}
+            if (_descale(rhs[self.row], scale[self.row]) != self.residual
+                    or not verify_certificate(self.system, self)):
                 raise InternalCheckError("inconsistency certificate fails its check")
         return self._combination
 
@@ -67,15 +81,40 @@ class Solution:
     pivot_columns: list[int]
 
 
-def _eliminate(system: LinSystem, comb: list[dict[int, Scalar]] | None = None):
-    """Forward elimination on a copy of ``system``: ``(rows, rhs, pivot_of_col)``.
+def _descale(value: Scalar, scale: tuple[int, int]) -> Scalar:
+    """``value / (num/den)``: the rational elimination's value of an entry of
+    a row with scale ``(num, den)``."""
+    num, den = scale
+    return qdiv(value * den, num)
 
-    With ``comb`` (one ``{original row: factor}`` per row), each elimination
-    step also updates the combination of original rows that a row now is.
+
+def _eliminate(system: LinSystem, comb: list[dict[int, Scalar]] | None = None):
+    """Fraction-free forward elimination on a copy of ``system``:
+    ``(rows, rhs, scale, pivot_of_col)``.
+
+    ``rows`` and ``rhs`` hold ints; row ``rid`` with its right-hand side is
+    ``num/den`` times the row of the rational elimination, where
+    ``scale[rid] = (num, den)``.  With ``comb`` (one ``{original row:
+    factor}`` per row), each step also updates the combination of original
+    rows that a row now is, under the row's scale.
     """
     nvars = system.nvars
-    rows = [dict(r) for r in system.rows]
-    rhs = list(system.rhs)
+    rows: list[dict[int, int]] = []
+    rhs: list[int] = []
+    scale: list[tuple[int, int]] = []
+    for rid, (row, b) in enumerate(zip(system.rows, system.rhs)):
+        d = lcm(b.denominator, *[v.denominator for v in row.values()])
+        ints = {c: v.numerator * (d // v.denominator) for c, v in row.items()}
+        b = b.numerator * (d // b.denominator)
+        g = gcd(b, *ints.values()) or 1
+        if g > 1:
+            ints = {c: v // g for c, v in ints.items()}
+            b //= g
+        rows.append(ints)
+        rhs.append(b)
+        scale.append((d, g))
+        if comb is not None:
+            comb[rid] = {orig: qdiv(cv * d, g) for orig, cv in comb[rid].items()}
 
     # column -> set of active (non-pivot) row ids that mention it
     col_rows: dict[int, set[int]] = {}
@@ -93,13 +132,19 @@ def _eliminate(system: LinSystem, comb: list[dict[int, Scalar]] | None = None):
         pivot_of_col[col] = piv
         piv_row = rows[piv]
         piv_val = piv_row[col]
+        piv_rhs = rhs[piv]
         for rid in sorted(cands):
             if rid == piv:
                 continue
+            # row := (p·row - r·pivot row) / content, which clears the column
             row = rows[rid]
-            factor = qdiv(row[col], piv_val)
+            g = gcd(piv_val, row[col])
+            p, r = piv_val // g, row[col] // g
+            if p != 1:
+                for c in row:
+                    row[c] *= p
             for c, v in piv_row.items():
-                acc = row.get(c, 0) - factor * v
+                acc = row.get(c, 0) - r * v
                 if acc:
                     row[c] = acc
                     if c != col:
@@ -110,39 +155,51 @@ def _eliminate(system: LinSystem, comb: list[dict[int, Scalar]] | None = None):
                         s = col_rows.get(c)
                         if s is not None:
                             s.discard(rid)
-            rhs[rid] -= factor * rhs[piv]
+            b = p * rhs[rid] - r * piv_rhs
+            h = gcd(b, *row.values()) or 1
+            if h > 1:
+                for c in row:
+                    row[c] //= h
+                b //= h
+            rhs[rid] = b
+            num, den = scale[rid][0] * p, scale[rid][1] * h
+            common = gcd(num, den)
+            scale[rid] = (num // common, den // common)
             if comb is not None:
-                crow = comb[rid]
+                crow = {orig: p * cv for orig, cv in comb[rid].items()}
                 for orig, cv in comb[piv].items():
-                    acc = crow.get(orig, 0) - factor * cv
+                    acc = crow.get(orig, 0) - r * cv
                     if acc:
                         crow[orig] = acc
                     else:
                         crow.pop(orig, None)
+                comb[rid] = {orig: qdiv(cv, h) for orig, cv in crow.items()}
         # retire the pivot column and row from the active index
         for c in list(piv_row):
             s = col_rows.get(c)
             if s is not None:
                 s.discard(piv)
         col_rows.pop(col, None)
-    return rows, rhs, pivot_of_col
+    return rows, rhs, scale, pivot_of_col
 
 
 def lin_solve(system: LinSystem) -> Solution | Certificate:
-    rows, rhs, pivot_of_col = _eliminate(system)
+    rows, rhs, scale, pivot_of_col = _eliminate(system)
     pivot_rows = set(pivot_of_col.values())
     for rid in range(len(rows)):
         if rid not in pivot_rows and not rows[rid] and rhs[rid]:
-            return Certificate(system, rid, rhs[rid])
+            return Certificate(system, rid, _descale(rhs[rid], scale[rid]))
 
-    values = [0] * system.nvars
+    values: list[Scalar] = [0] * system.nvars
     for col in sorted(pivot_of_col, reverse=True):
         rid = pivot_of_col[col]
         row = rows[rid]
         acc = rhs[rid]
         for c, v in row.items():
             if c != col:
-                acc -= v * values[c]
+                value = values[c]
+                if value:
+                    acc -= v * value
         values[col] = qdiv(acc, row[col])
     return Solution(values=values, pivot_columns=sorted(pivot_of_col))
 

@@ -4,6 +4,8 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liequant import catalog
 from liequant.envelope import (CoPoissonStructure, Envelope, ONE, SmashAlgebra,
@@ -36,6 +38,49 @@ def test_unit_law(sl2_env):
     a = term((0, 1, 2))
     assert sl2_env.k_mul(sl2_env.unit(1), a, 1) == a
     assert sl2_env.k_mul(a, sl2_env.unit(1), 1) == a
+
+
+ENVS = {name: Envelope(bialg.lie)
+        for name, bialg in (("sl2", catalog.sl2()), ("solvable2", catalog.solvable2()))}
+
+# int, integral Fraction and true Fraction coefficients
+COEFFICIENT = st.one_of(st.integers(-6, 6), st.integers(-6, 6).map(Fraction),
+                        st.builds(Fraction, st.integers(-6, 6), st.integers(2, 6)))
+
+
+def naive_k_mul(env: Envelope, a: El, b: El, k: int) -> dict:
+    """Reference product on Fractions: every pair of terms, the straightened
+    legs multiplied out term by term."""
+    out: dict = {}
+    for ka, ca in a.data.items():
+        for kb, cb in b.data.items():
+            legs = [env.straighten(ka[i] + kb[i]).items() for i in range(k)]
+            for combo in itertools.product(*legs):
+                c = Fraction(ca) * cb
+                for _, d in combo:
+                    c *= d
+                key = tuple(m for m, _ in combo)
+                out[key] = out.get(key, 0) + c
+    return {key: c for key, c in out.items() if c}
+
+
+@st.composite
+def k_mul_operands(draw):
+    env = ENVS[draw(st.sampled_from(sorted(ENVS)))]
+    k = draw(st.sampled_from([1, 2]))
+    mon = st.lists(st.integers(0, env.dim - 1), max_size=3).map(lambda m: tuple(sorted(m)))
+    element = st.dictionaries(st.tuples(*[mon] * k), COEFFICIENT, max_size=4).map(El)
+    return env, draw(element), draw(element), k
+
+
+@settings(max_examples=300, deadline=None)
+@given(k_mul_operands())
+def test_k_mul_matches_fraction_reference(operands):
+    env, a, b, k = operands
+    product = env.k_mul(a, b, k)
+    assert product.data == naive_k_mul(env, a, b, k)
+    assert all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in product.data.values())
 
 
 def test_defining_relation(sl2_env):

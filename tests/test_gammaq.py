@@ -95,9 +95,17 @@ def test_direct_trivial_group_reduces_to_plain_quantization():
 
 
 @pytest.fixture(scope="module")
-def forced_unit(flagship):
-    """The flagship with its (non-trivial) composition elements replaced by 1."""
-    fam, env, generic = flagship
+def forced_unit(sequential_gauge):
+    """The flagship with its (non-trivial) composition elements replaced by 1.
+
+    It is assembled in the sequential twist-pair gauge: in the joint gauge of
+    the assembly its transports compose strictly (T_g T_g = id), so units
+    would break only compatibility."""
+    fam = catalog.gamma_family("sl2-cartan-z2")
+    env = Envelope(fam.bialgebra.lie)
+    with sequential_gauge():
+        generic = assemble_gamma_quantization(fam, 2, env=env)
+    assert bialgebra_axiom_defects(generic, 1).all_zero
     assert any(any(s.coeffs[k] for k in (1, 2)) for s in generic.v_map.values())
     trivial_v = {pair: ElSeries.unit(env, 1, 2) for pair in generic.v_map}
     return GammaQuantization(env, generic.action, generic.cop, generic.f_map,

@@ -247,11 +247,13 @@ def test_v_abelian_is_unit():
     assert composition_relation_defect(pair).is_zero()
 
 
-def test_v_cartan_pair(sl2_setup):
+def test_v_cartan_pair(sl2_setup, sequential_gauge):
     bialg, env, cop = sl2_setup
     f = catalog.sl2_cartan_twist()
     f_prime = catalog.sl2_cartan_involution().apply_tensor(f)
-    pair = solve_pair(bialg, f, f_prime, 2, env=env)
+    # in the joint twist-pair gauge this pair composes strictly (v = 1)
+    with sequential_gauge():
+        pair = solve_pair(bialg, f, f_prime, 2, env=env)
     assert composition_relation_defect(pair).is_zero()
     # nontrivial fixture: the composition element is not the unit
     assert any(pair.v.coeffs[k] for k in (1, 2))
@@ -334,31 +336,27 @@ def test_support_ladder_repeats_the_last_rung_of_a_shorter_part(sl2_setup):
     assert ladder[2][1][1:] == ladder[1][1][1:]
 
 
-def test_joint_twist_pair_fallback(monkeypatch, sl2_setup):
-    # force the sequential route to fail so the joint per-order solve runs;
-    # its output must satisfy the same exact postconditions
-    import liequant.hquant.solvers as solvers_module
+def test_joint_twist_pair_fallback(sl2_setup):
+    # the joint per-order solve is the only twist-pair route; its output must
+    # satisfy the same exact postconditions as the separate F and i solves
     from liequant.hquant.solvers import solve_twist_pair
 
     bialg, env, cop = sl2_setup
     f = catalog.sl2_cartan_twist()
     target = cop.pushforward(catalog.sl2_cartan_involution())
 
-    def flaky(*args, **kwargs):
-        raise SolverInconsistencyError("forced", hint="test")
-
-    monkeypatch.setattr(solvers_module, "solve_iso", flaky)
     log = GaugeLog()
     f_series, iso = solve_twist_pair(bialg, cop, f, target, 2, log=log)
     assert cocycle_defect(cop, f_series).is_zero()
     assert not iso_intertwine_defect(twisted_coproduct(cop, f_series), target, iso)
-    assert any("retrying jointly" in e for e in log.events)
+    assert [(r.operation, r.order) for r in log.records] == [("twist-pair", 1), ("twist-pair", 2)]
+    assert not log.events
     # the route's output is pinned byte for byte
     payload = {"F": series_to_json(f_series.coeffs),
                "i": {str(i): series_to_json(iso.gen_series(i).coeffs) for i in range(env.dim)},
                "log": log.as_dict()}
     digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
-    assert digest == "c1bca000db24e7c58519c39d02bf93d88dd57c95d9d001025259d3dfbd032438"
+    assert digest == "87f4ae8700f25382bd070db3b2a5e0e8e1963370564a96710c2f4f439215f8db"
 
 
 def test_map_series_inverse_with_linear_order0():

@@ -103,20 +103,21 @@ def test_rank_deficient_consistent():
     assert result.values == [Q(3), Q(0)]
 
 
-def eager_certificate(system: LinSystem):
-    """Reference elimination that updates every row's combination at every
-    step (the pivot rule of ``lin_solve``); ``(combination, residual)`` of
-    the first row reduced to ``0 = residual != 0``, or None."""
+def rational_elimination(system: LinSystem):
+    """Reference elimination on Fractions that updates every row's combination
+    at every step (the pivot rule of ``lin_solve``): ``(rows, rhs, comb,
+    pivot_of_col)``."""
     rows = [dict(r) for r in system.rows]
     rhs = list(system.rhs)
     comb = [{i: 1} for i in range(len(rows))]
-    pivot_rows = set()
+    pivot_of_col = {}
     for col in range(system.nvars):
-        cands = [rid for rid, row in enumerate(rows) if col in row and rid not in pivot_rows]
+        cands = [rid for rid, row in enumerate(rows)
+                 if col in row and rid not in pivot_of_col.values()]
         if not cands:
             continue
         piv = min(cands, key=lambda rid: (len(rows[rid]), rid))
-        pivot_rows.add(piv)
+        pivot_of_col[col] = piv
         for rid in cands:
             if rid == piv:
                 continue
@@ -134,23 +135,45 @@ def eager_certificate(system: LinSystem):
                     comb[rid][orig] = acc
                 else:
                     comb[rid].pop(orig, None)
+    return rows, rhs, comb, pivot_of_col
+
+
+def eager_certificate(system: LinSystem):
+    """``(combination, residual)`` of the first row the reference elimination
+    reduces to ``0 = residual != 0``, or None."""
+    rows, rhs, comb, pivot_of_col = rational_elimination(system)
     for rid, row in enumerate(rows):
-        if rid not in pivot_rows and not row and rhs[rid]:
+        if rid not in pivot_of_col.values() and not row and rhs[rid]:
             return comb[rid], rhs[rid]
     return None
 
 
+def rational_solution(system: LinSystem):
+    """``(values, pivot_columns)`` of the reference elimination, free
+    variables pinned to zero."""
+    rows, rhs, _, pivot_of_col = rational_elimination(system)
+    values = [Fraction(0)] * system.nvars
+    for col in sorted(pivot_of_col, reverse=True):
+        row = rows[pivot_of_col[col]]
+        acc = rhs[pivot_of_col[col]] - sum(v * values[c] for c, v in row.items() if c != col)
+        values[col] = Fraction(acc) / row[col]
+    return values, sorted(pivot_of_col)
+
+
+# integers and true fractions
+ENTRY = st.one_of(st.integers(-3, 3), st.builds(Fraction, st.integers(-3, 3), st.integers(2, 4)))
+
+
 @st.composite
 def inconsistent_systems(draw):
-    """A small random integer system with one row made inconsistent: a
-    combination of other rows with its right-hand side moved off."""
+    """A small random system with one row made inconsistent: a combination
+    of other rows with its right-hand side moved off."""
     nvars = draw(st.integers(1, 5))
-    entry = st.integers(-3, 3)
-    rows = draw(st.lists(st.tuples(st.lists(entry, min_size=nvars, max_size=nvars), entry),
+    rows = draw(st.lists(st.tuples(st.lists(ENTRY, min_size=nvars, max_size=nvars), ENTRY),
                          min_size=1, max_size=6))
-    weights = draw(st.lists(st.integers(-2, 2), min_size=len(rows), max_size=len(rows)))
+    weights = draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
     combined = [sum(w * row[c] for w, (row, _) in zip(weights, rows)) for c in range(nvars)]
-    shift = draw(st.integers(1, 3))
+    shift = draw(ENTRY.filter(bool))
     rows.append((combined, sum(w * b for w, (_, b) in zip(weights, rows)) + shift))
     order = draw(st.permutations(range(len(rows))))
     system = LinSystem(nvars=nvars)
@@ -168,3 +191,31 @@ def test_lazy_certificate_equals_eager_elimination(system):
     assert result.residual == residual
     assert result.combination == combination
     assert verify_certificate(system, result)
+
+
+@st.composite
+def consistent_systems(draw):
+    """A small random system ``A x = A x0``, with some rows repeated as
+    combinations of others so that it is rank deficient."""
+    nvars = draw(st.integers(1, 6))
+    x0 = draw(st.lists(ENTRY, min_size=nvars, max_size=nvars))
+    rows = draw(st.lists(st.lists(ENTRY, min_size=nvars, max_size=nvars), min_size=1,
+                         max_size=6))
+    for _ in range(draw(st.integers(0, 2))):
+        weights = draw(st.lists(ENTRY, min_size=len(rows), max_size=len(rows)))
+        rows.append([sum(w * row[c] for w, row in zip(weights, rows)) for c in range(nvars)])
+    system = LinSystem(nvars=nvars)
+    for row in rows:
+        system.add_row(dict(enumerate(row)), sum(v * x for v, x in zip(row, x0)))
+    return system
+
+
+@settings(max_examples=200, deadline=None)
+@given(consistent_systems())
+def test_solution_equals_rational_elimination(system):
+    result = lin_solve(system)
+    assert isinstance(result, Solution)
+    values, pivot_columns = rational_solution(system)
+    assert result.values == values
+    assert result.pivot_columns == pivot_columns
+    assert all(type(v) is int or v.denominator > 1 for v in result.values)

@@ -3,6 +3,7 @@ name from outside the package: every name it patches or reads must exist."""
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 from liequant.envelope import Envelope
@@ -10,6 +11,7 @@ from liequant.groups import FiniteGroup, GroupAction
 from liequant.hquant.core import CoproductSeries, ElSeries, MapSeries
 from liequant.hquant.gammaq import GammaQuantization
 from liequant.lie import LieAlgebra
+from liequant.linsolve import LinSystem, lin_solve
 from liequant.tensors import BasedSpace
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
@@ -42,3 +44,19 @@ def test_attributes_the_tracer_reads_exist():
     assert isinstance(env._straight, dict)
     assert isinstance(assembly._slot_cache, dict)
     assert callable(GammaQuantization._slot_product)
+
+
+def test_wrapped_signatures_are_fixed():
+    # the tracer's counting wrappers take exactly these parameters and read
+    # the system's rows (a list of dicts) and row count
+    def params(fn):
+        return list(inspect.signature(fn).parameters)
+
+    assert params(Envelope.k_mul) == ["self", "a", "b", "k"]
+    assert params(Envelope.straighten) == ["self", "word"]
+    assert params(GammaQuantization._slot_product) == ["self", "mg_a", "mg_b"]
+    assert params(lin_solve) == ["system"]
+    system = LinSystem(nvars=2)
+    system.add_row({0: 1, 1: 2}, 3)
+    assert isinstance(system.rows, list) and all(isinstance(r, dict) for r in system.rows)
+    assert system.nrows == 1
