@@ -107,39 +107,21 @@ class Envelope:
 
         Each operand is scaled to integers by the lcm of its denominators, so
         the products and sums run on ints; each output coefficient is divided
-        once, back under the scalar rule.  One and two legs (nearly every
-        call) have unrolled loops; more legs are multiplied one at a time."""
+        once, back under the scalar rule.  Each pair of terms is multiplied
+        leg by leg."""
         da, terms_a = _int_terms(a.data)
         db, terms_b = _int_terms(b.data)
         straighten = self.straighten
         acc: dict = {}
         get = acc.get
-        if k == 1:
-            for (ma,), ca in terms_a:
-                for (mb,), cb in terms_b:
-                    c0 = ca * cb
-                    for m, d in straighten(ma + mb).items():
-                        key = (m,)
-                        acc[key] = get(key, 0) + c0 * d
-        elif k == 2:
-            for (ma0, ma1), ca in terms_a:
-                for (mb0, mb1), cb in terms_b:
-                    c0 = ca * cb
-                    second = straighten(ma1 + mb1).items()
-                    for m0, d0 in straighten(ma0 + mb0).items():
-                        c1 = c0 * d0
-                        for m1, d1 in second:
-                            key = (m0, m1)
-                            acc[key] = get(key, 0) + c1 * d1
-        else:
-            for ka, ca in terms_a:
-                for kb, cb in terms_b:
-                    partial = [((), ca * cb)]
-                    for leg in range(k):
-                        legs = straighten(ka[leg] + kb[leg]).items()
-                        partial = [(key + (m,), c * d) for key, c in partial for m, d in legs]
-                    for key, c in partial:
-                        acc[key] = get(key, 0) + c
+        for ka, ca in terms_a:
+            for kb, cb in terms_b:
+                partial = [((), ca * cb)]
+                for leg in range(k):
+                    legs = straighten(ka[leg] + kb[leg]).items()
+                    partial = [(key + (m,), c * d) for key, c in partial for m, d in legs]
+                for key, c in partial:
+                    acc[key] = get(key, 0) + c
         out = El()
         out.data = _descaled(acc, da * db)
         return out

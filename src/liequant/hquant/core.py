@@ -79,12 +79,12 @@ class ElSeries:
         n = self.order
         out = []
         for k in range(n + 1):
-            acc = None
+            acc = El()
             for a in range(k + 1):
                 ca, cb = self.coeffs[a], other.coeffs[k - a]
                 if ca and cb:
-                    acc = _plus(acc, self.alg.k_mul(ca, cb, self.arity))
-            out.append(El() if acc is None else acc)
+                    acc = acc + self.alg.k_mul(ca, cb, self.arity)
+            out.append(acc)
         return ElSeries(self.alg, self.arity, out)
 
     def inverse(self) -> "ElSeries":
@@ -143,7 +143,7 @@ def _splice(out: El, el: El, leg: int, image) -> El:
 
 
 def _plus(a: El | None, b: El | None) -> El | None:
-    """Sum of two elements (tangents, or partial sums), None standing for zero."""
+    """Sum of two tangents, None standing for zero."""
     return b if a is None else a if b is None else a + b
 
 

@@ -67,7 +67,7 @@ def naive_k_mul(env: Envelope, a: El, b: El, k: int) -> dict:
 @st.composite
 def k_mul_operands(draw):
     env = ENVS[draw(st.sampled_from(sorted(ENVS)))]
-    k = draw(st.sampled_from([1, 2]))
+    k = draw(st.sampled_from([1, 2, 3]))
     mon = st.lists(st.integers(0, env.dim - 1), max_size=3).map(lambda m: tuple(sorted(m)))
     element = st.dictionaries(st.tuples(*[mon] * k), COEFFICIENT, max_size=4).map(El)
     return env, draw(element), draw(element), k

@@ -252,6 +252,9 @@ def test_v_cartan_pair(sl2_setup, sequential_gauge):
     f = catalog.sl2_cartan_twist()
     f_prime = catalog.sl2_cartan_involution().apply_tensor(f)
     # in the joint twist-pair gauge this pair composes strictly (v = 1)
+    joint = solve_pair(bialg, f, f_prime, 2, env=env)
+    assert composition_relation_defect(joint).is_zero()
+    assert joint.v == ElSeries.unit(env, 1, 2)
     with sequential_gauge():
         pair = solve_pair(bialg, f, f_prime, 2, env=env)
     assert composition_relation_defect(pair).is_zero()
