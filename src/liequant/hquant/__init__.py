@@ -7,13 +7,13 @@ from .gammaq import (ComparisonWitness, GammaQuantization, assemble_gamma_quanti
 from .pipeline import (TwistPairData, TwistTripleData, gamma_v_cocycle_defects,
                        gauge_transform, solve_pair, solve_triple)
 from .solvers import (GaugeLog, coassoc_defect, cocycle_defect, solve_composition_v,
-                      solve_coproduct, solve_iso, solve_j_conjugator, solve_twist_f,
+                      solve_coproduct, solve_j_conjugator, solve_twist_pair,
                       twisted_coproduct, v_cocycle_defect)
 
 __all__ = [
     "CoproductSeries", "ElSeries", "MapSeries",
-    "GaugeLog", "solve_coproduct", "solve_j_conjugator", "solve_twist_f",
-    "solve_iso", "solve_composition_v", "coassoc_defect", "cocycle_defect",
+    "GaugeLog", "solve_coproduct", "solve_j_conjugator", "solve_twist_pair",
+    "solve_composition_v", "coassoc_defect", "cocycle_defect",
     "twisted_coproduct", "v_cocycle_defect",
     "TwistPairData", "TwistTripleData", "solve_pair", "solve_triple",
     "gauge_transform", "gamma_v_cocycle_defects",

@@ -380,30 +380,6 @@ class AlgebraMapSeries:
         self._ext[m] = result
         return result
 
-    def apply(self, el: El) -> ElSeries:
-        """Map a plain element to its image series."""
-        out = [El() for _ in range(self.order + 1)]
-        for (m,), c in el.data.items():
-            for k, img in enumerate(self.ext_mon(m)):
-                if img:
-                    out[k] = out[k] + c * img
-        return ElSeries(self.env, self.arity, out)
-
-    def apply_series(self, s: ElSeries) -> ElSeries:
-        """Map an arity-1 series, truncated at its order."""
-        if isinstance(s, DualSeries):
-            return self.apply_leg(s, 0)
-        out = [El() for _ in range(s.order + 1)]
-        for b, coeff in enumerate(s.coeffs):
-            if not coeff:
-                continue
-            for (m,), c in coeff.data.items():
-                ext = self.ext_mon(m)
-                for a in range(s.order + 1 - b):
-                    if ext[a]:
-                        out[a + b] = out[a + b] + c * ext[a]
-        return ElSeries(self.env, self.arity, out)
-
     def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
         """Map one leg of a series: the image key is spliced in place of the leg."""
         if isinstance(s, DualSeries):
@@ -467,7 +443,7 @@ class MapSeries(AlgebraMapSeries):
         """self ∘ other."""
         tables: list[dict[int, El]] = [{} for _ in range(self.order + 1)]
         for i in range(self.env.dim):
-            image = self.apply_series(other.gen_series(i))
+            image = self.apply_leg(other.gen_series(i), 0)
             for k, el in enumerate(image.coeffs):
                 if el:
                     tables[k][i] = el
@@ -507,9 +483,9 @@ class MapSeries(AlgebraMapSeries):
                 for b in range(1, k + 1):
                     src = self.tables[b].get(j)
                     if src:
-                        img = inv.apply(src)
-                        if img.coeffs[k - b]:
-                            acc = acc + img.coeffs[k - b]
+                        img = inv.apply_leg(ElSeries.constant(env, 1, k - b, src), 0)[k - b]
+                        if img:
+                            acc = acc + img
                 rhs.append(-acc)
             for i in range(n):
                 el = El()

@@ -422,7 +422,7 @@ def _align_family_order(env: Envelope, g_bialg, t_map, composed, v_coeffs, pairs
                         continue
                     coherence[(g, h, l)] = v_cocycle_defect(
                         env, v(gh, l), v(g, h), v(g, hl),
-                        t_map[g].apply_series(v(h, l)))[m]
+                        t_map[g].apply_leg(v(h, l), 0))[m]
         return blocks(conjugation, coherence)
 
     primitives = [((i,),) for i in range(n)]

@@ -1,10 +1,10 @@
 """End-to-end orchestration for twist pairs, triples and gauge moves.
 
 These drivers wire the individual solvers together in a fixed order so that
-runs are reproducible: base coproduct first, twists with pinned first-order
-coefficients, intertwiners against freshly solved targets, then composition
-elements.  The intertwiner of a composed twist is *defined* by the
-composition formula once the composition element is solved; the
+runs are reproducible: the coproducts first, then each twist jointly with its
+intertwiner onto a freshly solved target (``solve_twist_pair``), then the
+composition elements.  The intertwiner of a composed twist is *defined* by
+the composition formula once the composition element is solved; the
 independently solved one is kept for comparison and the replacement is
 recorded in the gauge log.
 """
@@ -20,7 +20,7 @@ from ..tensors import Tensor
 from ..twists import compose_twists, twist
 from .core import CoproductSeries, ElSeries, MapSeries
 from .solvers import (GaugeLog, iso_intertwine_defect, solve_composition_v, solve_coproduct,
-                      solve_twist_f, solve_twist_pair, twisted_coproduct, v_cocycle_defect)
+                      solve_twist_pair, twisted_coproduct, v_cocycle_defect)
 
 
 @dataclass
@@ -98,7 +98,7 @@ def gauge_transform(cop: CoproductSeries, f_series: ElSeries, iso: MapSeries,
     solution; the invariant tests re-verify the cocycle and intertwining
     defects of the transformed pair.
     """
-    f_new = u.tensor(u).mul(f_series).mul(cop.apply_series(u).inverse())
+    f_new = u.tensor(u).mul(f_series).mul(cop.apply_leg(u, 0).inverse())
     i_new = iso.compose(twisted_coproduct(MapSeries.identity(cop.env, u.order), u.inverse()))
     return f_new, i_new
 
@@ -116,7 +116,7 @@ def gamma_v_cocycle_defects(assembly) -> dict:
         for h in grp.elements():
             for l in grp.elements():
                 gh, hl = grp.mul(g, h), grp.mul(h, l)
-                moved = assembly.t_map[g].apply_series(assembly.v_map[(h, l)])
+                moved = assembly.t_map[g].apply_leg(assembly.v_map[(h, l)], 0)
                 defect = v_cocycle_defect(env, assembly.v_map[(gh, l)],
                                           assembly.v_map[(g, h)],
                                           assembly.v_map[(g, hl)], moved)
@@ -138,7 +138,7 @@ class TwistTripleData:
     log: GaugeLog
 
     def cocycle_defect(self) -> ElSeries:
-        pulled = self.pair_first.iso_f.inverse().apply_series(self.v_twisted)
+        pulled = self.pair_first.iso_f.inverse().apply_leg(self.v_twisted, 0)
         return v_cocycle_defect(self.env, self.v_total_second, self.pair_first.v,
                                 self.v_first_merged, pulled)
 
@@ -150,7 +150,8 @@ def solve_triple(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, f_second: Tens
 
     The construction order is fixed: the (f, f') pair first; then the
     remaining towers reuse its solved objects so that all four elements are
-    built against the same gauge choices.
+    built against the same gauge choices.  The three composite twists all
+    end at the (f+f'+f'')-twist, so they share one solved target coproduct.
     """
     env = env or Envelope(bialg.lie)
     log = log or GaugeLog()
@@ -158,12 +159,15 @@ def solve_triple(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, f_second: Tens
     pair = solve_pair(bialg, f, f_prime, order, env=env, log=log, cap=cap)
     b_f = twist(bialg, f, check=False)
     b_total = twist(bialg, f + f_prime, check=False)
+    f_all = f + f_prime + f_second
+    cop_all = solve_coproduct(twist(bialg, f_all, check=False), order, env, log, cap=cap)
 
     # quantized twists of the three composite objects
-    f_all_base = solve_twist_f(bialg, pair.cop, f + f_prime + f_second, order,
-                               log=log, cap=cap)
-    f2_total = solve_twist_f(b_total, pair.cop_total, f_second, order, log=log, cap=cap)
-    f_merged = solve_twist_f(b_f, pair.cop_f, f_prime + f_second, order, log=log, cap=cap)
+    f_all_base, _ = solve_twist_pair(bialg, pair.cop, f_all, cop_all, order, log=log, cap=cap)
+    f2_total, _ = solve_twist_pair(b_total, pair.cop_total, f_second, cop_all, order,
+                                   log=log, cap=cap)
+    f_merged, _ = solve_twist_pair(b_f, pair.cop_f, f_prime + f_second, cop_all, order,
+                                   log=log, cap=cap)
 
     # v(a, f+f', f'')  -- uses the aligned i(a, f+f')
     v_total_second = solve_composition_v(

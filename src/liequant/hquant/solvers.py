@@ -355,7 +355,7 @@ def iso_intertwine_defect(src: CoproductSeries, dst: CoproductSeries,
     out = {}
     for i in range(env.dim):
         left = iso.apply_all_legs(src.gen_series(i))
-        right = dst.apply_series(iso.gen_series(i))
+        right = dst.apply_leg(iso.gen_series(i), 0)
         diff = left - right
         if not diff.is_zero():
             out[i] = diff
@@ -402,82 +402,28 @@ def _check_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
                              for i, el in table.items() if (c := iso.env.counit(el))}}, "iso")
 
 
-def _solve_twist(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
-                 log: GaugeLog, cap: int | None,
-                 seed_order: int | None) -> tuple[ElSeries, CoproductSeries]:
-    """F for the classical twist f, and the twisted coproduct Ad(F)∘cop."""
-    defect = twist_defect(bialg, f)
-    if not defect.is_zero():
-        raise MathDefectError("classical twist defect is nonzero", defect)
-    env = cop.env
-    if cop.order < order:
-        raise ValueError("base coproduct truncated below the requested order")
-    coeffs = [env.unit(2)]
-    if order >= 1:
-        coeffs.append(_half(env, f))
-        _verify_zero(twist_defects(cop.truncated(1), ElSeries(env, 2, coeffs), f),
-                     "order-1 twist")
-        log.records.append(SolveRecord("twist-F", 1, "pinned f/2", 0, 0, "pinned"))
-
-    columns = Columns()
-    for k in range(2, order + 1):
-
-        def defect(top, n, slot):
-            return blocks(*_twist_rows(cop, candidate(env, 2, coeffs, n, top, "F")))
-
-        supports = _support_ladder(env, cap, (["F"], _pair_rungs(k)))
-        solved = _solve_with_supports("twist-F", k, supports,
-                                      LinearisedDefect(defect, k, columns), log, seed_order)
-        coeffs.append(solved["F"])
-
-    f_series = ElSeries(env, 2, coeffs)
-    return f_series, _check_twist(bialg, cop, f, f_series)
-
-
-def solve_twist_f(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, order: int,
-                  log: GaugeLog | None = None, cap: int | None = None,
-                  seed_order: int | None = None) -> ElSeries:
-    """Quantized twist F = 1 + h f/2 + ... for a classical twist f."""
-    return _solve_twist(bialg, cop, f, order, log or GaugeLog(), cap, seed_order)[0]
-
-
-def solve_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
-              order: int, log: GaugeLog | None = None, cap: int | None = None,
-              seed_order: int | None = None) -> MapSeries:
-    """Algebra automorphism (identity at order 0) carrying src onto dst."""
-    env = src.env
-    log = log or GaugeLog()
-    tables: list[dict[int, El]] = list(MapSeries.identity(env, 0).tables)
-
-    columns = Columns()
-    for k in range(1, order + 1):
-
-        def defect(top, n, slot):
-            return blocks(*_iso_rows(bialg, src, dst, candidate_map(MapSeries, env, tables, n, top)))
-
-        supports = _support_ladder(env, cap, (range(env.dim), [k + 1, 2 * k + 1]))
-        solved = _solve_with_supports("iso-i", k, supports,
-                                      LinearisedDefect(defect, k, columns), log, seed_order)
-        tables.append({i: el for i, el in solved.items() if el})
-
-    iso = MapSeries(env, order, tables)
-    _check_iso(bialg, src, dst, iso)
-    return iso
-
-
 def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
                      dst: CoproductSeries, order: int, log: GaugeLog | None = None,
                      cap: int | None = None,
                      seed_order: int | None = None) -> tuple[ElSeries, MapSeries]:
-    """(F, i) for one twist with a prescribed target coproduct.
+    """(F, i) for the classical twist f: the quantized twist F = 1 + h f/2 + ...
+    of ``cop``, and the algebra automorphism i (identity at order 0) carrying
+    the twisted coproduct Ad(F)∘cop onto ``dst``.
 
     F and i are solved jointly, order by order from order 1: F's order-k
     coefficient is chosen together with i's, so its gauge is the one an
     intertwiner onto ``dst`` exists for.  (Solving F first and i after it can
-    leave no intertwiner at all: on sl2 with the Cartan twist the sequential
-    iso system is inconsistent at order 3.)  The closing checks are those of
-    :func:`solve_twist_f` and :func:`solve_iso`.
+    leave no intertwiner at all: on sl2 with the Cartan twist that i system
+    is inconsistent at order 3.)  A nonzero classical twist defect of ``f``
+    raises :class:`MathDefectError`, and ``cop`` truncated below ``order``
+    raises ``ValueError``.  The pair closes with F's checks (``_check_twist``)
+    and i's (``_check_iso``).
     """
+    defect = twist_defect(bialg, f)
+    if not defect.is_zero():
+        raise MathDefectError("classical twist defect is nonzero", defect)
+    if cop.order < order:
+        raise ValueError("base coproduct truncated below the requested order")
     env = cop.env
     log = log or GaugeLog()
     coeffs = [env.unit(2), _half(env, f)]
@@ -520,9 +466,12 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
                         seed_order: int | None = None) -> ElSeries:
     """v with F(f+f') = v^{⊗2} (i^{⊗2})^{-1}(F(a_f,f')) F(f) Delta(v)^{-1}.
 
-    The inputs are the already-solved twist series; inconsistency here is an
-    internal error by the composition theorems, so the certificate is
-    converted into one after the ladder is exhausted.  ``lower`` fixes the
+    The inputs are the already-solved twist series.  Each order pins the
+    free part of its coefficient (the primitive part, which the relation at
+    that order does not see) to zero, so a v that exists can still be out of
+    reach: when no order-k coefficient extends the orders solved below k, the
+    exhausted ladder's certificate is converted into an
+    :class:`InternalCheckError` that says so.  ``lower`` fixes the
     already-aligned coefficients and restricts the solve to the new orders.
     """
     log = log or GaugeLog()
@@ -542,7 +491,7 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
                                           LinearisedDefect(defect, k, columns), log, seed_order)
         except SolverInconsistencyError as exc:
             raise InternalCheckError(
-                f"composition element does not exist at order {k}: {exc}") from exc
+                f"no composition element extends the orders solved below {k}: {exc}") from exc
         coeffs.append(solved["v"])
 
     v = ElSeries(env, 1, coeffs)
@@ -555,7 +504,7 @@ def composition_defect(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeri
                        f_first: ElSeries, cop: CoproductSeries, v: ElSeries) -> ElSeries:
     """F(f+f') - v^{⊗2} G Delta(v)^{-1}, G = F(f') pulled back times F(f)."""
     g = f_second_pulled.mul(f_first)
-    return f_total - v.tensor(v).mul(g).mul(cop.apply_series(v).inverse())
+    return f_total - v.tensor(v).mul(g).mul(cop.apply_leg(v, 0).inverse())
 
 
 def v_cocycle_defect(env: Envelope, v_total_second: ElSeries, v_pair: ElSeries,

@@ -20,7 +20,7 @@ from liequant.hquant.solvers import (GaugeLog, algebra_compat_defect, coassoc_de
                                      classical_limit_defect, cocycle_defect,
                                      composition_defect, counit_defect,
                                      iso_intertwine_defect, solve_coproduct,
-                                     solve_j_conjugator, solve_twist_f, twist_counit_defect,
+                                     solve_j_conjugator, solve_twist_pair, twist_counit_defect,
                                      twisted_coproduct)
 from liequant.lie import (LieAlgebra, LieBialgebra, cocycle_defect as classical_cocycle,
                           cojacobi_defect, cybe_defect, drinfeld_double, invariance_defect,
@@ -178,8 +178,10 @@ def test_criterion_6_quantization_solvers():
         # additional twists: the e∧h twist on sl2 and an abelian pair
         eh = Tensor((bialg.space, bialg.space), {(0, 2): 1, (2, 0): -1})
         cop = pair.cop
-        feh = solve_twist_f(bialg, cop, eh, 2)
+        cop_eh = solve_coproduct(twist(bialg, eh), 2, env)
+        feh, ieh = solve_twist_pair(bialg, cop, eh, cop_eh, 2)
         assert cocycle_defect(cop, feh).is_zero()
+        assert not iso_intertwine_defect(twisted_coproduct(cop, feh), cop_eh, ieh)
         ab = catalog.abelian(2)
         fa = Tensor((ab.space, ab.space), {(0, 1): 1, (1, 0): -1})
         fb = Tensor((ab.space, ab.space), {(0, 1): "1/2", (1, 0): "-1/2"})

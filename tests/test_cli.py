@@ -329,8 +329,7 @@ def test_solver_failure_reports_the_checked_certificate(capsys):
     from liequant.cli import _solver_failure
     from liequant.envelope import Envelope
     from liequant.errors import SolverInconsistencyError
-    from liequant.hquant.solvers import (GaugeLog, solve_coproduct, solve_iso, solve_twist_f,
-                                         twisted_coproduct)
+    from liequant.hquant.solvers import GaugeLog, solve_coproduct, solve_twist_pair
     from liequant.linsolve import verify_certificate
 
     # the Cartan-twisted and the untwisted sl2 coproducts differ in their
@@ -338,10 +337,9 @@ def test_solver_failure_reports_the_checked_certificate(capsys):
     bialg = catalog.sl2()
     env = Envelope(bialg.lie)
     cop = solve_coproduct(bialg, 1, env)
-    twisted = twisted_coproduct(cop, solve_twist_f(bialg, cop, catalog.sl2_cartan_twist(), 1))
     log = GaugeLog()
     with pytest.raises(SolverInconsistencyError) as info:
-        solve_iso(bialg, twisted, cop, 1, log=log)
+        solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), cop, 1, log=log)
     cert = info.value.certificate
     assert _solver_failure({}, Namespace(format="json"), info.value, log) == 4
     report = json.loads(capsys.readouterr().out)

@@ -12,6 +12,8 @@ from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization, _scale
                                     classical_limit_check, compare_pipelines,
                                     quasitriangular_gamma_quantize)
 from liequant.hquant.pipeline import gamma_v_cocycle_defects
+from liequant.hquant.solvers import twisted_coproduct
+from liequant.sparse import El
 from liequant.tensors import q
 
 Q = Fraction
@@ -95,33 +97,32 @@ def test_direct_trivial_group_reduces_to_plain_quantization():
 
 
 @pytest.fixture(scope="module")
-def forced_unit(sequential_gauge):
-    """The flagship with its (non-trivial) composition elements replaced by 1.
+def conjugated_units(flagship):
+    """The flagship with each non-identity transport conjugated by
+    u = 1 + h x0 and every composition element replaced by 1.
 
-    It is assembled in the sequential twist-pair gauge: in the joint gauge of
-    the assembly its transports compose strictly (T_g T_g = id), so units
-    would break only compatibility."""
-    fam = catalog.gamma_family("sl2-cartan-z2")
-    env = Envelope(fam.bialgebra.lie)
-    with sequential_gauge():
-        generic = assemble_gamma_quantization(fam, 2, env=env)
-    assert bialgebra_axiom_defects(generic, 1).all_zero
-    assert any(any(s.coeffs[k] for k in (1, 2)) for s in generic.v_map.values())
-    trivial_v = {pair: ElSeries.unit(env, 1, 2) for pair in generic.v_map}
-    return GammaQuantization(env, generic.action, generic.cop, generic.f_map,
-                             generic.t_map, trivial_v, 2)
+    The flagship's transports compose strictly (T_g T_g = id), so units in
+    place of its composition elements alone break only compatibility; the
+    conjugated transports no longer compose strictly, so associativity
+    breaks too."""
+    fam, env, generic = flagship
+    u = ElSeries(env, 1, [env.unit(1), El.term(((0,),)), El()])
+    t_map = {g: t if t.is_identity() else twisted_coproduct(t, u)
+             for g, t in generic.t_map.items()}
+    units = {pair: ElSeries.unit(env, 1, 2) for pair in generic.v_map}
+    return GammaQuantization(env, generic.action, generic.cop, generic.f_map, t_map, units, 2)
 
 
-def test_forced_unit_composition_breaks_associativity(forced_unit):
+def test_conjugated_transports_with_unit_compositions_break_associativity(conjugated_units):
     # counts recorded with the unscaled checks: scaling may not hide a defect
-    report = bialgebra_axiom_defects(forced_unit, 1)
-    assert report.summary() == {"associativity": 64, "unit": 0, "coassociativity": 0,
-                                "counit": 0, "compatibility": 16, "grading": 0}
+    report = bialgebra_axiom_defects(conjugated_units, 1)
+    assert report.summary() == {"associativity": 96, "unit": 0, "coassociativity": 0,
+                                "counit": 0, "compatibility": 24, "grading": 0}
 
 
-def test_fused_checks_match_plain_products(forced_unit):
+def test_fused_checks_match_plain_products(conjugated_units):
     # the scaled one-pass checks report exactly the defects of the plain products
-    assembly = forced_unit
+    assembly = conjugated_units
     report = bialgebra_axiom_defects(assembly, 1)
     basis = assembly.basis_up_to(1)
     s = {a: assembly.basis_series(*a) for a in basis}

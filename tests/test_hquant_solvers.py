@@ -9,14 +9,14 @@ import pytest
 
 from liequant import catalog
 from liequant.envelope import Envelope
-from liequant.errors import MathDefectError, SolverInconsistencyError
+from liequant.errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from liequant.hquant.core import CoproductSeries, ElSeries, MapSeries
 from liequant.hquant.pipeline import gauge_transform, solve_pair, solve_triple
 from liequant.hquant.solvers import (GaugeLog, algebra_compat_defect, classical_limit_defect,
                                      coassoc_defect, cocycle_defect, composition_defect,
                                      counit_defect, iso_intertwine_defect,
-                                     solve_composition_v, solve_coproduct, solve_iso,
-                                     solve_j_conjugator, solve_twist_f, twist_counit_defect,
+                                     solve_composition_v, solve_coproduct,
+                                     solve_j_conjugator, solve_twist_pair, twist_counit_defect,
                                      twisted_coproduct, _solve_with_supports)
 from liequant.hquant.unknowns import LinearisedDefect, blocks
 from liequant.lie import LieBialgebra
@@ -41,6 +41,16 @@ def sl2_setup():
     env = Envelope(bialg.lie)
     cop = solve_coproduct(bialg, 2, env)
     return bialg, env, cop
+
+
+@pytest.fixture(scope="module")
+def cartan_pair(sl2_setup):
+    """(F, i) of the sl2 Cartan twist onto the solved coproduct of the twist."""
+    bialg, env, cop = sl2_setup
+    f = catalog.sl2_cartan_twist()
+    cop_f = solve_coproduct(twist(bialg, f), 2, env)
+    f_series, iso = solve_twist_pair(bialg, cop, f, cop_f, 2)
+    return f, cop_f, f_series, iso
 
 
 def test_trivial_cobracket_keeps_coproduct_undeformed():
@@ -138,7 +148,7 @@ def test_j_sl2(sl2_setup):
 
 def test_twist_f_zero(sl2_setup):
     bialg, env, cop = sl2_setup
-    f_series = solve_twist_f(bialg, cop, Tensor.zero((bialg.space,) * 2), 2)
+    f_series, _ = solve_twist_pair(bialg, cop, Tensor.zero((bialg.space,) * 2), cop, 2)
     assert f_series == ElSeries.unit(env, 2, 2)
 
 
@@ -147,7 +157,7 @@ def test_twist_f_abelian_exact():
     env = Envelope(ab.lie)
     cop = solve_coproduct(ab, 2, env)
     f = Tensor((ab.space, ab.space), {(0, 1): 1, (1, 0): -1})
-    f_series = solve_twist_f(ab, cop, f, 2)
+    f_series, _ = solve_twist_pair(ab, cop, f, cop, 2)
     assert f_series.coeffs[1] == Fraction(1, 2) * env.embed_tensor(f)
     assert cocycle_defect(cop, f_series).is_zero()
     # abelian oracle: F = 1 + h f/2 + h^2 f^2/8 solves exactly (commutative
@@ -159,10 +169,9 @@ def test_twist_f_abelian_exact():
     assert (oracle - f_series).coeffs[1].is_zero()
 
 
-def test_twist_f_cartan(sl2_setup):
+def test_twist_f_cartan(sl2_setup, cartan_pair):
     bialg, env, cop = sl2_setup
-    f = catalog.sl2_cartan_twist()
-    f_series = solve_twist_f(bialg, cop, f, 2)
+    f, _, f_series, _ = cartan_pair
     assert cocycle_defect(cop, f_series).is_zero()
     assert not twist_counit_defect(env, f_series)
     one = f_series.coeffs[1]
@@ -173,20 +182,25 @@ def test_twist_f_rejects_nontwist(sl2_setup):
     bialg, env, cop = sl2_setup
     bad = Tensor((bialg.space, bialg.space), {(0, 1): 1, (1, 0): -1})
     with pytest.raises(MathDefectError):
-        solve_twist_f(bialg, cop, bad, 2)
+        solve_twist_pair(bialg, cop, bad, cop, 2)
 
 
-def test_twisted_coproduct_classical_limit(sl2_setup):
+def test_twist_pair_rejects_a_truncated_base(sl2_setup):
     bialg, env, cop = sl2_setup
-    f = catalog.sl2_cartan_twist()
-    f_series = solve_twist_f(bialg, cop, f, 2)
+    with pytest.raises(ValueError, match="truncated"):
+        solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), cop, 3)
+
+
+def test_twisted_coproduct_classical_limit(sl2_setup, cartan_pair):
+    bialg, env, cop = sl2_setup
+    f, _, f_series, _ = cartan_pair
     tw = twisted_coproduct(cop, f_series)
     assert not classical_limit_defect(twist(bialg, f), tw)
 
 
 def test_iso_identity_for_zero_twist(sl2_setup):
     bialg, env, cop = sl2_setup
-    iso = solve_iso(bialg, cop, cop, 2)
+    _, iso = solve_twist_pair(bialg, cop, Tensor.zero((bialg.space,) * 2), cop, 2)
     assert iso.is_identity()
 
 
@@ -195,31 +209,24 @@ def test_iso_abelian_identity():
     env = Envelope(ab.lie)
     cop = solve_coproduct(ab, 2, env)
     f = Tensor((ab.space, ab.space), {(0, 1): 1, (1, 0): -1})
-    f_series = solve_twist_f(ab, cop, f, 2)
-    iso = solve_iso(ab, twisted_coproduct(cop, f_series), cop, 2)
+    _, iso = solve_twist_pair(ab, cop, f, cop, 2)
     assert iso.is_identity()
 
 
-def test_iso_cartan(sl2_setup):
+def test_iso_cartan(sl2_setup, cartan_pair):
     bialg, env, cop = sl2_setup
-    f = catalog.sl2_cartan_twist()
-    f_series = solve_twist_f(bialg, cop, f, 2)
-    cop_f = solve_coproduct(twist(bialg, f), 2, env)
-    iso = solve_iso(bialg, twisted_coproduct(cop, f_series), cop_f, 2)
+    _, cop_f, f_series, iso = cartan_pair
     assert not iso_intertwine_defect(twisted_coproduct(cop, f_series), cop_f, iso)
     inv = iso.inverse()
     assert iso.compose(inv).is_identity()
     assert inv.compose(iso).is_identity()
 
 
-def test_iso_product_intertwining_automatic(sl2_setup):
+def test_iso_product_intertwining_automatic(sl2_setup, cartan_pair):
     # both sides carry the undeformed product, so the extension of i is an
     # algebra map by construction; check it on sample monomials
     bialg, env, cop = sl2_setup
-    f = catalog.sl2_cartan_twist()
-    f_series = solve_twist_f(bialg, cop, f, 2)
-    cop_f = solve_coproduct(twist(bialg, f), 2, env)
-    iso = solve_iso(bialg, twisted_coproduct(cop, f_series), cop_f, 2)
+    iso = cartan_pair[3]
     for m1 in env.mons_up_to(2):
         for m2 in env.mons_up_to(1):
             prod = env.mul_mon(m1, m2)
@@ -247,24 +254,49 @@ def test_v_abelian_is_unit():
     assert composition_relation_defect(pair).is_zero()
 
 
-def test_v_cartan_pair(sl2_setup, sequential_gauge):
-    bialg, env, cop = sl2_setup
+@pytest.fixture(scope="module")
+def cartan_tower(sl2_setup):
+    """The solved pair (f, f') of the sl2 Cartan twist and its pushforward."""
+    bialg, env, _ = sl2_setup
     f = catalog.sl2_cartan_twist()
-    f_prime = catalog.sl2_cartan_involution().apply_tensor(f)
+    return solve_pair(bialg, f, catalog.sl2_cartan_involution().apply_tensor(f), 2, env=env)
+
+
+def test_v_cartan_pair(sl2_setup, cartan_tower):
+    bialg, env, cop = sl2_setup
+    pair = cartan_tower
     # in the joint twist-pair gauge this pair composes strictly (v = 1)
-    joint = solve_pair(bialg, f, f_prime, 2, env=env)
-    assert composition_relation_defect(joint).is_zero()
-    assert joint.v == ElSeries.unit(env, 1, 2)
-    with sequential_gauge():
-        pair = solve_pair(bialg, f, f_prime, 2, env=env)
     assert composition_relation_defect(pair).is_zero()
-    # nontrivial fixture: the composition element is not the unit
-    assert any(pair.v.coeffs[k] for k in (1, 2))
-    # counit normalization per order
-    assert all(env.counit(c) == 0 for c in pair.v.coeffs[1:])
+    assert pair.v == ElSeries.unit(env, 1, 2)
     # the aligned intertwiner is an intertwiner
     assert not iso_intertwine_defect(
         twisted_coproduct(cop, pair.f_total_series), pair.cop_total, pair.iso_total)
+    # a gauge move w of the first twist makes the composition element w^{-1}
+    w = ElSeries(env, 1, [env.unit(1), El(), El({((0, 1),): Q(1, 2)})])
+    f_w, iso_w = gauge_transform(cop, pair.f_series, pair.iso_f, w)
+    pulled = iso_w.inverse().apply_all_legs(pair.f_prime_series)
+    v = solve_composition_v(env, pair.f_total_series, pulled, f_w, cop, 2)
+    assert v == w.inverse()
+    assert v.coeffs[2] == El({((0, 1),): Q(-1, 2)})
+    # counit normalization per order
+    assert all(env.counit(c) == 0 for c in v.coeffs[1:])
+    assert composition_defect(env, pair.f_total_series, pulled, f_w, cop, v).is_zero()
+
+
+def test_composition_v_can_miss_an_element_that_exists(sl2_setup, cartan_tower):
+    # an order-1 gauge move w = 1 + h x0 of the first twist: v = w^{-1}
+    # satisfies the composition relation, but the solve pins the free
+    # primitive part of v_1 to zero, and no order-2 coefficient extends that
+    bialg, env, cop = sl2_setup
+    pair = cartan_tower
+    w = ElSeries(env, 1, [env.unit(1), El.term(((0,),)), El()])
+    f_w, iso_w = gauge_transform(cop, pair.f_series, pair.iso_f, w)
+    pulled = iso_w.inverse().apply_all_legs(pair.f_prime_series)
+    assert composition_defect(env, pair.f_total_series, pulled, f_w, cop,
+                              w.inverse()).is_zero()
+    with pytest.raises(InternalCheckError,
+                       match="no composition element extends the orders solved below 2"):
+        solve_composition_v(env, pair.f_total_series, pulled, f_w, cop, 2)
 
 
 def test_pair_eh_tower(sl2_setup):
@@ -276,12 +308,9 @@ def test_pair_eh_tower(sl2_setup):
     assert composition_relation_defect(pair).is_zero()
 
 
-def test_gauge_invariance_of_defects(sl2_setup):
+def test_gauge_invariance_of_defects(sl2_setup, cartan_pair):
     bialg, env, cop = sl2_setup
-    f = catalog.sl2_cartan_twist()
-    f_series = solve_twist_f(bialg, cop, f, 2)
-    cop_f = solve_coproduct(twist(bialg, f), 2, env)
-    iso = solve_iso(bialg, twisted_coproduct(cop, f_series), cop_f, 2)
+    _, cop_f, f_series, iso = cartan_pair
     u = ElSeries(env, 1, [
         env.unit(1),
         El({((0,),): Q(1, 3), ((2,),): Q(-1)}),
@@ -341,9 +370,7 @@ def test_support_ladder_repeats_the_last_rung_of_a_shorter_part(sl2_setup):
 
 def test_joint_twist_pair_fallback(sl2_setup):
     # the joint per-order solve is the only twist-pair route; its output must
-    # satisfy the same exact postconditions as the separate F and i solves
-    from liequant.hquant.solvers import solve_twist_pair
-
+    # satisfy the exact postconditions of F and of i
     bialg, env, cop = sl2_setup
     f = catalog.sl2_cartan_twist()
     target = cop.pushforward(catalog.sl2_cartan_involution())
@@ -370,19 +397,16 @@ def test_map_series_inverse_with_linear_order0():
     assert inv.compose(theta).is_identity()
 
 
-def test_order3_boundary_on_sl2_is_an_honest_certificate():
-    """At truncation order 3 the independently pinned intertwiner system for
-    the sl2 Cartan twist is genuinely inconsistent (a gauge-class separation,
-    stable under cap escalation); the solver must report it as a certificate
-    with the cap hint rather than silently relaxing anything.  Higher orders
-    remain available on the abelian and solvable examples."""
+def test_order3_cartan_twist_pair_is_solved_jointly():
+    """At truncation order 3 an intertwiner of the sl2 Cartan twist onto the
+    solved twisted coproduct exists only for some gauges of F (the gauge a
+    separate F solve picks has none), so F and i are solved jointly; the
+    joint solve finds both."""
     bialg = catalog.sl2()
     env = Envelope(bialg.lie)
     cop = solve_coproduct(bialg, 3, env)
     f = catalog.sl2_cartan_twist()
-    f_series = solve_twist_f(bialg, cop, f, 3)
     cop_f = solve_coproduct(twist(bialg, f), 3, env)
-    with pytest.raises(SolverInconsistencyError) as info:
-        solve_iso(bialg, twisted_coproduct(cop, f_series), cop_f, 3)
-    assert "degree-cap" in str(info.value)
-    assert info.value.certificate is not None
+    f_series, iso = solve_twist_pair(bialg, cop, f, cop_f, 3)
+    assert cocycle_defect(cop, f_series).is_zero()
+    assert not iso_intertwine_defect(twisted_coproduct(cop, f_series), cop_f, iso)
