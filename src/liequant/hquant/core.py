@@ -76,16 +76,9 @@ class ElSeries:
         if isinstance(other, DualSeries):
             return other.lift(self).mul(other)
         self._check(other)
-        n = self.order
-        out = []
-        for k in range(n + 1):
-            acc = El()
-            for a in range(k + 1):
-                ca, cb = self.coeffs[a], other.coeffs[k - a]
-                if ca and cb:
-                    acc = acc + self.alg.k_mul(ca, cb, self.arity)
-            out.append(acc)
-        return ElSeries(self.alg, self.arity, out)
+        return ElSeries(self.alg, self.arity,
+                        [product_coeff(self.alg, self.arity, self.coeffs, other.coeffs, k)
+                         for k in range(self.order + 1)])
 
     def inverse(self) -> "ElSeries":
         unit = self.alg.unit(self.arity)
@@ -120,6 +113,23 @@ class ElSeries:
 
     def truncated(self, order: int) -> "ElSeries":
         return ElSeries(self.alg, self.arity, self.coeffs[: order + 1])
+
+
+def product_coeff(alg, arity: int, a: list[El], b: list[El], k: int) -> El:
+    """The order-k coefficient of the product of two coefficient lists,
+    ``sum a[i]·b[k-i]``.  The sum starts from the first product and adds the
+    others in place: each ``k_mul`` result is a new element."""
+    acc = None
+    for i in range(k + 1):
+        ca, cb = a[i], b[k - i]
+        if ca and cb:
+            term = alg.k_mul(ca, cb, arity)
+            if acc is None:
+                acc = term
+            else:
+                for key, c in term.data.items():
+                    acc.add_term(key, c)
+    return El() if acc is None else acc
 
 
 def _add_tensor(out: El, a: El, b: El) -> El:

@@ -11,20 +11,24 @@ which covers the generic (solver-built) pipeline and the direct
 quasitriangular one (T_g the plain action extension, v = 1, base coproduct
 conjugated by the solved r-matrix element) in one representation.
 
-Products and coproducts run on flat term lists ``(order, key, coeff)``
+Products and coproducts run on flat term lists ``(order, key, coeff, tag)``
 sorted by order.  The slot product ``[m1|g1][m2|g2]`` and the coproduct of
-each basis element ``[m|g]`` are cached in that form, and one product kernel
-(``GammaQuantization._add_product``) adds the product of two term lists into
-an accumulator ``{(order, key): coeff}`` modulo h^{n+1}, stopping each slot
-list at the order budget; one leg-map kernel (``_add_coproduct``) does the
-same for the coproduct and for the comparison witness, one leg at a time.
-A term of order ``o`` asks the leg map for its image only to order ``n - o``,
-so a coproduct entry is filled to the order its first caller needs and
-refilled deeper only when a later caller needs more; most high-degree
-monomials appear only at high orders and are filled at order 0 alone.
-``mul`` and ``coproduct`` unpack an accumulator into a series; the axiom
-checks accumulate ``left - right`` of each identity in one accumulator on
-denominator-scaled integers and test it for zero.
+each basis element ``[m|g]`` are cached as lists ``(order, key, coeff)``,
+and one product kernel (``GammaQuantization._add_product``) adds the product
+of two term lists into an accumulator ``{(order, tag, *legs): coeff}``
+modulo h^{n+1}, stopping each slot list at the order budget; one leg-map
+kernel (``_add_coproduct``) does the same for the coproduct and for the
+comparison witness, one leg at a time.  A term of order ``o`` asks for the
+slot products and leg images it meets only to order ``n - o``, so a cache
+entry is filled to the order its first caller needs and extended in place
+when a later caller needs more; most high-degree monomials appear only at
+high orders and are filled at order 0 alone.  A slot entry is ``m1 · R``
+with the right factor ``R = T_{g1}(m2) · v_{g1,g2}^{-1}`` made once per
+``(g1, m2, g2)``.  ``mul`` and ``coproduct`` unpack an accumulator into a
+series.  The axiom checks accumulate ``left - right`` of each identity on
+denominator-scaled integers, with every leg an int and one accumulator per
+pair ``(a, b)`` whose tags tell the third factors apart, and test it for
+zero.
 """
 
 from __future__ import annotations
@@ -38,7 +42,7 @@ from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyErr
 from ..groups import GammaLieBialgebra, GroupAction
 from ..sparse import El
 from ..tensors import q, qdiv
-from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries
+from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries, product_coeff
 from .pipeline import gamma_v_cocycle_defects
 from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, antisymmetric_part,
                       composition_defect, conjugation_defect, solve_composition_v,
@@ -46,29 +50,34 @@ from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, antisymme
 from .unknowns import Columns, LinearisedDefect, blocks, candidate, candidate_map
 
 
-def _terms(series: list[El], scale=1) -> list[tuple]:
-    """Flat terms ``(order, key, scale · coeff)`` of a series, sorted by order."""
-    return [(o, key, q(scale * c)) for o, el in enumerate(series) for key, c in el.data.items()]
+def _terms(series: list[El], scale=1, tag=0) -> list[tuple]:
+    """Flat terms ``(order, key, scale · coeff, tag)`` of a series, sorted by
+    order."""
+    return [(o, key, q(scale * c), tag) for o, el in enumerate(series)
+            for key, c in el.data.items()]
 
 
-def _scaled_view(lookup, factor):
-    """Memoised ``lookup`` of flat terms, every coefficient times ``factor``."""
+def _scaled_view(lookup, factor, encode=None):
+    """Memoised ``lookup`` of flat terms, every coefficient times ``factor``
+    and, with ``encode``, every key mapped by it."""
     view: dict = {}
 
     def scaled(*key):
         terms = view.get(key)
         if terms is None:
-            terms = view[key] = [(o, k, q(factor * c)) for o, k, c in lookup(*key)]
+            terms = view[key] = [(o, k if encode is None else encode(k), q(factor * c))
+                                 for o, k, c in lookup(*key)]
         return terms
     return scaled
 
 
 def _series(acc: dict, n: int, scale=1) -> list[El]:
-    """An accumulator ``{(order, key): coeff}`` divided by ``scale``, as a series."""
+    """An accumulator ``{(order, tag, *legs): coeff}`` divided by ``scale``, as
+    a series with keys ``legs`` (the tags are dropped)."""
     out = [El() for _ in range(n + 1)]
-    for (o, key), c in acc.items():
+    for at, c in acc.items():
         if c:
-            out[o].data[key] = q(c) if scale == 1 else qdiv(c, scale)
+            out[at[0]].data[at[2:]] = q(c) if scale == 1 else qdiv(c, scale)
     return out
 
 
@@ -94,7 +103,9 @@ class GammaQuantization:
         self.log = log or GaugeLog()
         self.f_inv = {g: s.inverse() for g, s in f_map.items()}
         self.v_inv = {pair: s.inverse() for pair, s in v_map.items()}
+        self._right_factors: dict = {}
         self._slot_cache: dict = {}
+        self._slot_depth: dict = {}
         self._cop_cache: dict = {}
         self._cop_depth: dict = {}
 
@@ -116,55 +127,75 @@ class GammaQuantization:
 
     # -- product ------------------------------------------------------------------
 
-    def _slot_product(self, mg_a, mg_b) -> list[tuple]:
-        """``[m1|g1][m2|g2]`` as flat terms ``(order, (mon, g1 g2), coeff)``,
-        sorted by order."""
-        cached = self._slot_cache.get((mg_a, mg_b))
-        if cached is not None:
-            return cached
+    def _slot(self, mg_a, mg_b, upto: int) -> list[tuple]:
+        """``[m1|g1][m2|g2]`` modulo h^{upto+1} at least, as flat terms
+        ``(order, (mon, g1 g2), coeff)`` sorted by order.
+
+        An entry is ``m1 · R`` with the right factor
+        ``R = T_{g1}(m2) · v_{g1,g2}^{-1}``, made once per ``(g1, m2, g2)`` to
+        the full order.  It is filled to the order its caller reads; a deeper
+        read appends the orders it adds, and a shallower one reads the deeper
+        entry.  ``_slot_depth`` holds the order each entry reaches.
+        """
+        upto = min(upto, self.order)
+        depth = self._slot_depth.get((mg_a, mg_b), -1)
+        if depth >= upto:
+            return self._slot_cache[(mg_a, mg_b)]
         m1, g1 = mg_a
         m2, g2 = mg_b
+        right = self._right_factors.get((g1, m2, g2))
+        if right is None:
+            right = self._right_factors[(g1, m2, g2)] = ElSeries(
+                self.env, 1, self.t_map[g1].ext_mon(m2)).mul(self.v_inv[(g1, g2)]).coeffs
         gg = self.group.mul(g1, g2)
-        left = ElSeries.constant(self.env, 1, self.order, El.term((m1,)))
-        moved = ElSeries(self.env, 1, self.t_map[g1].ext_mon(m2))
-        series = left.mul(moved).mul(self.v_inv[(g1, g2)])
-        # cached coefficients feed every product: keep them under the scalar rule
-        terms = [(o, (mon, gg), q(c)) for o, el in enumerate(series.coeffs)
-                 for (mon,), c in el.data.items()]
-        self._slot_cache[(mg_a, mg_b)] = terms
+        left = El.term((m1,))
+        terms = self._slot_cache.setdefault((mg_a, mg_b), [])
+        for o in range(depth + 1, upto + 1):
+            if right[o]:
+                # cached coefficients feed every product: keep them under the scalar rule
+                terms += [(o, (mon, gg), q(c))
+                          for (mon,), c in self.env.k_mul(left, right[o], 1).data.items()]
+        self._slot_depth[(mg_a, mg_b)] = upto
         return terms
+
+    def _slot_product(self, mg_a, mg_b) -> list[tuple]:
+        """``[m1|g1][m2|g2]`` to the full order: the slot read of ``mul``."""
+        return self._slot(mg_a, mg_b, self.order)
 
     def _add_product(self, acc: dict, a: list[tuple], b: list[tuple], n: int, k: int,
                      slot=None, sign: int = 1):
-        """Add ``sign · a b`` modulo h^{n+1} into ``acc = {(order, key): coeff}``.
+        """Add ``sign · a b`` modulo h^{n+1} into ``acc = {(order, tag, *legs): coeff}``.
 
-        ``a`` and ``b`` are flat term lists ``(order, key, coeff)`` sorted by
-        order, with keys of ``k`` legs (``k`` is 1 or 2); ``slot`` gives the
-        slot products (default ``_slot_product``).
+        ``a`` and ``b`` are flat term lists ``(order, key, coeff, tag)`` sorted
+        by order, with keys of ``k`` legs (``k`` is 1 or 2).  The tag of each
+        ``b`` term goes into the keys of its products, so one accumulator can
+        hold the products of ``a`` with several right factors; the tags of
+        ``a`` are not read.  ``slot(mg_a, mg_b, upto)`` gives the slot products
+        at least to order ``upto`` (default ``_slot``).
         """
-        slot = slot or self._slot_product
-        for oa, key_a, ca in a:
-            for ob, key_b, cb in b:
+        slot = slot or self._slot
+        for oa, key_a, ca, _ in a:
+            for ob, key_b, cb, tag in b:
                 used = oa + ob
                 if used > n:
                     break
                 base = sign * ca * cb
                 if k == 1:
-                    for o, key, c in slot(key_a[0], key_b[0]):
+                    for o, key, c in slot(key_a[0], key_b[0], n - used):
                         if used + o > n:
                             break
-                        at = (used + o, (key,))
+                        at = (used + o, tag, key)
                         acc[at] = acc.get(at, 0) + base * c
                 else:
-                    second = slot(key_a[1], key_b[1])
-                    for o1, key1, c1 in slot(key_a[0], key_b[0]):
+                    second = slot(key_a[1], key_b[1], n - used)
+                    for o1, key1, c1 in slot(key_a[0], key_b[0], n - used):
                         if used + o1 > n:
                             break
                         first = base * c1
                         for o2, key2, c2 in second:
                             if used + o1 + o2 > n:
                                 break
-                            at = (used + o1 + o2, (key1, key2))
+                            at = (used + o1 + o2, tag, key1, key2)
                             acc[at] = acc.get(at, 0) + first * c2
 
     def k_mul(self, a: El, b: El, k: int = 1) -> El:
@@ -180,7 +211,8 @@ class GammaQuantization:
         if len(a) != len(b):
             raise ValueError("series order mismatch")
         acc: dict = {}
-        self._add_product(acc, _terms(a), _terms(b), len(a) - 1, k)
+        self._add_product(acc, _terms(a), _terms(b), len(a) - 1, k,
+                          lambda mg_a, mg_b, _upto: self._slot_product(mg_a, mg_b))
         return _series(acc, len(a) - 1)
 
     # -- coproduct -----------------------------------------------------------------
@@ -190,37 +222,39 @@ class GammaQuantization:
         ``(order, ((m1, g), (m2, g)), coeff)`` sorted by order.
 
         An entry is filled to the order its first caller needs, from the
-        memoised truncations of the coproduct and of ``F_g^{-1}``; a later
-        request for more orders refills it at the deeper order, and one for
-        fewer orders reads the deeper entry (so it may get more orders than
-        it asked for).  ``_cop_depth`` holds the order each entry reaches.
+        memoised truncation of the coproduct and ``F_g^{-1}``; a later request
+        for more orders appends the orders it adds, and one for fewer orders
+        reads the deeper entry (so it may get more orders than it asked for).
+        ``_cop_depth`` holds the order each entry reaches.
         """
-        if self._cop_depth.get(mg, -1) >= upto:
+        depth = self._cop_depth.get(mg, -1)
+        if depth >= upto:
             return self._cop_cache[mg]
         m, g = mg
-        core = ElSeries(self.env, 2, self.cop.truncated(upto).ext_mon(m)).mul(
-            self.f_inv[g].truncated(upto))
-        # one (monomial, g) leg object per monomial: the terms share them
-        legs = {k: (k, g) for el in core.coeffs for key in el.data for k in key}
-        terms = [(o, (legs[k1], legs[k2]), q(c)) for o, el in enumerate(core.coeffs)
-                 for (k1, k2), c in el.data.items()]
-        self._cop_cache[mg] = terms
+        ext = self.cop.truncated(upto).ext_mon(m)
+        terms = self._cop_cache.setdefault(mg, [])
+        for o in range(depth + 1, upto + 1):
+            el = product_coeff(self.env, 2, ext, self.f_inv[g].coeffs, o)
+            # one (monomial, g) leg object per monomial: the order's terms share them
+            legs = {k: (k, g) for key in el.data for k in key}
+            terms += [(o, (legs[k1], legs[k2]), q(c)) for (k1, k2), c in el.data.items()]
         self._cop_depth[mg] = upto
         return terms
 
     def _add_coproduct(self, acc: dict, a: list[tuple], n: int, leg: int, cop=None):
         """Add the image of leg ``leg`` of the flat terms ``a``, modulo h^{n+1},
-        into ``acc``.  ``cop(mg, upto)`` gives a basis element's image as flat
+        into ``acc``, keyed like ``_add_product`` (each term's tag goes into
+        the keys of its image).  ``cop(mg, upto)`` gives a basis element's image as flat
         terms sorted by order, at least to order ``upto``: its coproduct by
         default (``_cop_key``), or another leg map such as the comparison
         witness.  A term of order ``oa`` asks for its image only to order
         ``n - oa``, all that the sum modulo h^{n+1} reads of it."""
         cop = cop or self._cop_key
-        for oa, key, c in a:
+        for oa, key, c, tag in a:
             for o, dkey, d in cop(key[leg], n - oa):
                 if oa + o > n:
                     break
-                at = (oa + o, key[:leg] + dkey + key[leg + 1:])
+                at = (oa + o, tag) + key[:leg] + dkey + key[leg + 1:]
                 acc[at] = acc.get(at, 0) + c * d
 
     def coproduct(self, a: list[El]) -> list[El]:
@@ -527,9 +561,40 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
                           for el in s for c in el.data.values()),
                      *(c.denominator for terms in assembly._slot_cache.values()
                        for _, _, c in terms))
-    slot = _scaled_view(assembly._slot_product, scale)
-    basis_terms = {a: _terms(series[a]) for a in basis}
-    scaled = {pair: _terms(s, scale) for pair, s in products.items()}
+
+    # Inside the checks each leg (mon, g) is a small int, so the accumulators
+    # key on flat tuples of ints; a failing report maps the ints back.
+    legs: list = []
+    ids: dict = {}
+
+    def leg_id(leg) -> int:
+        i = ids.get(leg)
+        if i is None:
+            i = ids[leg] = len(legs)
+            legs.append(leg)
+        return i
+
+    def leg_ids(key: tuple) -> tuple:
+        return tuple(map(leg_id, key))
+
+    def int_terms(s: list[El], factor=1, tag=0) -> list[tuple]:
+        return [(o, leg_ids(key), c, t) for o, key, c, t in _terms(s, factor, tag)]
+
+    def defect(acc: dict, tag: int, factor) -> list[El]:
+        return _series({(at[0], tag, *(legs[i] for i in at[2:])): c
+                        for at, c in acc.items() if at[1] == tag}, n, factor)
+
+    slot = _scaled_view(lambda ia, ib, upto: assembly._slot(legs[ia], legs[ib], upto),
+                        scale, leg_id)
+    basis_terms = {a: int_terms(series[a]) for a in basis}
+    scaled = {pair: int_terms(s, scale) for pair, s in products.items()}
+    # one accumulator per pair (a, b): the tag of each right factor is the
+    # index of its c, for (ab)c the basis element c and for a(bc) the product bc
+    tagged_basis = [term for tag, c in enumerate(basis)
+                    for term in int_terms(series[c], 1, tag)]
+    tagged_products = {b: sorted((term for tag, c in enumerate(basis)
+                                  for term in int_terms(products[(b, c)], scale, tag)),
+                                 key=lambda term: term[0]) for b in basis}
     for a in basis:
         for b in basis:
             ab = products[(a, b)]
@@ -537,12 +602,11 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
             bad = assembly.grading_defect_keys(ab, grades)
             if bad:
                 report.grading[(a, b)] = bad
-            for c in basis:
-                acc: dict = {}
-                assembly._add_product(acc, scaled[(a, b)], basis_terms[c], n, 1, slot)
-                assembly._add_product(acc, basis_terms[a], scaled[(b, c)], n, 1, slot, -1)
-                if any(acc.values()):
-                    report.associativity[(a, b, c)] = _series(acc, n, scale ** 2)
+            acc: dict = {}
+            assembly._add_product(acc, scaled[(a, b)], tagged_basis, n, 1, slot)
+            assembly._add_product(acc, basis_terms[a], tagged_products[b], n, 1, slot, -1)
+            for tag in sorted({at[1] for at, c in acc.items() if c}):
+                report.associativity[(a, b, basis[tag])] = defect(acc, tag, scale ** 2)
 
     for a in basis:
         left = assembly.mul(unit, series[a])
@@ -567,15 +631,15 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
             if any(diff):
                 report.counit[(a, leg)] = diff
 
-    cop = _scaled_view(assembly._cop_key, scale ** 3)
-    scaled_cop = {a: _terms(d, scale) for a, d in coproducts.items()}
+    cop = _scaled_view(lambda i, upto: assembly._cop_key(legs[i], upto), scale ** 3, leg_ids)
+    scaled_cop = {a: int_terms(d, scale) for a, d in coproducts.items()}
     for a in basis:
         for b in basis:
             acc = {}
             assembly._add_coproduct(acc, scaled[(a, b)], n, 0, cop)
             assembly._add_product(acc, scaled_cop[a], scaled_cop[b], n, 2, slot, -1)
             if any(acc.values()):
-                report.compatibility[(a, b)] = _series(acc, n, scale ** 4)
+                report.compatibility[(a, b)] = defect(acc, 0, scale ** 4)
     return report
 
 
@@ -630,9 +694,9 @@ def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
                                  for (mon,), c in el.data.items()]
         return terms
 
-    acc = {(o, key): c for o, key, c in _terms(series)}
-    for leg in range(len(next(iter(acc))[1]) if acc else 0):
-        terms = [(o, key, c) for (o, key), c in acc.items() if c]
+    acc = {(o, tag, *key): c for o, key, c, tag in _terms(series)}
+    for leg in range(len(next(iter(acc))) - 2 if acc else 0):
+        terms = [(at[0], at[2:], c, 0) for at, c in acc.items() if c]
         acc = {}
         target._add_coproduct(acc, terms, order, leg, image)
     return _series(acc, order)

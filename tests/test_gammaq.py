@@ -120,6 +120,14 @@ def test_conjugated_transports_with_unit_compositions_break_associativity(conjug
                                 "counit": 0, "compatibility": 24, "grading": 0}
 
 
+def test_per_pair_accumulators_keep_every_failing_triple(conjugated_units):
+    # many triples of one pair fail at d_in 2; counts recorded with the
+    # one-accumulator-per-triple checks
+    report = bialgebra_axiom_defects(conjugated_units, 2)
+    assert report.summary() == {"associativity": 1800, "unit": 0, "coassociativity": 0,
+                                "counit": 0, "compatibility": 170, "grading": 0}
+
+
 def test_fused_checks_match_plain_products(conjugated_units):
     # the scaled one-pass checks report exactly the defects of the plain products
     assembly = conjugated_units
@@ -186,6 +194,46 @@ def test_scaled_coproduct_view_serves_deep_requests_deep_terms(order3):
         assert {t[0] for t in shallow} == {0}
         want = [(o, key, q(6 * c)) for o, key, c in full._cop_key(mg, n)]
         assert view(mg, n) == want, mg
+
+
+def test_budgeted_slot_fills_are_truncations_of_the_full_fill(order3):
+    n = order3.order
+    full = _fresh(order3)
+    shallow_first = {upto: _fresh(order3) for upto in range(n)}
+    basis = order3.basis_up_to(2)
+    for mg_a in basis:
+        for mg_b in basis:
+            want = full._slot(mg_a, mg_b, n)
+            for upto in range(n + 1):
+                cut = [t for t in want if t[0] <= upto]
+                # deep then shallow: the deeper entry, read to the budget
+                assert [t for t in full._slot(mg_a, mg_b, upto) if t[0] <= upto] == cut
+                if upto < n:
+                    # shallow then deep: a fill to the budget, then extended in place
+                    assert shallow_first[upto]._slot(mg_a, mg_b, upto) == cut, (mg_a, mg_b)
+                    assert shallow_first[upto]._slot(mg_a, mg_b, n) == want, (mg_a, mg_b)
+
+
+def test_slot_product_is_the_two_product_construction(order3):
+    # [m1|g1][m2|g2] = m1 · T_g1(m2) · v^{-1}, here with v's that are not units
+    env, n = order3.env, order3.order
+    v = ElSeries(env, 1, [env.unit(1), El.term(((0,),)), El.term(((1, 2),), Q(1, 2)), El()])
+    skewed = GammaQuantization(env, order3.action, order3.cop, order3.f_map, order3.t_map,
+                               {pair: v for pair in order3.v_map}, n)
+    basis = order3.basis_up_to(2)
+    for mg_a in basis:
+        for mg_b in basis:
+            (m1, g1), (m2, g2) = mg_a, mg_b
+            left = ElSeries.constant(env, 1, n, El.term((m1,)))
+            moved = ElSeries(env, 1, order3.t_map[g1].ext_mon(m2))
+            series = left.mul(moved).mul(skewed.v_inv[(g1, g2)])
+            gg = order3.group.mul(g1, g2)
+            want = {(o, (mon, gg)): c for o, el in enumerate(series.coeffs)
+                    for (mon,), c in el.data.items()}
+            terms = skewed._slot_product(mg_a, mg_b)
+            assert {(o, key): c for o, key, c in terms} == want, (mg_a, mg_b)
+            assert len(terms) == len(want)
+            assert [t[0] for t in terms] == sorted(t[0] for t in terms)
 
 
 def test_compare_pipelines_flagship(flagship):

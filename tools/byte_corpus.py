@@ -2,7 +2,7 @@
 
 Usage (from anywhere):
 
-    python3 tools/byte_corpus.py [--root CHECKOUT] [--jobs N]
+    python3 tools/byte_corpus.py [--root CHECKOUT] [--jobs N] [--against FILE]
 
 Each run is a sequence of steps in its own empty working directory; each
 step is a fresh ``python -m liequant.cli`` child with ``CHECKOUT/src`` on
@@ -10,7 +10,10 @@ step is a fresh ``python -m liequant.cli`` child with ``CHECKOUT/src`` on
 One line is printed per step: its name and the sha256 of its stdout, stderr,
 exit code and, for a step that writes ``artifact.json``, the artifact.  Two
 checkouts that print the same lines give the same bytes on every run, so
-``diff`` of two outputs is the byte check of a refactor.
+``diff`` of two outputs is the byte check of a refactor.  With ``--against
+FILE``, a saved output, the run also names on stderr each step whose line
+differs from the saved one (or that only one of the two has) and exits 1 if
+there is any.
 """
 
 from __future__ import annotations
@@ -141,18 +144,43 @@ def run_one(root: Path, name: str, steps: list) -> list[str]:
     return lines
 
 
+def _steps(lines) -> dict[str, str]:
+    """``{step label: line}``; the label is what follows the digest and exit code."""
+    return {line.split("  ", 2)[2]: line for line in lines if line.strip()}
+
+
+def differing_steps(lines: list[str], saved: list[str]) -> list[str]:
+    """Labels of the steps whose lines differ, in the order of ``lines``, then
+    the steps only ``saved`` has."""
+    got, want = _steps(lines), _steps(saved)
+    return ([label for label, line in got.items() if want.get(label) != line]
+            + [label for label in want if label not in got])
+
+
 def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--root", type=Path, default=DEFAULT_ROOT,
                         help="liequant checkout whose src/ is run")
     parser.add_argument("--jobs", type=int, default=2, help="runs at a time")
+    parser.add_argument("--against", type=Path,
+                        help="saved output to compare with: exit 1 naming each step that differs")
     args = parser.parse_args(argv)
     root = args.root.resolve()
+    saved = args.against.read_text().splitlines() if args.against else None
+    printed = []
     with ThreadPoolExecutor(max_workers=max(1, args.jobs)) as pool:
         results = pool.map(lambda run: run_one(root, *run), corpus())
         for lines in results:
             print("\n".join(lines), flush=True)
-    return 0
+            printed += lines
+    if saved is None:
+        return 0
+    differing = differing_steps(printed, saved)
+    for label in differing:
+        print(f"differs: {label}", file=sys.stderr)
+    print(f"{len(differing)} of {len(_steps(printed))} steps differ from {args.against}",
+          file=sys.stderr)
+    return 1 if differing else 0
 
 
 if __name__ == "__main__":
