@@ -58,15 +58,27 @@ def _terms(series: list[El], scale=1, tag=0) -> list[tuple]:
 
 
 def _scaled_view(lookup, factor, encode=None):
-    """Memoised ``lookup`` of flat terms, every coefficient times ``factor``
-    and, with ``encode``, every key mapped by it."""
-    view: dict = {}
+    """``lookup(key, upto)`` of flat terms, memoised per ``key``, with every
+    coefficient times ``factor`` and, with ``encode``, every term's key mapped
+    by it.
 
-    def scaled(*key):
+    ``lookup`` returns one list per ``key`` that it only appends to, sorted
+    by order, so the view keeps one scaled list per ``key``, as deep as it
+    was read: a deeper read appends the terms its source gained since.
+    """
+    view: dict = {}
+    depth: dict = {}
+
+    def scaled(key, upto):
+        if depth.get(key, -1) >= upto:
+            return view[key]
+        source = lookup(key, upto)
         terms = view.get(key)
         if terms is None:
-            terms = view[key] = [(o, k if encode is None else encode(k), q(factor * c))
-                                 for o, k, c in lookup(*key)]
+            terms = view[key] = []
+        terms += [(o, k if encode is None else encode(k), q(factor * c))
+                  for o, k, c in source[len(terms):]]
+        depth[key] = upto
         return terms
     return scaled
 
@@ -103,6 +115,7 @@ class GammaQuantization:
         self.log = log or GaugeLog()
         self.f_inv = {g: s.inverse() for g, s in f_map.items()}
         self.v_inv = {pair: s.inverse() for pair, s in v_map.items()}
+        self._legs: dict = {}
         self._right_factors: dict = {}
         self._slot_cache: dict = {}
         self._slot_depth: dict = {}
@@ -127,9 +140,15 @@ class GammaQuantization:
 
     # -- product ------------------------------------------------------------------
 
-    def _slot(self, mg_a, mg_b, upto: int) -> list[tuple]:
-        """``[m1|g1][m2|g2]`` modulo h^{upto+1} at least, as flat terms
-        ``(order, (mon, g1 g2), coeff)`` sorted by order.
+    def _leg(self, mon: Mon, g: int) -> tuple:
+        """The leg ``(mon, g)``: one object per leg, shared by every cached term."""
+        leg = (mon, g)
+        return self._legs.setdefault(leg, leg)
+
+    def _slot(self, pair, upto: int) -> list[tuple]:
+        """``[m1|g1][m2|g2]`` for ``pair = ((m1, g1), (m2, g2))``, modulo
+        h^{upto+1} at least, as flat terms ``(order, (mon, g1 g2), coeff)``
+        sorted by order.
 
         An entry is ``m1 · R`` with the right factor
         ``R = T_{g1}(m2) · v_{g1,g2}^{-1}``, made once per ``(g1, m2, g2)`` to
@@ -138,29 +157,29 @@ class GammaQuantization:
         entry.  ``_slot_depth`` holds the order each entry reaches.
         """
         upto = min(upto, self.order)
-        depth = self._slot_depth.get((mg_a, mg_b), -1)
+        depth = self._slot_depth.get(pair, -1)
         if depth >= upto:
-            return self._slot_cache[(mg_a, mg_b)]
-        m1, g1 = mg_a
-        m2, g2 = mg_b
+            return self._slot_cache[pair]
+        (m1, g1), (m2, g2) = pair
         right = self._right_factors.get((g1, m2, g2))
         if right is None:
             right = self._right_factors[(g1, m2, g2)] = ElSeries(
                 self.env, 1, self.t_map[g1].ext_mon(m2)).mul(self.v_inv[(g1, g2)]).coeffs
         gg = self.group.mul(g1, g2)
+        leg = self._leg
         left = El.term((m1,))
-        terms = self._slot_cache.setdefault((mg_a, mg_b), [])
+        terms = self._slot_cache.setdefault(pair, [])
         for o in range(depth + 1, upto + 1):
             if right[o]:
                 # cached coefficients feed every product: keep them under the scalar rule
-                terms += [(o, (mon, gg), q(c))
+                terms += [(o, leg(mon, gg), q(c))
                           for (mon,), c in self.env.k_mul(left, right[o], 1).data.items()]
-        self._slot_depth[(mg_a, mg_b)] = upto
+        self._slot_depth[pair] = upto
         return terms
 
     def _slot_product(self, mg_a, mg_b) -> list[tuple]:
         """``[m1|g1][m2|g2]`` to the full order: the slot read of ``mul``."""
-        return self._slot(mg_a, mg_b, self.order)
+        return self._slot((mg_a, mg_b), self.order)
 
     def _add_product(self, acc: dict, a: list[tuple], b: list[tuple], n: int, k: int,
                      slot=None, sign: int = 1):
@@ -170,8 +189,8 @@ class GammaQuantization:
         by order, with keys of ``k`` legs (``k`` is 1 or 2).  The tag of each
         ``b`` term goes into the keys of its products, so one accumulator can
         hold the products of ``a`` with several right factors; the tags of
-        ``a`` are not read.  ``slot(mg_a, mg_b, upto)`` gives the slot products
-        at least to order ``upto`` (default ``_slot``).
+        ``a`` are not read.  ``slot((mg_a, mg_b), upto)`` gives the slot
+        products at least to order ``upto`` (default ``_slot``).
         """
         slot = slot or self._slot
         for oa, key_a, ca, _ in a:
@@ -181,14 +200,14 @@ class GammaQuantization:
                     break
                 base = sign * ca * cb
                 if k == 1:
-                    for o, key, c in slot(key_a[0], key_b[0], n - used):
+                    for o, key, c in slot((key_a[0], key_b[0]), n - used):
                         if used + o > n:
                             break
                         at = (used + o, tag, key)
                         acc[at] = acc.get(at, 0) + base * c
                 else:
-                    second = slot(key_a[1], key_b[1], n - used)
-                    for o1, key1, c1 in slot(key_a[0], key_b[0], n - used):
+                    second = slot((key_a[1], key_b[1]), n - used)
+                    for o1, key1, c1 in slot((key_a[0], key_b[0]), n - used):
                         if used + o1 > n:
                             break
                         first = base * c1
@@ -212,7 +231,7 @@ class GammaQuantization:
             raise ValueError("series order mismatch")
         acc: dict = {}
         self._add_product(acc, _terms(a), _terms(b), len(a) - 1, k,
-                          lambda mg_a, mg_b, _upto: self._slot_product(mg_a, mg_b))
+                          lambda pair, _upto: self._slot_product(*pair))
         return _series(acc, len(a) - 1)
 
     # -- coproduct -----------------------------------------------------------------
@@ -233,11 +252,10 @@ class GammaQuantization:
         m, g = mg
         ext = self.cop.truncated(upto).ext_mon(m)
         terms = self._cop_cache.setdefault(mg, [])
+        leg = self._leg
         for o in range(depth + 1, upto + 1):
             el = product_coeff(self.env, 2, ext, self.f_inv[g].coeffs, o)
-            # one (monomial, g) leg object per monomial: the order's terms share them
-            legs = {k: (k, g) for key in el.data for k in key}
-            terms += [(o, (legs[k1], legs[k2]), q(c)) for (k1, k2), c in el.data.items()]
+            terms += [(o, (leg(m1, g), leg(m2, g)), q(c)) for (m1, m2), c in el.data.items()]
         self._cop_depth[mg] = upto
         return terms
 
@@ -563,7 +581,10 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
                        for _, _, c in terms))
 
     # Inside the checks each leg (mon, g) is a small int, so the accumulators
-    # key on flat tuples of ints; a failing report maps the ints back.
+    # key on flat tuples of ints; a failing report maps the ints back.  Every
+    # term list is tagged with the index of its last basis factor: one
+    # accumulator per pair (a, b) holds the identities of every c, told apart
+    # by their tags.
     legs: list = []
     ids: dict = {}
 
@@ -577,31 +598,30 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
     def leg_ids(key: tuple) -> tuple:
         return tuple(map(leg_id, key))
 
-    def int_terms(s: list[El], factor=1, tag=0) -> list[tuple]:
+    def int_terms(s: list[El], factor, tag: int) -> list[tuple]:
         return [(o, leg_ids(key), c, t) for o, key, c, t in _terms(s, factor, tag)]
 
     def defect(acc: dict, tag: int, factor) -> list[El]:
         return _series({(at[0], tag, *(legs[i] for i in at[2:])): c
                         for at, c in acc.items() if at[1] == tag}, n, factor)
 
-    slot = _scaled_view(lambda ia, ib, upto: assembly._slot(legs[ia], legs[ib], upto),
+    slot = _scaled_view(lambda ids, upto: assembly._slot((legs[ids[0]], legs[ids[1]]), upto),
                         scale, leg_id)
-    basis_terms = {a: int_terms(series[a]) for a in basis}
-    scaled = {pair: int_terms(s, scale) for pair, s in products.items()}
-    # one accumulator per pair (a, b): the tag of each right factor is the
-    # index of its c, for (ab)c the basis element c and for a(bc) the product bc
-    tagged_basis = [term for tag, c in enumerate(basis)
-                    for term in int_terms(series[c], 1, tag)]
-    tagged_products = {b: sorted((term for tag, c in enumerate(basis)
-                                  for term in int_terms(products[(b, c)], scale, tag)),
+    basis_terms = {a: int_terms(series[a], 1, t) for t, a in enumerate(basis)}
+    scaled: dict = {}
+    for a in basis:
+        for t, b in enumerate(basis):
+            ab = products.pop((a, b))
+            bad = assembly.grading_defect_keys(ab, (assembly.group.mul(a[1], b[1]),))
+            if bad:
+                report.grading[(a, b)] = bad
+            scaled[(a, b)] = int_terms(ab, scale, t)
+    # the right factors of (ab)c, every basis c, and of a(bc), every product bc
+    tagged_basis = [term for c in basis for term in basis_terms[c]]
+    tagged_products = {b: sorted((term for c in basis for term in scaled[(b, c)]),
                                  key=lambda term: term[0]) for b in basis}
     for a in basis:
         for b in basis:
-            ab = products[(a, b)]
-            grades = (assembly.group.mul(a[1], b[1]),)
-            bad = assembly.grading_defect_keys(ab, grades)
-            if bad:
-                report.grading[(a, b)] = bad
             acc: dict = {}
             assembly._add_product(acc, scaled[(a, b)], tagged_basis, n, 1, slot)
             assembly._add_product(acc, basis_terms[a], tagged_products[b], n, 1, slot, -1)
@@ -632,14 +652,14 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
                 report.counit[(a, leg)] = diff
 
     cop = _scaled_view(lambda i, upto: assembly._cop_key(legs[i], upto), scale ** 3, leg_ids)
-    scaled_cop = {a: int_terms(d, scale) for a, d in coproducts.items()}
+    scaled_cop = {a: int_terms(coproducts[a], scale, t) for t, a in enumerate(basis)}
     for a in basis:
-        for b in basis:
+        for t, b in enumerate(basis):
             acc = {}
             assembly._add_coproduct(acc, scaled[(a, b)], n, 0, cop)
             assembly._add_product(acc, scaled_cop[a], scaled_cop[b], n, 2, slot, -1)
             if any(acc.values()):
-                report.compatibility[(a, b)] = defect(acc, 0, scale ** 4)
+                report.compatibility[(a, b)] = defect(acc, t, scale ** 4)
     return report
 
 

@@ -150,9 +150,9 @@ def test_fused_checks_match_plain_products(conjugated_units):
 
 
 def test_scaled_views_keep_uncleared_fractions_exact():
-    view = _scaled_view(lambda *key: [(0, key, Q(1, 3)), (1, key, Q(1, 2))], 4)
-    assert view("k") == [(0, ("k",), Q(4, 3)), (1, ("k",), 2)]
-    assert type(view("k")[1][2]) is int
+    view = _scaled_view(lambda key, upto: [(0, (key,), Q(1, 3)), (1, (key,), Q(1, 2))], 4)
+    assert view("k", 1) == [(0, ("k",), Q(4, 3)), (1, ("k",), 2)]
+    assert type(view("k", 1)[1][2]) is int
 
 
 @pytest.fixture(scope="module")
@@ -203,15 +203,15 @@ def test_budgeted_slot_fills_are_truncations_of_the_full_fill(order3):
     basis = order3.basis_up_to(2)
     for mg_a in basis:
         for mg_b in basis:
-            want = full._slot(mg_a, mg_b, n)
+            want = full._slot((mg_a, mg_b), n)
             for upto in range(n + 1):
                 cut = [t for t in want if t[0] <= upto]
                 # deep then shallow: the deeper entry, read to the budget
-                assert [t for t in full._slot(mg_a, mg_b, upto) if t[0] <= upto] == cut
+                assert [t for t in full._slot((mg_a, mg_b), upto) if t[0] <= upto] == cut
                 if upto < n:
                     # shallow then deep: a fill to the budget, then extended in place
-                    assert shallow_first[upto]._slot(mg_a, mg_b, upto) == cut, (mg_a, mg_b)
-                    assert shallow_first[upto]._slot(mg_a, mg_b, n) == want, (mg_a, mg_b)
+                    assert shallow_first[upto]._slot((mg_a, mg_b), upto) == cut, (mg_a, mg_b)
+                    assert shallow_first[upto]._slot((mg_a, mg_b), n) == want, (mg_a, mg_b)
 
 
 def test_slot_product_is_the_two_product_construction(order3):
