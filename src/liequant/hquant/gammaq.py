@@ -605,12 +605,13 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
         return _series({(at[0], tag, *(legs[i] for i in at[2:])): c
                         for at, c in acc.items() if at[1] == tag}, n, factor)
 
-    slot = _scaled_view(lambda ids, upto: assembly._slot((legs[ids[0]], legs[ids[1]]), upto),
+    slot = _scaled_view(lambda pair, upto: assembly._slot((legs[pair[0]], legs[pair[1]]), upto),
                         scale, leg_id)
     basis_terms = {a: int_terms(series[a], 1, t) for t, a in enumerate(basis)}
     scaled: dict = {}
     for a in basis:
         for t, b in enumerate(basis):
+            # a product's series is not read again once converted
             ab = products.pop((a, b))
             bad = assembly.grading_defect_keys(ab, (assembly.group.mul(a[1], b[1]),))
             if bad:
