@@ -108,7 +108,9 @@ class Envelope:
         Each operand is scaled to integers by the lcm of its denominators, so
         the products and sums run on ints; each output coefficient is divided
         once, back under the scalar rule.  Each pair of terms is multiplied
-        leg by leg."""
+        leg by leg.  Key elements past the ``k`` legs are a tag, which passes
+        to the product key after its legs (a forward-mode tangent carries its
+        unknown's tag there; at most one factor of a product is tagged)."""
         da, terms_a = _int_terms(a.data)
         db, terms_b = _int_terms(b.data)
         straighten = self.straighten
@@ -120,7 +122,9 @@ class Envelope:
                 for leg in range(k):
                     legs = straighten(ka[leg] + kb[leg]).items()
                     partial = [(key + (m,), c * d) for key, c in partial for m, d in legs]
+                tag = ka[k:] + kb[k:]
                 for key, c in partial:
+                    key += tag
                     acc[key] = get(key, 0) + c
         out = El()
         out.data = _descaled(acc, da * db)

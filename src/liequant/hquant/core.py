@@ -4,8 +4,13 @@ Coefficients are exact rationals.  Series arithmetic is always truncated at
 the series order, so in the order-k coefficient of a product an order-k
 coefficient of one factor only meets order-0 coefficients of the others.  The
 solvers' columns in :mod:`liequant.hquant.unknowns` rely on this: they are
-derivatives, computed in first-order forward mode on :class:`DualSeries` and
-:class:`DualMap`, which the plain series classes accept as operands.
+derivatives, computed in first-order vector forward mode on
+:class:`DualSeries` and :class:`DualMap`, which the plain series classes
+accept as operands.  A tangent carries a bundle of directions, one per
+unknown: each of its keys ends in a tag, the unknown's index, after its legs.
+Products, tensor products and leg maps keep the tag last, and since no
+tangent ever meets another one, the terms of each tag are the derivative in
+that tag's direction.
 """
 
 from __future__ import annotations
@@ -132,23 +137,35 @@ def product_coeff(alg, arity: int, a: list[El], b: list[El], k: int) -> El:
     return El() if acc is None else acc
 
 
-def _add_tensor(out: El, a: El, b: El) -> El:
-    """Add ``a ⊗ b`` (legs concatenated) into ``out``."""
+def _add_tensor(out: El, a: El, b: El, legs: int | None = None) -> El:
+    """Add ``a ⊗ b`` (legs concatenated) into ``out``.  With ``legs``, ``a``
+    is a tangent whose keys carry a tag past their ``legs`` legs, and the tag
+    goes after the legs of ``b``."""
     for ka, va in a.data.items():
+        if legs is not None:
+            head, tag = ka[:legs], ka[legs:]
+            for kb, vb in b.data.items():
+                out.add_term(head + kb + tag, va * vb)
+            continue
         for kb, vb in b.data.items():
             out.add_term(ka + kb, va * vb)
     return out
 
 
-def _splice(out: El, el: El, leg: int, image) -> El:
+def _splice(out: El, el: El, leg: int, image, legs: int | None = None) -> El:
     """Add leg ``leg`` of ``el`` mapped by ``image`` (a monomial's image
-    element, or None for zero), spliced in place of the leg, into ``out``."""
+    element, or None for zero), spliced in place of the leg, into ``out``.
+    With ``legs``, the images are tangents whose keys carry a tag past their
+    ``legs`` legs, and the tag goes after the legs of ``el``."""
     for key, c in el.data.items():
         img = image(key[leg])
         if img:
             head, tail = key[:leg], key[leg + 1:]
             for ikey, d in img.data.items():
-                out.add_term(head + ikey + tail, c * d)
+                if legs is None:
+                    out.add_term(head + ikey + tail, c * d)
+                else:
+                    out.add_term(head + ikey[:legs] + tail + ikey[legs:], c * d)
     return out
 
 
@@ -158,9 +175,10 @@ def _plus(a: El | None, b: El | None) -> El | None:
 
 
 class DualSeries:
-    """A series in first-order forward mode: its order-0 ``value`` and its
-    ``tangent``, the derivative with respect to one unknown's unit element
-    (None when zero).
+    """A series in first-order vector forward mode: its order-0 ``value`` and
+    its ``tangent`` (None when zero), which holds one derivative per unknown:
+    the terms whose keys end in an unknown's tag are the derivative with
+    respect to that unknown's unit element, with the tag dropped.
 
     It reads as a series of order 1, ``s[0]`` the value and ``s[1]`` the
     tangent, so a defect that reads its order-n coefficient returns its
@@ -266,7 +284,8 @@ class DualSeries:
 
     def tensor(self, other) -> "DualSeries":
         other = self.lift(other)
-        tangent = _add_tensor(El(), self.tangent, other.value) if self.tangent else None
+        tangent = (_add_tensor(El(), self.tangent, other.value, self.arity)
+                   if self.tangent else None)
         if other.tangent:
             tangent = _plus(tangent, _add_tensor(El(), self.value, other.tangent))
         return self._derived(self.arity + other.arity, tangent,
@@ -278,20 +297,20 @@ class DualSeries:
         the unknown, its tangent ``dimage(m)`` (otherwise ``dimage`` is None)."""
         tangent = _splice(El(), self.tangent, leg, image) if self.tangent else El()
         if dimage is not None:
-            _splice(tangent, self.value, leg, dimage)
+            _splice(tangent, self.value, leg, dimage, arity)
         return self._derived(self.arity + arity - 1, tangent,
                              lambda: _splice(El(), self.value, leg, image))
 
 
 class DualMap:
     """An algebra-map series (a coproduct, an intertwiner or a transport map)
-    in first-order forward mode: one :class:`DualSeries` per generator,
-    extended multiplicatively like :class:`AlgebraMapSeries`.
+    in first-order vector forward mode: one :class:`DualSeries` per
+    generator, extended multiplicatively like :class:`AlgebraMapSeries`.
 
     The order-0 extension of a monomial comes from one order-0 map per
     generator table, of type ``kind``, kept in the solve's ``order0`` memo,
-    so every column of the solve shares it.  The tangents of extensions are
-    kept for this map, that is for one column.
+    so every evaluation of the solve shares it.  The tangents of extensions
+    are kept for this map, that is for one evaluation.
     """
 
     order = 1

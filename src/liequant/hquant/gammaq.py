@@ -219,10 +219,21 @@ class GammaQuantization:
 
     def k_mul(self, a: El, b: El, k: int = 1) -> El:
         """The order-0 product of two elements: the algebra that a
-        forward-mode series (``DualSeries``) over this structure multiplies in."""
+        forward-mode series (``DualSeries``) over this structure multiplies in.
+        Key elements past the ``k`` legs are a tag that passes to the product
+        key after its legs, as in ``Envelope.k_mul``; ``a``'s terms are
+        multiplied one tag at a time, with that tag on every term of ``b``."""
+        right = [(0, key[:k], q(c), key[k:]) for key, c in b.data.items()]
+        lefts: dict = {}
+        for key, c in a.data.items():
+            lefts.setdefault(key[k:], []).append((0, key[:k], q(c), None))
         acc: dict = {}
-        self._add_product(acc, _terms([a]), _terms([b]), 0, k)
-        return _series(acc, 0)[0]
+        for tag, left in lefts.items():
+            self._add_product(acc, left, [(0, kb, cb, tag + t) for _, kb, cb, t in right]
+                              if tag else right, 0, k)
+        out = El()
+        out.data = {at[2:] + at[1]: q(c) for at, c in acc.items() if c}
+        return out
 
     def mul(self, a: list[El], b: list[El], k: int = 1) -> list[El]:
         if isinstance(a, DualSeries):
@@ -451,27 +462,24 @@ def _align_family_order(env: Envelope, g_bialg, t_map, composed, v_coeffs, pairs
     grp = g_bialg.group
     n = env.dim
 
-    def defect(top, m, slot):
+    def defect(top, m):
         """Both identities at order m with ``top`` added to the order-m
-        coefficients; with ``slot`` only the identities containing that pair."""
+        coefficients."""
 
         def v(g, h):
             return candidate(env, 1, v_coeffs[(g, h)], m, top, (g, h))
 
         conjugation = {}
-        for g, h in pairs if slot is None else [slot]:
+        for g, h in pairs:
             v_gh = v(g, h)
             for i in range(n):
                 conjugation[((g, h), i)] = conjugation_defect(
                     t_map[grp.mul(g, h)], composed[(g, h)], v_gh, i)[m]
         coherence = {}
-        # with ``slot``, only the triples whose identity contains that pair
         for g in grp.elements():
             for h in grp.elements():
                 for l in grp.elements():
                     gh, hl = grp.mul(g, h), grp.mul(h, l)
-                    if slot is not None and slot not in ((gh, l), (g, h), (g, hl), (h, l)):
-                        continue
                     coherence[(g, h, l)] = v_cocycle_defect(
                         env, v(gh, l), v(g, h), v(g, hl),
                         t_map[g].apply_leg(v(h, l), 0))[m]
@@ -696,8 +704,9 @@ def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
                 m, g = mg
                 if mg not in cache:
                     cache[mg] = j.ext_mon(m).mul(w[g])
-                img = cache[(mg, part)] = El({((mon, g),): c
-                                              for (mon,), c in cache[mg][part].data.items()})
+                # a tangent's keys end in their unknown's tag, after the leg
+                img = cache[(mg, part)] = El({((key[0], g),) + key[1:]: c
+                                              for key, c in cache[mg][part].data.items()})
             return img
 
         out = DualSeries(target, len(next(iter(series[0].data), ())), series[0], None, j.order0)
@@ -740,8 +749,8 @@ def _witness_defects(generic: GammaQuantization, direct: GammaQuantization, phi,
             right = direct.mul(phi_a, phi(generic.basis_series(*b)))
             out[(ia, 0, ib)] = minus(phi(products[(a, b)]), right)
         out[(ia, 1)] = minus(phi(coproducts[a]), direct.coproduct(phi_a))
-        out[(ia, 2)] = [El.term((), x - y)
-                        for x, y in zip(direct.counit(phi_a), generic.counit(sa))]
+        out[(ia, 2)] = [x - El.term((), y)
+                        for x, y in zip(direct.counit_leg(phi_a, 0), generic.counit(sa))]
     return out
 
 
@@ -783,7 +792,7 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
     columns = Columns()
     for k in range(1, order + 1):
 
-        def defect(top, m, slot):
+        def defect(top, m):
             # w_e is 1: there is no ("w", e) unknown
             j_cand = candidate_map(MapSeries, env, j_tables, m, top, lambda i: ("j", i))
             w_cand = {g: candidate(env, 1, w_coeffs[g], m, top, ("w", g))

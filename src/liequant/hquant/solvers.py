@@ -231,7 +231,7 @@ def solve_coproduct(bialg: LieBialgebra, order: int, env: Envelope | None = None
     columns = Columns()
     for k in range(2, order + 1):
 
-        def defect(top, n, slot):
+        def defect(top, n):
             cand = candidate_map(CoproductSeries, env, tables, n, top)
             return blocks(top_coeffs(algebra_compat_defect(bialg, cand), n),
                           top_coeffs(coassoc_defect(cand), n),
@@ -296,7 +296,7 @@ def solve_j_conjugator(qt, order: int, env: Envelope | None = None,
     columns = Columns()
     for k in range(2, order + 1):
 
-        def defect(top, n, slot):
+        def defect(top, n):
             j_cand = candidate(env, 2, coeffs, n, top, "J")
             cop = twisted_coproduct(undeformed.truncated(n), j_cand)
             return blocks(top_coeffs(coassoc_defect(cop), n),
@@ -390,7 +390,7 @@ def _iso_rows(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
     env = iso_cand.env
     return [top_coeffs(algebra_compat_defect(bialg, iso_cand), n),
             top_coeffs(iso_intertwine_defect(src.truncated(n), dst.truncated(n), iso_cand), n),
-            {i: El.term((), env.counit(iso_cand.gen_series(i)[n])) for i in range(env.dim)}]
+            {i: env.counit_leg(iso_cand.gen_series(i)[n], 0) for i in range(env.dim)}]
 
 
 def _check_iso(bialg: LieBialgebra, src: CoproductSeries, dst: CoproductSeries,
@@ -431,7 +431,7 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
     columns = Columns()
     for k in range(1, order + 1):
 
-        def defect(top, n, slot):
+        def defect(top, n):
             # at k = 1 the candidate's order-1 coefficient is the pinned F_1
             f_cand = candidate(env, 2, coeffs, n, top, "F")
             iso_cand = candidate_map(MapSeries, env, tables, n, top, lambda i: ("i", i))
@@ -479,11 +479,11 @@ def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSer
     columns = Columns()
     for k in range(len(coeffs), order + 1):
 
-        def defect(top, n, slot):
+        def defect(top, n):
             v = candidate(env, 1, coeffs, n, top, "v")
             data = (s.truncated(n) for s in (f_total, f_second_pulled, f_first, cop))
             return blocks({0: composition_defect(env, *data, v)[n]},
-                          {0: El.term((), env.counit(v[n]))})
+                          {0: env.counit_leg(v[n], 0)})
 
         supports = _support_ladder(env, cap, (["v"], [2 * k, 2 * k + 2]))
         try:

@@ -7,23 +7,29 @@ A system is therefore built from two exact parts:
 * the constant part, the defect evaluated with an empty top-order table, on
   plain rationals, once per (operation, order);
 * one column per unknown: the derivative of the defect with respect to the
-  unit element ``E`` of the unknown's key, evaluated in first-order forward
-  mode.  The defect is called with a :class:`Tangent` top table at n = 1;
-  its candidates (:func:`candidate`, :func:`candidate_map`) are then
-  :class:`~liequant.hquant.core.DualSeries` and
-  :class:`~liequant.hquant.core.DualMap` carrying ``E`` as their tangent, and
-  every known series enters through its order-0 coefficient only.  A product
-  computes only ``a0·b' + a'·b0``, a term whose tangent is zero is never
-  evaluated, and the order-0 images of monomials are made once per solve.
-  The order-n readout of a dual is its tangent, which is the column.
+  unit element ``E`` of the unknown's key, evaluated in first-order vector
+  forward mode.  One evaluation makes the columns of a whole batch of
+  unknowns.  The defect is called with a :class:`Tangent` top table at
+  n = 1, ``{slot: E}``, where ``E`` holds each unknown ``(slot, key)`` of
+  the batch as the term ``key + (tag,)`` with coefficient 1, ``tag`` being
+  the unknown's index in the batch.  Its candidates (:func:`candidate`,
+  :func:`candidate_map`) are then :class:`~liequant.hquant.core.DualSeries`
+  and :class:`~liequant.hquant.core.DualMap` carrying that bundle as their
+  tangent, and every known series enters through its order-0 coefficient
+  only.  A product computes only ``a0·b' + a'·b0``, a term whose tangent is
+  zero is never evaluated, and the order-0 images of monomials are made once
+  per solve.  The order-n readout of a dual is its tangent: no tangent ever
+  meets another one, so its terms ending in ``tag`` are the column of that
+  tag's unknown.  A term with no tag would mean the defect is not affine in
+  the unknowns, and is refused.
 
 A column depends on the (slot, key) of its unknown and on order-0 data only,
 so it is cached for the whole solve, with the order-0 data it shares
-(:class:`Columns`): a support-ladder escalation, or the next order, computes
-only the keys it adds, and both are dropped with the solve.  A defect is
-returned as blocks ``{block id: El}`` (one block per identity and defect
-key); rows come out in sorted (block id, element key) order with zero rows
-skipped.
+(:class:`Columns`): a support-ladder escalation, or the next order, evaluates
+only the keys it adds, in one batch.  Both are dropped with the solve.  A
+defect is returned as blocks ``{block id: El}`` (one block per identity and
+defect key); rows come out in sorted (block id, element key) order with zero
+rows skipped.
 """
 
 from __future__ import annotations
@@ -31,26 +37,29 @@ from __future__ import annotations
 import random
 from typing import Callable, Hashable
 
+from ..errors import InternalCheckError
 from ..linsolve import LinSystem
 from ..sparse import El
 from ..tensors import Scalar
 from .core import DualMap, DualSeries, ElSeries
 
 Blocks = dict[Hashable, El]
-# defect(top, n, slot): the blocks of the order-n coefficient with ``top`` as
-# the order-n table.  The unknowns enter only through candidate() and
+# defect(top, n): the blocks of the order-n coefficient with ``top`` as the
+# order-n table.  The unknowns enter only through candidate() and
 # candidate_map(), so on a Tangent top at n = 1 the same callable returns the
-# column of top's slot.  With ``slot`` given (a column), the defect may also
-# restrict itself to the identities that slot's unknowns enter.
-Defect = Callable[[dict, int, Hashable], Blocks]
+# columns of the unknowns top holds, each term tagged with its unknown.
+Defect = Callable[[dict, int], Blocks]
 
 
 class Tangent(dict):
-    """The top table of a column evaluation, ``{slot: E}``, with ``order0``,
-    the order-0 memo of the solve."""
+    """The top table of a column evaluation, ``{slot: E}`` with every key of
+    ``E`` tagged by its unknown's index in the batch, and ``order0``, the
+    order-0 memo of the solve."""
 
-    def __init__(self, slot: Hashable, element: El, order0: dict):
-        super().__init__({slot: element})
+    def __init__(self, unknowns: list[tuple], order0: dict):
+        super().__init__()
+        for tag, (slot, key) in enumerate(unknowns):
+            self.setdefault(slot, El()).data[key + (tag,)] = 1
         self.order0 = order0
 
 
@@ -119,21 +128,34 @@ class LinearisedDefect:
 
     def __init__(self, defect: Defect, k: int, columns: Columns | None = None):
         self.defect = defect
-        self.constant = defect({}, k, None)
+        self.constant = defect({}, k)
         self._columns = Columns() if columns is None else columns
 
-    def column(self, slot, key) -> Blocks:
-        col = self._columns.get((slot, key))
-        if col is None:
-            col = self._columns[(slot, key)] = self.defect(
-                Tangent(slot, El.term(key), self._columns.order0), 1, slot)
-        return col
+    def _fill(self, unknowns: list[tuple]):
+        """Evaluate the columns of the unknowns not cached yet, in one batch,
+        and split the blocks by their trailing tags into the cache."""
+        missing = [u for u in dict.fromkeys(unknowns) if u not in self._columns]
+        if not missing:
+            return
+        cols: list[Blocks] = [{} for _ in missing]
+        for bid, el in self.defect(Tangent(missing, self._columns.order0), 1).items():
+            for ekey, c in el.data.items():
+                tag = ekey[-1] if ekey else None
+                if type(tag) is not int:
+                    raise InternalCheckError(
+                        f"defect block {bid!r} has a term that no unknown enters: {ekey!r}")
+                col = cols[tag].get(bid)
+                if col is None:
+                    col = cols[tag][bid] = El()
+                col.data[ekey[:-1]] = c
+        self._columns.update(zip(missing, cols))
 
     def system(self, unknowns: list[tuple]) -> LinSystem:
         """The system ``A x = b`` in the given unknowns, one per (slot, key)."""
+        self._fill(unknowns)
         rows: dict[tuple, dict[int, Scalar]] = {}
-        for var, (slot, key) in enumerate(unknowns):
-            for bid, el in self.column(slot, key).items():
+        for var, unknown in enumerate(unknowns):
+            for bid, el in self._columns[unknown].items():
                 for ekey, c in el.data.items():
                     rows.setdefault((bid, ekey), {})[var] = c
         for bid, el in self.constant.items():

@@ -265,3 +265,28 @@ def test_copoisson_trivial_case():
                                    [Tensor.zero((ab.space, ab.space))])
     report = copoisson_axiom_defects(structure, 2, 6)
     assert all(not table for table in report.values())
+
+
+def tagged(el: El, tag: int) -> El:
+    """``el`` with ``tag`` appended to every key, as a forward-mode tangent
+    carries it."""
+    return El({key + (tag,): c for key, c in el.data.items()})
+
+
+def test_k_mul_passes_a_tag_through(sl2_env):
+    # a tagged factor, on either side, multiplies like the untagged terms of
+    # each tag, with the tag appended to the product keys
+    a = El([(((0,), (1, 2)), Q(1, 2)), (((2,), ONE), 3)])
+    c = El([(((0, 2), (1,)), 5), ((ONE, ONE), Q(-2, 7))])
+    b = El([(((1,), (0,)), Q(2, 3)), ((ONE, (2, 2)), -1)])
+    bundle = tagged(a, 0) + tagged(c, 1)
+    assert sl2_env.k_mul(bundle, b, 2) == (tagged(sl2_env.k_mul(a, b, 2), 0)
+                                           + tagged(sl2_env.k_mul(c, b, 2), 1))
+    assert sl2_env.k_mul(b, bundle, 2) == (tagged(sl2_env.k_mul(b, a, 2), 0)
+                                           + tagged(sl2_env.k_mul(b, c, 2), 1))
+    assert sl2_env.k_mul(bundle, b, 2)
+
+
+def test_counit_on_leg_0_of_one_leg_is_the_counit(sl2_env):
+    for x in (El(), term((0,)), El([(((0,),), 2), ((ONE,), Q(1, 3))]), El([((ONE,), -1)])):
+        assert sl2_env.counit_leg(x, 0) == El.term((), sl2_env.counit(x))

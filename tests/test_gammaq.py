@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from liequant import catalog
-from liequant.envelope import Envelope
+from liequant.envelope import ONE, Envelope
 from liequant.hquant.core import CoproductSeries, ElSeries
 from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization, _scaled_view,
                                     assemble_gamma_quantization, bialgebra_axiom_defects,
@@ -345,3 +345,26 @@ def test_solvable_z2_order_three():
                                             catalog.z2_solvable_action(), 3, env=env)
     witness = compare_pipelines(assembly, direct, window=2)
     assert isinstance(witness, ComparisonWitness)
+
+
+def test_graded_k_mul_passes_a_tag_through(flagship):
+    # as Envelope.k_mul: a tagged factor, on either side, multiplies like the
+    # untagged terms of each tag, with the tag appended to the product keys
+    _, _, generic = flagship
+
+    def tagged(el: El, tag: int) -> El:
+        return El({key + (tag,): c for key, c in el.data.items()})
+
+    for k, (a, c, b) in enumerate([
+            (El([((((0,), 0),), 2), (((ONE, 1),), Fraction(1, 3))]),
+             El([((((1, 2), 1),), -1)]),
+             El([((((2,), 1),), 5), (((ONE, 0),), 1)])),
+            (El([((((0,), 1), ((2,), 1)), Fraction(1, 2))]),
+             El([(((ONE, 0), ((1,), 0)), 3), ((((2,), 1), (ONE, 1)), 1)]),
+             El([((((1,), 1), ((0,), 1)), 4)]))], 1):
+        bundle = tagged(a, 0) + tagged(c, 1)
+        assert generic.k_mul(bundle, b, k) == (tagged(generic.k_mul(a, b, k), 0)
+                                               + tagged(generic.k_mul(c, b, k), 1))
+        assert generic.k_mul(b, bundle, k) == (tagged(generic.k_mul(b, a, k), 0)
+                                               + tagged(generic.k_mul(b, c, k), 1))
+        assert generic.k_mul(b, bundle, k)

@@ -18,7 +18,7 @@ from liequant.hquant.solvers import (GaugeLog, algebra_compat_defect, classical_
                                      solve_composition_v, solve_coproduct,
                                      solve_j_conjugator, solve_twist_pair, twist_counit_defect,
                                      twisted_coproduct, _solve_with_supports)
-from liequant.hquant.unknowns import LinearisedDefect, blocks
+from liequant.hquant.unknowns import LinearisedDefect, Tangent, blocks
 from liequant.lie import LieBialgebra
 from liequant.schema import series_to_json
 from liequant.sparse import El
@@ -346,15 +346,30 @@ def test_triple_sl2_cartan_coherent_under_aligned_policy():
 def test_support_ladder_exhaustion_reports_hint():
     env = Envelope(catalog.abelian(1).lie)
 
-    def defect(top, n, slot):
-        # every unknown must vanish, and a constant row 1 = 0 is unsatisfiable
-        return blocks({0: top.get("u", El())}, {0: El.term((), Q(1))})
+    def defect(top, n):
+        # every unknown must vanish, and a constant row 1 = 0 is unsatisfiable;
+        # the constant row is no part of a column
+        const = {} if isinstance(top, Tangent) else {0: El.term((), Q(1))}
+        return blocks({0: top.get("u", El())}, const)
 
     supports = [("tiny", [("u", env.keys_up_to(1, 1, 1))])]
     with pytest.raises(SolverInconsistencyError) as info:
         _solve_with_supports("probe", 1, supports, LinearisedDefect(defect, 1), GaugeLog())
     assert "degree-cap" in str(info.value)
     assert info.value.certificate is not None
+
+
+def test_column_with_a_term_no_unknown_enters_is_refused():
+    # a constant row returned from the column evaluation too would be copied
+    # into every column: the defect is not affine in the unknowns as given
+    env = Envelope(catalog.abelian(1).lie)
+
+    def defect(top, n):
+        return blocks({0: top.get("u", El())}, {0: El.term((), Q(1))})
+
+    supports = [("tiny", [("u", env.keys_up_to(1, 1, 1))])]
+    with pytest.raises(InternalCheckError, match=r"block \(1, 0\)"):
+        _solve_with_supports("probe", 1, supports, LinearisedDefect(defect, 1), GaugeLog())
 
 
 def test_support_ladder_repeats_the_last_rung_of_a_shorter_part(sl2_setup):

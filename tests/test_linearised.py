@@ -14,16 +14,17 @@ from liequant.cli import main
 from liequant.envelope import Envelope
 from liequant.hquant.gammaq import assemble_gamma_quantization
 from liequant.hquant.solvers import solve_coproduct, solve_twist_pair
+from liequant.hquant.unknowns import LinearisedDefect
 from liequant.linsolve import LinSystem
 from liequant.sparse import El
 
 
 def brute_force_system(defect, k: int, unknowns: list[tuple]) -> LinSystem:
     """Rows of ``defect_k(top=E_u) - defect_k(top=0)`` at full order k."""
-    zero = defect({}, k, None)
+    zero = defect({}, k)
     rows: dict[tuple, dict[int, Fraction]] = {}
     for var, (slot, key) in enumerate(unknowns):
-        full = defect({slot: El.term(key, Fraction(1))}, k, None)
+        full = defect({slot: El.term(key, Fraction(1))}, k)
         for bid in set(full) | set(zero):
             diff = full.get(bid, El()) - zero.get(bid, El())
             for ekey, c in diff.data.items():
@@ -37,10 +38,19 @@ def brute_force_system(defect, k: int, unknowns: list[tuple]) -> LinSystem:
     return system
 
 
+def rows_of(system: LinSystem) -> tuple:
+    """A system's rows, in order and with each row's column order, and its
+    right-hand sides."""
+    return [list(r.items()) for r in system.rows], system.rhs
+
+
 @pytest.fixture
 def checked(monkeypatch):
-    """Compare every solve's first-support system against the brute force,
-    at both modules that solve through ``_solve_with_supports``."""
+    """Check every solve's systems, at both modules that solve through
+    ``_solve_with_supports``: the first rung's against the brute force, and
+    every system the solve builds from its shared ``Columns`` (each rung of
+    each order) against one built cold.  Records ``(operation, order, rung,
+    rows)`` per system built."""
     seen = []
     original = solvers_module._solve_with_supports
 
@@ -48,10 +58,17 @@ def checked(monkeypatch):
         _, slot_keys = supports[0]
         unknowns = [(slot, key) for slot, keys in slot_keys for key in keys]
         got = defect.system(unknowns)
-        want = brute_force_system(defect.defect, order, unknowns)
-        assert [list(r.items()) for r in got.rows] == [list(r.items()) for r in want.rows]
-        assert got.rhs == want.rhs
-        seen.append((operation, order, got.nrows))
+        assert rows_of(got) == rows_of(brute_force_system(defect.defect, order, unknowns))
+        shared, rungs = defect.system, iter(range(len(supports)))
+
+        def system(unknowns):
+            got = shared(unknowns)
+            cold = LinearisedDefect(defect.defect, order).system(unknowns)
+            assert rows_of(got) == rows_of(cold), (operation, order)
+            seen.append((operation, order, next(rungs), got.nrows))
+            return got
+
+        defect.system = system
         return original(operation, order, supports, defect, log, seed_order)
 
     monkeypatch.setattr(solvers_module, "_solve_with_supports", checking)
@@ -81,8 +98,8 @@ def test_solver_systems_keep_the_scalar_rule(monkeypatch):
 
 def test_coproduct_rows_match_brute_force(checked):
     solve_coproduct(catalog.solvable2(), 2)
-    assert [(op, k) for op, k, _ in checked] == [("coproduct", 2)]
-    assert checked[0][2] > 0
+    assert [(op, k) for op, k, _, _ in checked] == [("coproduct", 2)]
+    assert checked[0][3] > 0
 
 
 def test_joint_twist_pair_rows_match_brute_force(checked):
@@ -91,13 +108,36 @@ def test_joint_twist_pair_rows_match_brute_force(checked):
     cop = solve_coproduct(bialg, 2, env)
     target = cop.pushforward(catalog.sl2_cartan_involution())
     solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), target, 2)
-    ops = [(op, k) for op, k, _ in checked]
+    ops = [(op, k) for op, k, _, _ in checked]
     assert ("twist-pair", 1) in ops and ("twist-pair", 2) in ops
+
+
+def test_escalations_and_later_orders_reuse_columns(checked, monkeypatch):
+    # the catalog's order-3 solves do not escalate on their own ladders, so
+    # each ladder gets a first rung with half of every slot's keys: where it
+    # is inconsistent, the next rung builds its system from the columns that
+    # rung left plus the keys it adds
+    original = solvers_module._support_ladder
+
+    def with_a_half_rung(env, cap, *parts):
+        ladder = original(env, cap, *parts)
+        _, slot_keys = ladder[0]
+        return [("half", [(slot, keys[: len(keys) // 2]) for slot, keys in slot_keys])] + ladder
+
+    monkeypatch.setattr(solvers_module, "_support_ladder", with_a_half_rung)
+    assembly = assemble_gamma_quantization(catalog.gamma_family("solvable2-tri-z2"), 3)
+    escalated = {(r.operation, r.order) for r in assembly.log.records
+                 if r.status == "inconsistent"}
+    assert {("coproduct", 3), ("twist-pair", 3)} <= escalated
+    assert {(op, k) for op, k, rung, _ in checked if rung} == escalated
+    # every order of these solves read the columns of the orders before it
+    assert {(op, k) for op, k, _, _ in checked} >= {
+        ("coproduct", 2), ("twist-pair", 1), ("twist-pair", 2), ("composition-v", 3)}
 
 
 def test_alignment_rows_match_brute_force(checked):
     assemble_gamma_quantization(catalog.gamma_family("solvable2-tri-z2"), 2)
-    ops = [(op, k) for op, k, _ in checked]
+    ops = [(op, k) for op, k, _, _ in checked]
     assert ("v-alignment", 1) in ops and ("v-alignment", 2) in ops
 
 
@@ -106,7 +146,7 @@ def test_compare_rows_match_brute_force(checked, capsys):
     # comparison witness, at orders 1 and 2
     assert main(["compare", "catalog:solvable2-tri-z2", "--order", "2", "--format", "json"]) == 0
     capsys.readouterr()
-    ops = {(op, k) for op, k, _ in checked}
+    ops = {(op, k) for op, k, _, _ in checked}
     assert {("j-conjugator", 2), ("composition-v", 1), ("composition-v", 2),
             ("pipeline-witness", 1), ("pipeline-witness", 2)} <= ops
 

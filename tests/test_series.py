@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from liequant import catalog
 from liequant.envelope import ONE, Envelope
 from liequant.errors import InternalCheckError
-from liequant.hquant.core import CoproductSeries, ElSeries
+from liequant.hquant.core import CoproductSeries, DualSeries, ElSeries
 from liequant.hquant.solvers import solve_coproduct
 from liequant.sparse import El
 
@@ -116,3 +116,42 @@ def test_algebra_map_truncation_is_memoised():
     fresh = CoproductSeries(ENV, 1, [dict(t) for t in cop.tables[:2]])
     assert one.tables == fresh.tables
     assert one.ext_mon((0, 1, 2)) == fresh.ext_mon((0, 1, 2))
+
+
+def tagged(el: El, tag: int) -> El:
+    """``el`` with ``tag`` appended to every key, as a forward-mode tangent
+    carries it."""
+    return El({key + (tag,): c for key, c in el.data.items()})
+
+
+def test_dual_tensor_puts_the_tag_last():
+    value, other = el((UNIT, 1), (E, 2)), el((H, 5), (F, Fraction(1, 3)))
+    parts = [el((F, 3)), el((H, Fraction(1, 2)), (E, 1))]
+    dual = DualSeries(ENV, 1, value, tagged(parts[0], 0) + tagged(parts[1], 1), {})
+    constant = DualSeries(ENV, 1, other, None, {})
+
+    def tensor(x: El, y: El) -> El:
+        return series(x).tensor(series(y))[0]
+
+    assert dual.tensor(constant).tangent == (tagged(tensor(parts[0], other), 0)
+                                             + tagged(tensor(parts[1], other), 1))
+    assert constant.tensor(dual).tangent == (tagged(tensor(other, parts[0]), 0)
+                                             + tagged(tensor(other, parts[1]), 1))
+
+
+def test_dual_map_leg_puts_the_tag_of_a_tangent_image_last():
+    # leg 0 of a two-leg value mapped by the coproduct, with a tagged
+    # tangent image: each tag's terms are that image's splice, tag appended
+    value = El([(((0,), (1,)), 2), ((ONE, (2,)), Fraction(1, 3)), (((1, 2), ONE), -1)])
+    parts = [lambda m: El([((m, (2,)), 1)]) if m else El(),
+             lambda m: El([((ONE, m), Fraction(1, 2)), ((m, m), 3)]) if m else El()]
+
+    def bundle(m):
+        return tagged(parts[0](m), 0) + tagged(parts[1](m), 1)
+
+    def mapped(dimage) -> El:
+        return DualSeries(ENV, 2, value, None, {}).map_leg(0, ENV.coproduct_mon, dimage, 2).tangent
+
+    got = mapped(bundle)
+    assert got and got == tagged(mapped(parts[0]), 0) + tagged(mapped(parts[1]), 1)
+    assert all(len(key) == 4 and type(key[-1]) is int for key in got.data)
