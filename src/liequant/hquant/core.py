@@ -169,9 +169,17 @@ def _splice(out: El, el: El, leg: int, image, legs: int | None = None) -> El:
     return out
 
 
-def _plus(a: El | None, b: El | None) -> El | None:
-    """Sum of two tangents, None standing for zero."""
-    return b if a is None else a if b is None else a + b
+def _plus(a: El | None, b: El | None, own: bool = False) -> El | None:
+    """Sum of two tangents, None standing for zero.  With ``own``, ``a`` is an
+    element the caller has just made and no one else holds, and ``b`` is
+    added into it in place."""
+    if a is None or b is None:
+        return b if a is None else a
+    if not own:
+        return a + b
+    for key, c in b.data.items():
+        a.add_term(key, c)
+    return a
 
 
 class DualSeries:
@@ -272,7 +280,11 @@ class DualSeries:
 
         tangent = times(self.value, other.tangent) if other.tangent else None
         if self.tangent:
-            tangent = _plus(tangent, times(self.tangent, other.value))
+            # the first product is a new element unless the value is the unit
+            # and times() returned other.tangent (a tagged tangent is never
+            # the unit, so times() never returns self.value here)
+            tangent = _plus(tangent, times(self.tangent, other.value),
+                            tangent is not other.tangent)
         return self._derived(self.arity, tangent, lambda: times(self.value, other.value))
 
     def inverse(self) -> "DualSeries":
@@ -287,7 +299,7 @@ class DualSeries:
         tangent = (_add_tensor(El(), self.tangent, other.value, self.arity)
                    if self.tangent else None)
         if other.tangent:
-            tangent = _plus(tangent, _add_tensor(El(), self.value, other.tangent))
+            tangent = _add_tensor(tangent or El(), self.value, other.tangent)
         return self._derived(self.arity + other.arity, tangent,
                              lambda: _add_tensor(El(), self.value, other.value))
 
@@ -352,7 +364,7 @@ class DualMap:
                 out = self.env.k_mul(head.tangent, self.ext0(rest), self.arity)
             drest = self.dext(rest)
             if drest:
-                out = _plus(out, self.env.k_mul(head.value, drest, self.arity))
+                out = _plus(out, self.env.k_mul(head.value, drest, self.arity), True)
         self._dext[m] = out = out or None
         return out
 
