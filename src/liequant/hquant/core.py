@@ -142,13 +142,9 @@ def _add_tensor(out: El, a: El, b: El, legs: int | None = None) -> El:
     is a tangent whose keys carry a tag past their ``legs`` legs, and the tag
     goes after the legs of ``b``."""
     for ka, va in a.data.items():
-        if legs is not None:
-            head, tag = ka[:legs], ka[legs:]
-            for kb, vb in b.data.items():
-                out.add_term(head + kb + tag, va * vb)
-            continue
+        head, tag = (ka, ()) if legs is None else (ka[:legs], ka[legs:])
         for kb, vb in b.data.items():
-            out.add_term(ka + kb, va * vb)
+            out.add_term(head + kb + tag, va * vb)
     return out
 
 
