@@ -130,7 +130,8 @@ def test_escalations_and_later_orders_reuse_columns(checked, monkeypatch):
                  if r.status == "inconsistent"}
     assert {("coproduct", 3), ("twist-pair", 3)} <= escalated
     assert {(op, k) for op, k, rung, _ in checked if rung} == escalated
-    # every order of these solves read the columns of the orders before it
+    # the systems of the later orders, which read the columns of the orders
+    # before them, were checked too
     assert {(op, k) for op, k, _, _ in checked} >= {
         ("coproduct", 2), ("twist-pair", 1), ("twist-pair", 2), ("composition-v", 3)}
 
