@@ -398,24 +398,39 @@ class AlgebraMapSeries:
         self.tables = tables
         self._ext: dict[Mon, list[El]] = {}
         self._truncations: dict[int, AlgebraMapSeries] = {}
+        # a truncation reads the extensions of the series it was cut from
+        self._root: AlgebraMapSeries | None = None
 
     def gen_series(self, i: int) -> ElSeries:
         return ElSeries(self.env, self.arity, [t.get(i, El()) for t in self.tables])
 
-    def ext_mon(self, m: Mon) -> list[El]:
-        cached = self._ext.get(m)
-        if cached is not None:
-            return cached
+    def ext_mon(self, m: Mon, upto: int | None = None) -> list[El]:
+        """The image of a monomial, per order: all orders, or with ``upto``
+        at least the orders up to ``upto``.
+
+        Each monomial has one list, extended in place: a deeper request
+        appends the orders it adds to the list a shallower one made, and its
+        tail's list is extended the same way.  A truncation keeps the first
+        orders of the list of the series it was cut from."""
+        if self._root is not None:
+            ext = self._ext.get(m)
+            if ext is None:
+                ext = self._ext[m] = self._root.ext_mon(m, self.order)[: self.order + 1]
+            return ext
+        upto = self.order if upto is None else min(upto, self.order)
+        ext = self._ext.setdefault(m, [])
+        if len(ext) > upto:
+            return ext
         if not m:
-            result = ElSeries.unit(self.env, self.arity, self.order).coeffs
-        else:
-            head = self.gen_series(m[0])
-            tail = ElSeries(self.env, self.arity, self.ext_mon(m[1:]))
+            ext[:] = ElSeries.unit(self.env, self.arity, self.order).coeffs
+            return ext
+        head = [t.get(m[0], El()) for t in self.tables]
+        tail = self.ext_mon(m[1:], upto)
+        for k in range(len(ext), upto + 1):
             # cached images feed every later product: keep them under the scalar rule
-            result = [El({key: q(c) for key, c in el.data.items()})
-                      for el in head.mul(tail).coeffs]
-        self._ext[m] = result
-        return result
+            el = product_coeff(self.env, self.arity, head, tail, k)
+            ext.append(El({key: q(c) for key, c in el.data.items()}))
+        return ext
 
     def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
         """Map one leg of a series: the image key is spliced in place of the leg."""
@@ -436,13 +451,15 @@ class AlgebraMapSeries:
     def truncated(self, order: int):
         """The series modulo h^(order+1): ``self`` at its own order, otherwise
         made once per order, so the truncation's ``ext_mon`` cache is shared
-        by every later caller."""
+        by every later caller.  A truncation's extensions are the first
+        orders of this series' own (see ``ext_mon``)."""
         if order == self.order:
             return self
         cut = self._truncations.get(order)
         if cut is None:
             cut = self._truncations[order] = type(self)(
                 self.env, order, [dict(t) for t in self.tables[: order + 1]])
+            cut._root = self._root or self
         return cut
 
 

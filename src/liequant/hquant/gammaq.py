@@ -11,24 +11,28 @@ which covers the generic (solver-built) pipeline and the direct
 quasitriangular one (T_g the plain action extension, v = 1, base coproduct
 conjugated by the solved r-matrix element) in one representation.
 
-Products and coproducts run on flat term lists ``(order, key, coeff, tag)``
-sorted by order.  The slot product ``[m1|g1][m2|g2]`` and the coproduct of
-each basis element ``[m|g]`` are cached as lists ``(order, key, coeff)``,
-and one product kernel (``GammaQuantization._add_product``) adds the product
-of two term lists into an accumulator ``{(order, tag, *legs): coeff}``
-modulo h^{n+1}, stopping each slot list at the order budget; one leg-map
-kernel (``_add_coproduct``) does the same for the coproduct and for the
-comparison witness, one leg at a time.  A term of order ``o`` asks for the
-slot products and leg images it meets only to order ``n - o``, so a cache
-entry is filled to the order its first caller needs and extended in place
-when a later caller needs more; most high-degree monomials appear only at
-high orders and are filled at order 0 alone.  A slot entry is ``m1 · R``
-with the right factor ``R = T_{g1}(m2) · v_{g1,g2}^{-1}`` made once per
-``(g1, m2, g2)``.  ``mul`` and ``coproduct`` unpack an accumulator into a
-series.  The axiom checks accumulate ``left - right`` of each identity on
-denominator-scaled integers, with every leg an int and one accumulator per
-pair ``(a, b)`` whose tags tell the third factors apart, and test it for
-zero.
+Products and coproducts run on the packed-int kernel of
+:mod:`liequant.hquant.packed`: every key ``(order, legs..., tag)`` is one
+int, and ``_series`` is the one place where keys become legs again.  The
+slot product ``[m1|g1][m2|g2]`` and the coproduct of each basis element
+``[m|g]`` are cached as flat term lists ``(order, legs, coeff)`` sorted by
+order, ``legs`` the packed legs.  A term of order ``o`` asks for the slot
+products and leg images it meets only to order ``n - o``, so a cache entry
+is filled to the order its first caller needs and extended in place when a
+later caller needs more; most high-degree monomials appear only at high
+orders and are filled at order 0 alone.  A slot entry is ``m1 · R`` with
+the right factor ``R = T_{g1}(m2) · v_{g1,g2}^{-1}`` made once per
+``(g1, m2, g2)``; a coproduct entry extends the coproduct's one chain of
+images of ``m``.
+
+The axiom checks read the window's products and coproducts straight from
+the caches (a basis element is one order-0 unit term), accumulate
+``left - right`` of each identity on denominator-scaled ints, one
+accumulator per pair ``(a, b)`` whose tags tell the third factors apart, and
+test it for zero.  Slot entries are looked up inline by the packed code of
+their pair: ``(ab)c`` reads the entries of each leg of ``ab`` with every
+``c``, and ``a(bc)`` an index of the terms of every ``bc`` by leg, so each
+entry ``a · leg`` is read once per pair ``(a, b)``.
 """
 
 from __future__ import annotations
@@ -36,64 +40,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from operator import itemgetter
 
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from ..groups import GammaLieBialgebra, GroupAction
 from ..sparse import El
-from ..tensors import q, qdiv
+from ..tensors import q
 from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries, product_coeff
+from .packed import _LEG_BITS, PackedKernel, _arity, _merged, _scaled_table
 from .pipeline import gamma_v_cocycle_defects
 from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, antisymmetric_part,
                       composition_defect, conjugation_defect, solve_composition_v,
                       solve_coproduct, solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
 from .unknowns import Columns, LinearisedDefect, blocks, candidate, candidate_map
 
-
-def _terms(series: list[El], scale=1, tag=0) -> list[tuple]:
-    """Flat terms ``(order, key, scale · coeff, tag)`` of a series, sorted by
-    order."""
-    return [(o, key, q(scale * c), tag) for o, el in enumerate(series)
-            for key, c in el.data.items()]
-
-
-def _scaled_view(lookup, factor, encode=None):
-    """``lookup(key, upto)`` of flat terms, memoised per ``key``, with every
-    coefficient times ``factor`` and, with ``encode``, every term's key mapped
-    by it.
-
-    ``lookup`` returns one list per ``key`` that it only appends to, sorted
-    by order, so the view keeps one scaled list per ``key``, as deep as it
-    was read: a deeper read appends the terms its source gained since.
-    """
-    view: dict = {}
-    depth: dict = {}
-
-    def scaled(key, upto):
-        if depth.get(key, -1) >= upto:
-            return view[key]
-        source = lookup(key, upto)
-        terms = view.get(key)
-        if terms is None:
-            terms = view[key] = []
-        terms += [(o, k if encode is None else encode(k), q(factor * c))
-                  for o, k, c in source[len(terms):]]
-        depth[key] = upto
-        return terms
-    return scaled
-
-
-def _series(acc: dict, n: int, scale=1) -> list[El]:
-    """An accumulator ``{(order, tag, *legs): coeff}`` divided by ``scale``, as
-    a series with keys ``legs`` (the tags are dropped)."""
-    out = [El() for _ in range(n + 1)]
-    for at, c in acc.items():
-        if c:
-            out[at[0]].data[at[2:]] = q(c) if scale == 1 else qdiv(c, scale)
-    return out
-
-
-class GammaQuantization:
+class GammaQuantization(PackedKernel):
     """Deformed product/coproduct tables over U(a) ⋊ Γ modulo h^{N+1}.
 
     An assembly is immutable after construction, so the caches and the
@@ -104,18 +66,17 @@ class GammaQuantization:
                  f_map: dict[int, ElSeries], t_map: dict[int, MapSeries],
                  v_map: dict[tuple[int, int], ElSeries], order: int,
                  log: GaugeLog | None = None):
+        super().__init__(order)
         self.env = env
         self.action = action
         self.group = action.group
         self.cop = cop
-        self.order = order
         self.f_map = f_map
         self.t_map = t_map
         self.v_map = v_map
         self.log = log or GaugeLog()
         self.f_inv = {g: s.inverse() for g, s in f_map.items()}
         self.v_inv = {pair: s.inverse() for pair, s in v_map.items()}
-        self._legs: dict = {}
         self._right_factors: dict = {}
         self._slot_cache: dict = {}
         self._slot_depth: dict = {}
@@ -140,15 +101,10 @@ class GammaQuantization:
 
     # -- product ------------------------------------------------------------------
 
-    def _leg(self, mon: Mon, g: int) -> tuple:
-        """The leg ``(mon, g)``: one object per leg, shared by every cached term."""
-        leg = (mon, g)
-        return self._legs.setdefault(leg, leg)
-
     def _slot(self, pair, upto: int) -> list[tuple]:
         """``[m1|g1][m2|g2]`` for ``pair = ((m1, g1), (m2, g2))``, modulo
-        h^{upto+1} at least, as flat terms ``(order, (mon, g1 g2), coeff)``
-        sorted by order.
+        h^{upto+1} at least, as flat terms ``(order, legs, coeff)`` sorted by
+        order, ``legs`` the packed key of ``(mon, g1 g2)``.
 
         An entry is ``m1 · R`` with the right factor
         ``R = T_{g1}(m2) · v_{g1,g2}^{-1}``, made once per ``(g1, m2, g2)`` to
@@ -166,13 +122,13 @@ class GammaQuantization:
             right = self._right_factors[(g1, m2, g2)] = ElSeries(
                 self.env, 1, self.t_map[g1].ext_mon(m2)).mul(self.v_inv[(g1, g2)]).coeffs
         gg = self.group.mul(g1, g2)
-        leg = self._leg
+        key = self._key
         left = El.term((m1,))
         terms = self._slot_cache.setdefault(pair, [])
         for o in range(depth + 1, upto + 1):
             if right[o]:
                 # cached coefficients feed every product: keep them under the scalar rule
-                terms += [(o, leg(mon, gg), q(c))
+                terms += [(o, key((mon, gg)), q(c))
                           for (mon,), c in self.env.k_mul(left, right[o], 1).data.items()]
         self._slot_depth[pair] = upto
         return terms
@@ -181,59 +137,26 @@ class GammaQuantization:
         """``[m1|g1][m2|g2]`` to the full order: the slot read of ``mul``."""
         return self._slot((mg_a, mg_b), self.order)
 
-    def _add_product(self, acc: dict, a: list[tuple], b: list[tuple], n: int, k: int,
-                     slot=None, sign: int = 1):
-        """Add ``sign · a b`` modulo h^{n+1} into ``acc = {(order, tag, *legs): coeff}``.
-
-        ``a`` and ``b`` are flat term lists ``(order, key, coeff, tag)`` sorted
-        by order, with keys of ``k`` legs (``k`` is 1 or 2).  The tag of each
-        ``b`` term goes into the keys of its products, so one accumulator can
-        hold the products of ``a`` with several right factors; the tags of
-        ``a`` are not read.  ``slot((mg_a, mg_b), upto)`` gives the slot
-        products at least to order ``upto`` (default ``_slot``).
-        """
-        slot = slot or self._slot
-        for oa, key_a, ca, _ in a:
-            for ob, key_b, cb, tag in b:
-                used = oa + ob
-                if used > n:
-                    break
-                base = sign * ca * cb
-                if k == 1:
-                    for o, key, c in slot((key_a[0], key_b[0]), n - used):
-                        if used + o > n:
-                            break
-                        at = (used + o, tag, key)
-                        acc[at] = acc.get(at, 0) + base * c
-                else:
-                    second = slot((key_a[1], key_b[1]), n - used)
-                    for o1, key1, c1 in slot((key_a[0], key_b[0]), n - used):
-                        if used + o1 > n:
-                            break
-                        first = base * c1
-                        for o2, key2, c2 in second:
-                            if used + o1 + o2 > n:
-                                break
-                            at = (used + o1 + o2, tag, key1, key2)
-                            acc[at] = acc.get(at, 0) + first * c2
-
     def k_mul(self, a: El, b: El, k: int = 1) -> El:
         """The order-0 product of two elements: the algebra that a
         forward-mode series (``DualSeries``) over this structure multiplies in.
         Key elements past the ``k`` legs are a tag that passes to the product
         key after its legs, as in ``Envelope.k_mul``; ``a``'s terms are
-        multiplied one tag at a time, with that tag on every term of ``b``."""
-        right = [(0, key[:k], q(c), key[k:]) for key, c in b.data.items()]
+        multiplied one tag at a time, with that tag on every term of ``b``.
+        Each tag is a small int in the packed keys."""
+        tags: dict = {}
+        tag_shift = self._ob + k * _LEG_BITS
+        right = [(0, self._pack(key[:k]), q(c), key[k:]) for key, c in b.data.items()]
         lefts: dict = {}
         for key, c in a.data.items():
-            lefts.setdefault(key[k:], []).append((0, key[:k], q(c), None))
+            lefts.setdefault(key[k:], []).append((0, self._pack(key[:k]), q(c)))
         acc: dict = {}
+        table, fill = _scaled_table(lambda code, upto: self._slot(self._pair(code), upto))
         for tag, left in lefts.items():
-            self._add_product(acc, left, [(0, kb, cb, tag + t) for _, kb, cb, t in right]
-                              if tag else right, 0, k)
-        out = El()
-        out.data = {at[2:] + at[1]: q(c) for at, c in acc.items() if c}
-        return out
+            self._add_product(acc, self._left(left, k), self._right(
+                [(o, legs, c, tags.setdefault(tag + t, len(tags)) << tag_shift)
+                 for o, legs, c, t in right], k), 0, k, table, fill)
+        return self._series(acc, 0, k, tags=list(tags))[0]
 
     def mul(self, a: list[El], b: list[El], k: int = 1) -> list[El]:
         if isinstance(a, DualSeries):
@@ -241,61 +164,55 @@ class GammaQuantization:
         if len(a) != len(b):
             raise ValueError("series order mismatch")
         acc: dict = {}
-        self._add_product(acc, _terms(a), _terms(b), len(a) - 1, k,
-                          lambda pair, _upto: self._slot_product(*pair))
-        return _series(acc, len(a) - 1)
+        self._add_product(acc, self._left(self._flat(a), k),
+                          self._right([term + (0,) for term in self._flat(b)], k), len(a) - 1, k,
+                          *_scaled_table(lambda code, _upto: self._slot_product(*self._pair(code))))
+        return self._series(acc, len(a) - 1, k)
 
     # -- coproduct -----------------------------------------------------------------
 
     def _cop_key(self, mg, upto: int) -> list[tuple]:
         """``Delta([m|g])`` modulo h^{upto+1} at least, as flat terms
-        ``(order, ((m1, g), (m2, g)), coeff)`` sorted by order.
+        ``(order, legs, coeff)`` sorted by order, ``legs`` the packed keys of
+        ``((m1, g), (m2, g))``.
 
         An entry is filled to the order its first caller needs, from the
-        memoised truncation of the coproduct and ``F_g^{-1}``; a later request
-        for more orders appends the orders it adds, and one for fewer orders
-        reads the deeper entry (so it may get more orders than it asked for).
-        ``_cop_depth`` holds the order each entry reaches.
+        coproduct's extension of ``m``, which is itself extended in place,
+        and ``F_g^{-1}``; a later request for more orders appends the orders
+        it adds, and one for fewer orders reads the deeper entry (so it may
+        get more orders than it asked for).  ``_cop_depth`` holds the order
+        each entry reaches.
         """
         depth = self._cop_depth.get(mg, -1)
         if depth >= upto:
             return self._cop_cache[mg]
         m, g = mg
-        ext = self.cop.truncated(upto).ext_mon(m)
+        ext = self.cop.ext_mon(m, upto)
         terms = self._cop_cache.setdefault(mg, [])
-        leg = self._leg
+        key = self._key
         for o in range(depth + 1, upto + 1):
             el = product_coeff(self.env, 2, ext, self.f_inv[g].coeffs, o)
-            terms += [(o, (leg(m1, g), leg(m2, g)), q(c)) for (m1, m2), c in el.data.items()]
+            terms += [(o, key((m1, g)) + (key((m2, g)) << _LEG_BITS), q(c))
+                      for (m1, m2), c in el.data.items()]
         self._cop_depth[mg] = upto
         return terms
 
-    def _add_coproduct(self, acc: dict, a: list[tuple], n: int, leg: int, cop=None):
-        """Add the image of leg ``leg`` of the flat terms ``a``, modulo h^{n+1},
-        into ``acc``, keyed like ``_add_product`` (each term's tag goes into
-        the keys of its image).  ``cop(mg, upto)`` gives a basis element's image as flat
-        terms sorted by order, at least to order ``upto``: its coproduct by
-        default (``_cop_key``), or another leg map such as the comparison
-        witness.  A term of order ``oa`` asks for its image only to order
-        ``n - oa``, all that the sum modulo h^{n+1} reads of it."""
-        cop = cop or self._cop_key
-        for oa, key, c, tag in a:
-            for o, dkey, d in cop(key[leg], n - oa):
-                if oa + o > n:
-                    break
-                at = (oa + o, tag) + key[:leg] + dkey + key[leg + 1:]
-                acc[at] = acc.get(at, 0) + c * d
+    def _cop_table(self):
+        """A table and fill of coproduct images for ``_add_coproduct``."""
+        return _scaled_table(lambda key, upto: self._cop_key(self._leg_of(key), upto))
 
     def coproduct(self, a: list[El]) -> list[El]:
         if isinstance(a, DualSeries):
-            return a.map_leg(0, lambda mg: El({key: c for o, key, c in self._cop_key(mg, 0)
-                                               if not o}), None, 2)
+            return a.map_leg(0, lambda mg: self._series(
+                {legs: c for o, legs, c in self._cop_key(mg, 0) if not o}, 0, 2)[0], None, 2)
         return self.coproduct_leg(a, 0)
 
     def coproduct_leg(self, a: list[El], leg: int) -> list[El]:
         acc: dict = {}
-        self._add_coproduct(acc, _terms(a), len(a) - 1, leg)
-        return _series(acc, len(a) - 1)
+        n = len(a) - 1
+        self._add_coproduct(acc, [(o + legs, c) for o, legs, c in self._flat(a)], n, leg,
+                            *self._cop_table())
+        return self._series(acc, n, _arity(a) + 1)
 
     def counit(self, a: list[El]):
         out = []
@@ -567,108 +484,102 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
     """Exact axiom defects on all smash monomials of degree <= d_in."""
     report = AxiomReport()
     basis = assembly.basis_up_to(d_in)
-    series = {key: assembly.basis_series(*key) for key in basis}
-    unit = assembly.unit()
+    n = assembly.order
+    grp = assembly.group
+    keys = [assembly._key(a) for a in basis]
 
-    products: dict = {}
+    # A basis element is one order-0 unit term, so the window's products and
+    # coproducts are cache entries: the slot products [a][b] and Delta([a]).
     for a in basis:
         for b in basis:
-            products[(a, b)] = assembly.mul(series[a], series[b])
-
-    coproducts = {a: assembly.coproduct(series[a]) for a in basis}
+            assembly._slot((a, b), n)
+        assembly._cop_key(a, n)
 
     # Associativity and compatibility accumulate left - right per identity,
-    # with every factor scaled by the common denominator D of the products,
-    # the basis coproducts and the cached slot products.  Both sides of an
-    # identity carry the same power of D, so the zero test is unchanged; it
-    # runs on ints wherever D clears a denominator, on exact Fractions elsewhere.
-    n = assembly.order
-    scale = math.lcm(1, *(c.denominator for s in (*products.values(), *coproducts.values())
-                          for el in s for c in el.data.values()),
-                     *(c.denominator for terms in assembly._slot_cache.values()
-                       for _, _, c in terms))
+    # with every slot product scaled by the common denominator s of the
+    # cached ones, and every coproduct by t, that of the cached coproducts.
+    # Both sides of an identity carry the same powers of s and t (the left
+    # side of compatibility is multiplied by s t to match), so the zero test
+    # is unchanged; it runs on ints wherever s and t clear a denominator, on
+    # exact Fractions elsewhere.
+    s = math.lcm(1, *(c.denominator for terms in assembly._slot_cache.values()
+                      for _, _, c in terms))
+    t = math.lcm(1, *(c.denominator for terms in assembly._cop_cache.values()
+                      for _, _, c in terms))
+    slots, fill = _scaled_table(lambda code, upto: assembly._slot(assembly._pair(code), upto), s)
+    cops, cop_fill = _scaled_table(lambda key, upto: assembly._cop_key(assembly._leg_of(key), upto),
+                                   t)
 
-    # Inside the checks each leg (mon, g) is a small int, so the accumulators
-    # key on flat tuples of ints; a failing report maps the ints back.  Every
-    # term list is tagged with the index of its last basis factor: one
-    # accumulator per pair (a, b) holds the identities of every c, told apart
-    # by their tags.
-    legs: list = []
-    ids: dict = {}
-
-    def leg_id(leg) -> int:
-        i = ids.get(leg)
-        if i is None:
-            i = ids[leg] = len(legs)
-            legs.append(leg)
-        return i
-
-    def leg_ids(key: tuple) -> tuple:
-        return tuple(map(leg_id, key))
-
-    def int_terms(s: list[El], factor, tag: int) -> list[tuple]:
-        return [(o, leg_ids(key), c, t) for o, key, c, t in _terms(s, factor, tag)]
-
-    def defect(acc: dict, tag: int, factor) -> list[El]:
-        return _series({(at[0], tag, *(legs[i] for i in at[2:])): c
-                        for at, c in acc.items() if at[1] == tag}, n, factor)
-
-    slot = _scaled_view(lambda pair, upto: assembly._slot((legs[pair[0]], legs[pair[1]]), upto),
-                        scale, leg_id)
-    basis_terms = {a: int_terms(series[a], 1, t) for t, a in enumerate(basis)}
-    scaled: dict = {}
-    for a in basis:
-        for t, b in enumerate(basis):
-            # a product's series is not read again once converted
-            ab = products.pop((a, b))
-            bad = assembly.grading_defect_keys(ab, (assembly.group.mul(a[1], b[1]),))
+    products: dict = {}
+    for a, key_a in zip(basis, keys):
+        for b, key_b in zip(basis, keys):
+            ab = products[(a, b)] = fill(key_a + (key_b << _LEG_BITS), n)[1]
+            gg = grp.mul(a[1], b[1])
+            bad = [(leg,) for leg in map(assembly._leg_of, (legs for _, legs, _ in ab))
+                   if leg[1] != gg]
             if bad:
                 report.grading[(a, b)] = bad
-            scaled[(a, b)] = int_terms(ab, scale, t)
-    # the right factors of (ab)c, every basis c, and of a(bc), every product bc
-    tagged_basis = [term for c in basis for term in basis_terms[c]]
-    tagged_products = {b: sorted((term for c in basis for term in scaled[(b, c)]),
-                                 key=lambda term: term[0]) for b in basis}
-    for a in basis:
+
+    # One accumulator per pair (a, b) holds the identities of every c, each
+    # product tagged with the index of c in the field above its leg.
+    tag_shift = assembly._ob + _LEG_BITS
+    # (ab)c: each leg of ab meets every c
+    every_c = assembly._right([(0, key_c, 1, tag << tag_shift) for tag, key_c in enumerate(keys)],
+                              1)
+    # a(bc): the terms of bc for every c, listed by leg, each list sorted by order
+    by_leg = {b: _merged(assembly._right(sorted(
+        ((o, legs, c, tag << tag_shift) for tag, c_ in enumerate(basis)
+         for o, legs, c in products[(b, c_)]), key=itemgetter(0)), 1)) for b in basis}
+    for a, key_a in zip(basis, keys):
+        minus_a = [(0, key_a, -1)]
         for b in basis:
             acc: dict = {}
-            assembly._add_product(acc, scaled[(a, b)], tagged_basis, n, 1, slot)
-            assembly._add_product(acc, basis_terms[a], tagged_products[b], n, 1, slot, -1)
-            for tag in sorted({at[1] for at, c in acc.items() if c}):
-                report.associativity[(a, b, basis[tag])] = defect(acc, tag, scale ** 2)
+            assembly._add_product(acc, products[(a, b)], every_c, n, 1, slots, fill)
+            assembly._add_product(acc, minus_a, by_leg[b], n, 1, slots, fill)
+            for tag in sorted({at >> tag_shift for at, c in acc.items() if c}):
+                report.associativity[(a, b, basis[tag])] = assembly._series(
+                    {at: c for at, c in acc.items() if at >> tag_shift == tag}, n, 1, s * s)
 
+    unit = assembly.unit()
     for a in basis:
-        left = assembly.mul(unit, series[a])
-        right = assembly.mul(series[a], unit)
-        for name, candidate in (("left", left), ("right", right)):
-            diff = [x - y for x, y in zip(candidate, series[a])]
+        sa = assembly.basis_series(*a)
+        for name, candidate in (("left", assembly.mul(unit, sa)),
+                                ("right", assembly.mul(sa, unit))):
+            diff = [x - y for x, y in zip(candidate, sa)]
             if any(diff):
                 report.unit[(a, name)] = diff
 
-    for a in basis:
-        d = coproducts[a]
+    scaled_cop = {}
+    for a, key_a in zip(basis, keys):
+        d = assembly._series({o + legs: c for o, legs, c in assembly._cop_key(a, n)}, n, 2)
         bad = assembly.grading_defect_keys(d, (a[1], a[1]))
         if bad:
             report.grading[(a, "coproduct")] = bad
-        diff = [x - y for x, y in zip(assembly.coproduct_leg(d, 0),
-                                      assembly.coproduct_leg(d, 1))]
-        if any(diff):
-            report.coassociativity[a] = diff
+        terms = scaled_cop[a] = cop_fill(key_a, n)[1]
+        acc = {}
+        assembly._add_coproduct(acc, [(o + legs, c) for o, legs, c in terms], n, 0, cops, cop_fill)
+        assembly._add_coproduct(acc, [(o + legs, -c) for o, legs, c in terms], n, 1, cops,
+                                cop_fill)
+        if any(acc.values()):
+            report.coassociativity[a] = assembly._series(acc, n, 3, t * t)
+        sa = assembly.basis_series(*a)
         for leg in (0, 1):
-            reduced = assembly.counit_leg(d, leg)
-            diff = [x - y for x, y in zip(reduced, series[a])]
+            diff = [x - y for x, y in zip(assembly.counit_leg(d, leg), sa)]
             if any(diff):
                 report.counit[(a, leg)] = diff
 
-    cop = _scaled_view(lambda i, upto: assembly._cop_key(legs[i], upto), scale ** 3, leg_ids)
-    scaled_cop = {a: int_terms(coproducts[a], scale, t) for t, a in enumerate(basis)}
+    lefts = {a: assembly._left([(o, legs, -c) for o, legs, c in terms], 2)
+             for a, terms in scaled_cop.items()}
+    rights = {b: _merged(assembly._right([(o, legs, c, 0) for o, legs, c in terms], 2))
+              for b, terms in scaled_cop.items()}
     for a in basis:
-        for t, b in enumerate(basis):
+        for b in basis:
             acc = {}
-            assembly._add_coproduct(acc, scaled[(a, b)], n, 0, cop)
-            assembly._add_product(acc, scaled_cop[a], scaled_cop[b], n, 2, slot, -1)
+            assembly._add_coproduct(acc, [(o + legs, c * s * t) for o, legs, c in products[(a, b)]],
+                                    n, 0, cops, cop_fill)
+            assembly._add_product(acc, lefts[a], rights[b], n, 2, slots, fill)
             if any(acc.values()):
-                report.compatibility[(a, b)] = defect(acc, t, scale ** 4)
+                report.compatibility[(a, b)] = assembly._series(acc, n, 2, (s * t) ** 2)
     return report
 
 
@@ -694,7 +605,9 @@ def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
     ``j`` (a column evaluation) it is the dual over ``target`` of the image of
     the order-0 coefficient of ``series``.
 
-    ``cache`` holds the images of each ``(m, g)`` for one ``j, w``.
+    ``cache`` holds the images of each ``(m, g)`` for one ``j, w``: for a
+    plain ``j`` it is the leg-map kernel's table, keyed by the packed key of
+    ``(m, g)``.
     """
     if isinstance(j, DualMap):
 
@@ -714,22 +627,21 @@ def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
             out = out.map_leg(leg, lambda mg: dual_image(mg, 0), lambda mg: dual_image(mg, 1), 1)
         return out
 
-    def image(mg, upto: int) -> list[tuple]:
+    def image(key: int, upto: int):
         # the images are cut at ``order`` already: every budget reads them whole
-        terms = cache.get(mg)
-        if terms is None:
-            m, g = mg
-            img = ElSeries(j.env, 1, j.ext_mon(m)[: order + 1]).mul(w[g])
-            terms = cache[mg] = [(o, ((mon, g),), c) for o, el in enumerate(img.coeffs)
-                                 for (mon,), c in el.data.items()]
-        return terms
+        m, g = target._leg_of(key)
+        img = ElSeries(j.env, 1, j.ext_mon(m)[: order + 1]).mul(w[g])
+        entry = cache[key] = (order, [(o, target._key((mon, g)), c)
+                                      for o, el in enumerate(img.coeffs)
+                                      for (mon,), c in el.data.items()])
+        return entry
 
-    acc = {(o, tag, *key): c for o, key, c, tag in _terms(series)}
-    for leg in range(len(next(iter(acc))) - 2 if acc else 0):
-        terms = [(at[0], at[2:], c, 0) for at, c in acc.items() if c]
-        acc = {}
-        target._add_coproduct(acc, terms, order, leg, image)
-    return _series(acc, order)
+    acc = {o + legs: c for o, legs, c in target._flat(series)}
+    arity = _arity(series)
+    for leg in range(arity):
+        terms, acc = [(key, c) for key, c in acc.items() if c], {}
+        target._add_coproduct(acc, terms, order, leg, cache, image, 1)
+    return target._series(acc, order, arity)
 
 
 def _witness_defects(generic: GammaQuantization, direct: GammaQuantization, phi,
@@ -843,17 +755,21 @@ def classical_limit_check(assembly: GammaQuantization, g_bialg: GammaLieBialgebr
                                    g_bialg.twists)
     out = {"product0": {}, "copoisson1": {}}
     basis = assembly.basis_up_to(d_in)
+    # the slices read the caches the axiom checks fill: the order-0 slot
+    # products and the order-1 coproduct terms
     for a in basis:
         for b in basis:
-            got = assembly.mul(assembly.basis_series(*a), assembly.basis_series(*b))[0]
+            got = assembly._series({legs: c for o, legs, c in assembly._slot((a, b), 0) if not o},
+                                   0, 1)[0]
             want = smash.k_mul(El.term((a,)), El.term((b,)), 1)
             if got != want:
                 out["product0"][(a, b)] = got - want
+    if assembly.order < 1:
+        return out
     for a in basis:
-        d = assembly.coproduct(assembly.basis_series(*a))
-        if assembly.order < 1:
-            continue
-        diff = antisymmetric_part(d[1]) - structure.delta_basis(*a)
+        d1 = assembly._series({legs: c for o, legs, c in assembly._cop_key(a, 1) if o == 1},
+                              0, 2)[0]
+        diff = antisymmetric_part(d1) - structure.delta_basis(*a)
         if diff:
             out["copoisson1"][a] = diff
     return out

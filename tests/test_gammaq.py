@@ -7,7 +7,10 @@ import pytest
 from liequant import catalog
 from liequant.envelope import ONE, Envelope
 from liequant.hquant.core import CoproductSeries, ElSeries
-from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization, _scaled_view,
+from liequant.errors import InternalCheckError
+from liequant.hquant import packed
+from liequant.hquant.packed import _scaled_table
+from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization,
                                     assemble_gamma_quantization, bialgebra_axiom_defects,
                                     classical_limit_check, compare_pipelines,
                                     quasitriangular_gamma_quantize)
@@ -128,10 +131,26 @@ def test_per_pair_accumulators_keep_every_failing_triple(conjugated_units):
                                 "counit": 0, "compatibility": 170, "grading": 0}
 
 
-def test_fused_checks_match_plain_products(conjugated_units):
-    # the scaled one-pass checks report exactly the defects of the plain products
-    assembly = conjugated_units
+@pytest.fixture(scope="module")
+def shifted_s3():
+    """``solvable2-tri-s3`` with 1/997 in the generator-1 coefficient of the
+    order-2 composition element of the eighth pair label, read back from its
+    artifact tables: a six-element group whose products carry defects."""
+    from liequant.artifact import _assembly_from_json, _assembly_to_json
+    from liequant.schema import parse_document
+    name = "solvable2-tri-s3"
+    data = _assembly_to_json(assemble_gamma_quantization(catalog.gamma_family(name), 2))
+    data["compositions"][sorted(data["compositions"])[7]][2]["1"] = "1/997"
+    return _assembly_from_json(data, parse_document(catalog.input_document(name)))[0]
+
+
+@pytest.mark.parametrize("fixture", ["conjugated_units", "shifted_s3"])
+def test_fused_checks_match_plain_products(fixture, request):
+    # the scaled one-pass checks report exactly the defects of the plain
+    # products, packed tags over the whole window included
+    assembly = request.getfixturevalue(fixture)
     report = bialgebra_axiom_defects(assembly, 1)
+    assert report.associativity
     basis = assembly.basis_up_to(1)
     s = {a: assembly.basis_series(*a) for a in basis}
     mul, cop = assembly.mul, assembly.coproduct
@@ -144,15 +163,50 @@ def test_fused_checks_match_plain_products(conjugated_units):
         for b in basis:
             check(report.compatibility, (a, b), cop(mul(s[a], s[b])),
                   mul(cop(s[a]), cop(s[b]), k=2))
+            ab = mul(s[a], s[b])
             for c in basis:
-                check(report.associativity, (a, b, c), mul(mul(s[a], s[b]), s[c]),
+                check(report.associativity, (a, b, c), mul(ab, s[c]),
                       mul(s[a], mul(s[b], s[c])))
 
 
-def test_scaled_views_keep_uncleared_fractions_exact():
-    view = _scaled_view(lambda key, upto: [(0, (key,), Q(1, 3)), (1, (key,), Q(1, 2))], 4)
-    assert view("k", 1) == [(0, ("k",), Q(4, 3)), (1, ("k",), 2)]
-    assert type(view("k", 1)[1][2]) is int
+def test_scaled_tables_keep_uncleared_fractions_exact():
+    source = [(0, 5, Q(1, 3)), (1, 5, Q(1, 2))]
+    table, fill = _scaled_table(lambda code, upto: source, 4)
+    assert fill("k", 1) == (1, [(0, 5, Q(4, 3)), (1, 5, 2)])
+    assert table["k"][1] is fill("k", 1)[1]
+    assert type(table["k"][1][1][2]) is int
+    # unscaled, an entry is the source list itself
+    table, fill = _scaled_table(lambda code, upto: source)
+    assert fill("k", 0) == (0, source) and table["k"][1] is source
+
+
+def _decoded(assembly, terms, k):
+    """Cached terms ``(order, key, coeff)`` with their packed legs decoded."""
+    return [(o, key, d) for o, legs, c in terms
+            for key, d in assembly._series({legs: c}, 0, k)[0].data.items()]
+
+
+def test_packed_fields_do_not_alias(flagship):
+    # a leg code at the top of its field stays in it: the tag above and the
+    # leg beside it decode as they were packed
+    _, env, generic = flagship
+    assembly = GammaQuantization(env, generic.action, generic.cop, generic.f_map,
+                                 generic.t_map, generic.v_map, generic.order)
+    low, high = (ONE, 0), ((0,), 1)
+    low_key = assembly._key(low)
+    assembly._leg_list += [None] * (packed._LEG_MASK - len(assembly._leg_list))
+    high_key = assembly._key(high)
+    assert high_key >> assembly._ob == packed._LEG_MASK
+    key = (2 + high_key + (low_key << packed._LEG_BITS)
+           + (3 << (assembly._ob + 2 * packed._LEG_BITS)))
+    out = assembly._series({key: 5}, 2, 2, tags=[(), (), (), ("t",)])
+    assert out[2].data == {(high, low, "t"): 5}
+    # one leg more would overflow the field: refused, not aliased
+    with pytest.raises(InternalCheckError):
+        assembly._key(((1,), 0))
+    # so would an order past the assembly's: the order field is sized by it
+    with pytest.raises(InternalCheckError):
+        generic.mul(generic.unit() + [El()], generic.unit() + [El()])
 
 
 @pytest.fixture(scope="module")
@@ -169,6 +223,7 @@ def _fresh(assembly):
 
 
 def test_budgeted_coproduct_fills_are_truncations_of_the_full_fill(order3):
+    # leg codes follow fill order, so fills of two assemblies compare decoded
     n = order3.order
     full = _fresh(order3)
     shallow_first = {upto: _fresh(order3) for upto in range(n)}
@@ -180,20 +235,38 @@ def test_budgeted_coproduct_fills_are_truncations_of_the_full_fill(order3):
             assert [t for t in full._cop_key(mg, upto) if t[0] <= upto] == cut, (mg, upto)
             if upto < n:
                 # shallow then deep: a fresh fill to the budget, then the refill
-                assert shallow_first[upto]._cop_key(mg, upto) == cut, (mg, upto)
-                assert shallow_first[upto]._cop_key(mg, n) == want, (mg, upto)
+                shallow = shallow_first[upto]
+                assert (_decoded(shallow, shallow._cop_key(mg, upto), 2)
+                        == _decoded(full, cut, 2)), (mg, upto)
+                assert (_decoded(shallow, shallow._cop_key(mg, n), 2)
+                        == _decoded(full, want, 2)), (mg, upto)
 
 
-def test_scaled_coproduct_view_serves_deep_requests_deep_terms(order3):
+def test_coproduct_fills_extend_one_chain_per_monomial(order3):
+    # a deeper fill extends the coproduct's extension of the monomial in
+    # place: no truncation of the coproduct is made for a shallow fill
+    assembly = _fresh(order3)
+    for mg in order3.basis_up_to(3):
+        assembly._cop_key(mg, 0)
+        chain = assembly.cop._ext[mg[0]]
+        assembly._cop_key(mg, order3.order)
+        assert assembly.cop._ext[mg[0]] is chain and len(chain) == order3.order + 1
+    assert not assembly.cop._truncations
+
+
+def test_scaled_coproduct_table_serves_deep_requests_deep_terms(order3):
     n = order3.order
     assembly = _fresh(order3)
     full = _fresh(order3)
-    view = _scaled_view(assembly._cop_key, 6)
+    table, fill = _scaled_table(
+        lambda key, upto: assembly._cop_key(assembly._leg_of(key), upto), 6)
     for mg in order3.basis_up_to(2):
-        shallow = view(mg, 0)
+        key = assembly._key(mg)
+        shallow = fill(key, 0)[1]
         assert {t[0] for t in shallow} == {0}
-        want = [(o, key, q(6 * c)) for o, key, c in full._cop_key(mg, n)]
-        assert view(mg, n) == want, mg
+        want = [(o, legs, q(6 * c)) for o, legs, c in full._cop_key(mg, n)]
+        assert table[key][1] is shallow
+        assert _decoded(assembly, fill(key, n)[1], 2) == _decoded(full, want, 2), mg
 
 
 def test_budgeted_slot_fills_are_truncations_of_the_full_fill(order3):
@@ -210,8 +283,11 @@ def test_budgeted_slot_fills_are_truncations_of_the_full_fill(order3):
                 assert [t for t in full._slot((mg_a, mg_b), upto) if t[0] <= upto] == cut
                 if upto < n:
                     # shallow then deep: a fill to the budget, then extended in place
-                    assert shallow_first[upto]._slot((mg_a, mg_b), upto) == cut, (mg_a, mg_b)
-                    assert shallow_first[upto]._slot((mg_a, mg_b), n) == want, (mg_a, mg_b)
+                    shallow = shallow_first[upto]
+                    assert (_decoded(shallow, shallow._slot((mg_a, mg_b), upto), 1)
+                            == _decoded(full, cut, 1)), (mg_a, mg_b)
+                    assert (_decoded(shallow, shallow._slot((mg_a, mg_b), n), 1)
+                            == _decoded(full, want, 1)), (mg_a, mg_b)
 
 
 def test_slot_product_is_the_two_product_construction(order3):
@@ -231,7 +307,7 @@ def test_slot_product_is_the_two_product_construction(order3):
             want = {(o, (mon, gg)): c for o, el in enumerate(series.coeffs)
                     for (mon,), c in el.data.items()}
             terms = skewed._slot_product(mg_a, mg_b)
-            assert {(o, key): c for o, key, c in terms} == want, (mg_a, mg_b)
+            assert {(o, skewed._leg_of(legs)): c for o, legs, c in terms} == want, (mg_a, mg_b)
             assert len(terms) == len(want)
             assert [t[0] for t in terms] == sorted(t[0] for t in terms)
 
