@@ -137,6 +137,10 @@ class GammaQuantization(PackedKernel):
         """``[m1|g1][m2|g2]`` to the full order: the slot read of ``mul``."""
         return self._slot((mg_a, mg_b), self.order)
 
+    def _slot_read(self, code: int, upto: int) -> list[tuple]:
+        """The slot entry of a packed pair code, for ``_scaled_table``."""
+        return self._slot(self._pair(code), upto)
+
     def k_mul(self, a: El, b: El, k: int = 1) -> El:
         """The order-0 product of two elements: the algebra that a
         forward-mode series (``DualSeries``) over this structure multiplies in.
@@ -151,7 +155,7 @@ class GammaQuantization(PackedKernel):
         for key, c in a.data.items():
             lefts.setdefault(key[k:], []).append((0, self._pack(key[:k]), q(c)))
         acc: dict = {}
-        table, fill = _scaled_table(lambda code, upto: self._slot(self._pair(code), upto))
+        table, fill = _scaled_table(self._slot_read)
         for tag, left in lefts.items():
             self._add_product(acc, self._left(left, k), self._right(
                 [(o, legs, c, tags.setdefault(tag + t, len(tags)) << tag_shift)
@@ -197,9 +201,9 @@ class GammaQuantization(PackedKernel):
         self._cop_depth[mg] = upto
         return terms
 
-    def _cop_table(self):
-        """A table and fill of coproduct images for ``_add_coproduct``."""
-        return _scaled_table(lambda key, upto: self._cop_key(self._leg_of(key), upto))
+    def _cop_read(self, key: int, upto: int) -> list[tuple]:
+        """The coproduct entry of a packed leg key, for ``_scaled_table``."""
+        return self._cop_key(self._leg_of(key), upto)
 
     def coproduct(self, a: list[El]) -> list[El]:
         if isinstance(a, DualSeries):
@@ -211,7 +215,7 @@ class GammaQuantization(PackedKernel):
         acc: dict = {}
         n = len(a) - 1
         self._add_coproduct(acc, [(o + legs, c) for o, legs, c in self._flat(a)], n, leg,
-                            *self._cop_table())
+                            *_scaled_table(self._cop_read))
         return self._series(acc, n, _arity(a) + 1)
 
     def counit(self, a: list[El]):
@@ -506,9 +510,8 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
                       for _, _, c in terms))
     t = math.lcm(1, *(c.denominator for terms in assembly._cop_cache.values()
                       for _, _, c in terms))
-    slots, fill = _scaled_table(lambda code, upto: assembly._slot(assembly._pair(code), upto), s)
-    cops, cop_fill = _scaled_table(lambda key, upto: assembly._cop_key(assembly._leg_of(key), upto),
-                                   t)
+    slots, fill = _scaled_table(assembly._slot_read, s)
+    cops, cop_fill = _scaled_table(assembly._cop_read, t)
 
     products: dict = {}
     for a, key_a in zip(basis, keys):
@@ -523,9 +526,21 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
     # One accumulator per pair (a, b) holds the identities of every c, each
     # product tagged with the index of c in the field above its leg.
     tag_shift = assembly._ob + _LEG_BITS
-    # (ab)c: each leg of ab meets every c
+    order_mask = (1 << assembly._ob) - 1
+    # (ab)c: the row of each leg x of a product is [x] times every c, made
+    # once by the kernel to the order its lowest-order term in a product
+    # leaves, and sorted by order
     every_c = assembly._right([(0, key_c, 1, tag << tag_shift) for tag, key_c in enumerate(keys)],
                               1)
+    depth: dict = {}
+    for terms in products.values():
+        for o, legs, _ in terms:
+            depth[legs] = max(depth.get(legs, 0), n - o)
+    rows = {}
+    for x, upto in depth.items():
+        row: dict = {}
+        assembly._add_product(row, [(0, x, 1)], every_c, upto, 1, slots, fill)
+        rows[x] = sorted(((at & order_mask, at, c) for at, c in row.items()), key=itemgetter(0))
     # a(bc): the terms of bc for every c, listed by leg, each list sorted by order
     by_leg = {b: _merged(assembly._right(sorted(
         ((o, legs, c, tag << tag_shift) for tag, c_ in enumerate(basis)
@@ -534,7 +549,14 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
         minus_a = [(0, key_a, -1)]
         for b in basis:
             acc: dict = {}
-            assembly._add_product(acc, products[(a, b)], every_c, n, 1, slots, fill)
+            get = acc.get
+            for oa, x, ca in products[(a, b)]:
+                rest = n - oa
+                for o, key, c in rows[x]:
+                    if o > rest:
+                        break
+                    at = oa + key
+                    acc[at] = get(at, 0) + ca * c
             assembly._add_product(acc, minus_a, by_leg[b], n, 1, slots, fill)
             for tag in sorted({at >> tag_shift for at, c in acc.items() if c}):
                 report.associativity[(a, b, basis[tag])] = assembly._series(

@@ -258,8 +258,7 @@ def test_scaled_coproduct_table_serves_deep_requests_deep_terms(order3):
     n = order3.order
     assembly = _fresh(order3)
     full = _fresh(order3)
-    table, fill = _scaled_table(
-        lambda key, upto: assembly._cop_key(assembly._leg_of(key), upto), 6)
+    table, fill = _scaled_table(assembly._cop_read, 6)
     for mg in order3.basis_up_to(2):
         key = assembly._key(mg)
         shallow = fill(key, 0)[1]
