@@ -144,11 +144,9 @@ def shifted_s3():
     return _assembly_from_json(data, parse_document(catalog.input_document(name)))[0]
 
 
-@pytest.mark.parametrize("fixture", ["conjugated_units", "shifted_s3"])
-def test_fused_checks_match_plain_products(fixture, request):
-    # the scaled one-pass checks report exactly the defects of the plain
-    # products, packed tags over the whole window included
-    assembly = request.getfixturevalue(fixture)
+def _check_fused_against_plain_products(assembly):
+    """The scaled one-pass checks report exactly the defects of the plain
+    products at d_in 1, and do find some."""
     report = bialgebra_axiom_defects(assembly, 1)
     assert report.associativity
     basis = assembly.basis_up_to(1)
@@ -169,7 +167,17 @@ def test_fused_checks_match_plain_products(fixture, request):
                       mul(s[a], mul(s[b], s[c])))
 
 
-def test_scaled_tables_keep_uncleared_fractions_exact():
+def test_fused_checks_match_plain_products(conjugated_units):
+    _check_fused_against_plain_products(conjugated_units)
+
+
+def test_fused_checks_match_plain_products_over_six_group_elements(shifted_s3):
+    # packed tags over an 18-element window of six group elements, defect
+    # series included
+    _check_fused_against_plain_products(shifted_s3)
+
+
+def test_scaled_views_keep_uncleared_fractions_exact():
     source = [(0, 5, Q(1, 3)), (1, 5, Q(1, 2))]
     table, fill = _scaled_table(lambda code, upto: source, 4)
     assert fill("k", 1) == (1, [(0, 5, Q(4, 3)), (1, 5, 2)])
@@ -254,7 +262,7 @@ def test_coproduct_fills_extend_one_chain_per_monomial(order3):
     assert not assembly.cop._truncations
 
 
-def test_scaled_coproduct_table_serves_deep_requests_deep_terms(order3):
+def test_scaled_coproduct_view_serves_deep_requests_deep_terms(order3):
     n = order3.order
     assembly = _fresh(order3)
     full = _fresh(order3)
