@@ -592,7 +592,7 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
 
     lefts = {a: assembly._left([(o, legs, -c) for o, legs, c in terms], 2)
              for a, terms in scaled_cop.items()}
-    rights = {b: _merged(assembly._right([(o, legs, c, 0) for o, legs, c in terms], 2))
+    rights = {b: assembly._right([(o, legs, c, 0) for o, legs, c in terms], 2)
               for b, terms in scaled_cop.items()}
     for a in basis:
         for b in basis:

@@ -60,8 +60,8 @@ def _arity(series: list[El]) -> int:
 
 
 def _merged(groups: list[tuple]) -> list[tuple]:
-    """The groups of a right operand of ``_add_product`` joined by first leg,
-    each still sorted by order if the terms came sorted by order."""
+    """The groups of a one-leg right operand of ``_add_product`` joined by
+    leg, each still sorted by order if the terms came sorted by order."""
     out: dict = {}
     for leg, group in groups:
         out.setdefault(leg, []).extend(group)
@@ -146,15 +146,16 @@ class PackedKernel:
 
     def _right(self, terms: list[tuple], k: int) -> list[tuple]:
         """The right operand of ``_add_product`` from flat terms ``(order,
-        legs, coeff, tag)``, ``tag`` already in its field: one group per term,
-        in their order, ``(leg1 << _LEG_BITS, [(order, coeff, tag)])`` for
-        ``k = 1`` and ``(leg1 << _LEG_BITS, [(order, leg2 << _LEG_BITS,
-        coeff, tag)])`` for ``k = 2``, so that adding a leg of the left
-        operand gives the code of the slot entry the two legs meet in."""
+        legs, coeff, tag)``, ``tag`` already in its field, keeping their
+        order: for ``k = 1`` one group ``(leg << _LEG_BITS, [(order, coeff,
+        tag)])`` per term, and for ``k = 2`` the terms ``(order, leg1 <<
+        _LEG_BITS, leg2 << _LEG_BITS, coeff, tag)``, so that adding a leg of
+        the left operand gives the code of the slot entry the two legs meet
+        in."""
         if k == 1:
             return [(legs << _LEG_BITS, [(o, c, tag)]) for o, legs, c, tag in terms]
         first = _LEG_MASK << self._ob
-        return [((legs & first) << _LEG_BITS, [(o, legs & (first << _LEG_BITS), c, tag)])
+        return [(o, (legs & first) << _LEG_BITS, legs & (first << _LEG_BITS), c, tag)
                 for o, legs, c, tag in terms]
 
     def _add_product(self, acc: dict, a: list[tuple], b: list[tuple], n: int, k: int,
@@ -162,8 +163,8 @@ class PackedKernel:
         """Add ``a b`` modulo h^{n+1} into ``acc = {key: coeff}`` (packed keys).
 
         ``a`` and ``b`` come from ``_left`` and ``_right``, for keys of ``k``
-        legs (``k`` is 1 or 2).  ``a`` is sorted by order; ``b`` is a list of
-        groups of terms with one first leg, each group sorted by order
+        legs (``k`` is 1 or 2), both sorted by order.  For ``k = 1`` the
+        terms of ``b`` come in groups of one leg, each sorted by order
         (``_merged`` joins the groups of one leg), so the slot entry of a
         left leg and a group is looked up once.  The tag of each ``b`` term
         goes into the keys of its products, so one accumulator can hold the
@@ -197,36 +198,31 @@ class PackedKernel:
             return
         lb = _LEG_BITS
         for oa, a1, a2, ca in a:
-            rest_a = n - oa
-            for b1, group in b:
-                need = rest_a - group[0][0]
-                if need < 0:
-                    continue
+            for ob, b1, b2, cb, tag in b:
+                rest = n - oa - ob
+                if rest < 0:
+                    break
                 entry = table.get(a1 + b1)
-                if entry is None or entry[0] < need:
-                    entry = fill(a1 + b1, need)
+                if entry is None or entry[0] < rest:
+                    entry = fill(a1 + b1, rest)
                 first = entry[1]
-                for ob, b2, cb, tag in group:
-                    rest = rest_a - ob
-                    if rest < 0:
+                entry = table.get(a2 + b2)
+                if entry is None or entry[0] < rest:
+                    entry = fill(a2 + b2, rest)
+                second = entry[1]
+                base = ca * cb
+                head = oa + ob + tag
+                for o1, legs1, c1 in first:
+                    if o1 > rest:
                         break
-                    entry = table.get(a2 + b2)
-                    if entry is None or entry[0] < rest:
-                        entry = fill(a2 + b2, rest)
-                    second = entry[1]
-                    base = ca * cb
-                    head = oa + ob + tag
-                    for o1, legs1, c1 in first:
-                        if o1 > rest:
+                    product = base * c1
+                    head1 = head + o1 + legs1
+                    rest1 = rest - o1
+                    for o2, legs2, c2 in second:
+                        if o2 > rest1:
                             break
-                        product = base * c1
-                        head1 = head + o1 + legs1
-                        rest1 = rest - o1
-                        for o2, legs2, c2 in second:
-                            if o2 > rest1:
-                                break
-                            at = head1 + o2 + (legs2 << lb)
-                            acc[at] = get(at, 0) + product * c2
+                        at = head1 + o2 + (legs2 << lb)
+                        acc[at] = get(at, 0) + product * c2
 
     def _add_coproduct(self, acc: dict, a, n: int, leg: int, table: dict, fill,
                        arity: int = 2):
