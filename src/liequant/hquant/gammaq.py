@@ -31,8 +31,8 @@ the caches (a basis element is one order-0 unit term), accumulate
 accumulator per pair ``(a, b)`` whose tags tell the third factors apart, and
 test it for zero.  Slot entries are looked up inline by the packed code of
 their pair: ``(ab)c`` reads the entries of each leg of ``ab`` with every
-``c``, and ``a(bc)`` an index of the terms of every ``bc`` by leg, so each
-entry ``a · leg`` is read once per pair ``(a, b)``.
+``c``, and ``a(bc)`` the entry ``a · leg`` of each term of every ``bc``,
+one list sorted by order per ``b``.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from ..groups import GammaLieBialgebra, GroupAction
 from ..sparse import El
 from ..tensors import q
 from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries, product_coeff
-from .packed import _LEG_BITS, PackedKernel, _arity, _merged, _scaled_table
+from .packed import _LEG_BITS, PackedKernel, _arity, _scaled_table
 from .pipeline import gamma_v_cocycle_defects
 from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, antisymmetric_part,
                       composition_defect, conjugation_defect, solve_composition_v,
@@ -541,10 +541,10 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
         row: dict = {}
         assembly._add_product(row, [(0, x, 1)], every_c, upto, 1, slots, fill)
         rows[x] = sorted(((at & order_mask, at, c) for at, c in row.items()), key=itemgetter(0))
-    # a(bc): the terms of bc for every c, listed by leg, each list sorted by order
-    by_leg = {b: _merged(assembly._right(sorted(
+    # a(bc): the terms of bc for every c, sorted by order
+    bc_terms = {b: assembly._right(sorted(
         ((o, legs, c, tag << tag_shift) for tag, c_ in enumerate(basis)
-         for o, legs, c in products[(b, c_)]), key=itemgetter(0)), 1)) for b in basis}
+         for o, legs, c in products[(b, c_)]), key=itemgetter(0)), 1) for b in basis}
     for a, key_a in zip(basis, keys):
         minus_a = [(0, key_a, -1)]
         for b in basis:
@@ -557,7 +557,7 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
                         break
                     at = oa + key
                     acc[at] = get(at, 0) + ca * c
-            assembly._add_product(acc, minus_a, by_leg[b], n, 1, slots, fill)
+            assembly._add_product(acc, minus_a, bc_terms[b], n, 1, slots, fill)
             for tag in sorted({at >> tag_shift for at, c in acc.items() if c}):
                 report.associativity[(a, b, basis[tag])] = assembly._series(
                     {at: c for at, c in acc.items() if at >> tag_shift == tag}, n, 1, s * s)

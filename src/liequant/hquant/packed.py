@@ -59,15 +59,6 @@ def _arity(series: list[El]) -> int:
     return next((len(key) for el in series for key in el.data), 0)
 
 
-def _merged(groups: list[tuple]) -> list[tuple]:
-    """The groups of a one-leg right operand of ``_add_product`` joined by
-    leg, each still sorted by order if the terms came sorted by order."""
-    out: dict = {}
-    for leg, group in groups:
-        out.setdefault(leg, []).extend(group)
-    return list(out.items())
-
-
 class PackedKernel:
     """Leg codes, packed keys and the product and leg-map kernels of a graded
     structure of order ``order``; the structure supplies the slot entries
@@ -147,13 +138,12 @@ class PackedKernel:
     def _right(self, terms: list[tuple], k: int) -> list[tuple]:
         """The right operand of ``_add_product`` from flat terms ``(order,
         legs, coeff, tag)``, ``tag`` already in its field, keeping their
-        order: for ``k = 1`` one group ``(leg << _LEG_BITS, [(order, coeff,
-        tag)])`` per term, and for ``k = 2`` the terms ``(order, leg1 <<
-        _LEG_BITS, leg2 << _LEG_BITS, coeff, tag)``, so that adding a leg of
-        the left operand gives the code of the slot entry the two legs meet
-        in."""
+        order: the terms ``(order, leg << _LEG_BITS, coeff, tag)`` for
+        ``k = 1`` and ``(order, leg1 << _LEG_BITS, leg2 << _LEG_BITS, coeff,
+        tag)`` for ``k = 2``, so that adding a leg of the left operand gives
+        the code of the slot entry the two legs meet in."""
         if k == 1:
-            return [(legs << _LEG_BITS, [(o, c, tag)]) for o, legs, c, tag in terms]
+            return [(o, legs << _LEG_BITS, c, tag) for o, legs, c, tag in terms]
         first = _LEG_MASK << self._ob
         return [(o, (legs & first) << _LEG_BITS, legs & (first << _LEG_BITS), c, tag)
                 for o, legs, c, tag in terms]
@@ -163,38 +153,31 @@ class PackedKernel:
         """Add ``a b`` modulo h^{n+1} into ``acc = {key: coeff}`` (packed keys).
 
         ``a`` and ``b`` come from ``_left`` and ``_right``, for keys of ``k``
-        legs (``k`` is 1 or 2), both sorted by order.  For ``k = 1`` the
-        terms of ``b`` come in groups of one leg, each sorted by order
-        (``_merged`` joins the groups of one leg), so the slot entry of a
-        left leg and a group is looked up once.  The tag of each ``b`` term
-        goes into the keys of its products, so one accumulator can hold the
-        products of ``a`` with several right factors.  ``table`` holds the
-        slot entries ``(depth, terms)`` by pair code, and ``fill(code, upto)``
-        makes or deepens one (see ``_scaled_table``).
+        legs (``k`` is 1 or 2), both sorted by order; the slot entries of each
+        pair of terms are looked up inline, and the first term of a leg in
+        ``b`` asks for the deepest entry that leg needs.  The tag of each
+        ``b`` term goes into the keys of its products, so one accumulator can
+        hold the products of ``a`` with several right factors.  ``table``
+        holds the slot entries ``(depth, terms)`` by pair code, and
+        ``fill(code, upto)`` makes or deepens one (see ``_scaled_table``).
         """
         get = acc.get
         if k == 1:
             for oa, la, ca in a:
-                rest_a = n - oa
-                for pb, group in b:
-                    need = rest_a - group[0][0]
-                    if need < 0:
-                        continue
-                    entry = table.get(la + pb)
-                    if entry is None or entry[0] < need:
-                        entry = fill(la + pb, need)
-                    terms = entry[1]
-                    for ob, cb, tag in group:
-                        rest = rest_a - ob
-                        if rest < 0:
+                for ob, lb, cb, tag in b:
+                    rest = n - oa - ob
+                    if rest < 0:
+                        break
+                    entry = table.get(la + lb)
+                    if entry is None or entry[0] < rest:
+                        entry = fill(la + lb, rest)
+                    base = ca * cb
+                    head = oa + ob + tag
+                    for o, legs, c in entry[1]:
+                        if o > rest:
                             break
-                        base = ca * cb
-                        head = oa + ob + tag
-                        for o, legs, c in terms:
-                            if o > rest:
-                                break
-                            at = head + o + legs
-                            acc[at] = get(at, 0) + base * c
+                        at = head + o + legs
+                        acc[at] = get(at, 0) + base * c
             return
         lb = _LEG_BITS
         for oa, a1, a2, ca in a:
