@@ -1,19 +1,16 @@
 """Quantization artifacts: the codec of an assembly's tables, and the verifier,
 which re-checks an assembly exactly and trusts nothing an artifact says about
-itself.  Its coproduct and twist checks read the defect tables that the
-solvers close their solves with (``solvers.coproduct_defects``,
-``solvers.twist_defects``).
+itself.  It reports the assembly's check table (``GammaQuantization.checks``),
+the one that the assemblies close on, and then the window checks.
 """
 
 from __future__ import annotations
 
 from .envelope import Envelope
-from .errors import InternalCheckError, SchemaError
+from .errors import SchemaError
 from .groups import FiniteGroup, GammaLieBialgebra, GroupAction
 from .hquant.core import CoproductSeries, ElSeries, MapSeries
 from .hquant.gammaq import GammaQuantization, bialgebra_axiom_defects, classical_limit_check
-from .hquant.solvers import (coproduct_defects, iso_intertwine_defect, twist_defects,
-                             twisted_coproduct)
 from .lie import LieBialgebra
 from .schema import (ParsedInput, canonical_int, non_negative_int, pointer, series_from_json,
                      series_to_json)
@@ -155,39 +152,24 @@ def _assembly_from_json(data: dict, parsed: ParsedInput
                                   "/assembly/compositions")
     intertwiners = {g: generator_tables(value, 1, where)
                     for g, (value, where) in by_element("intertwiners").items()}
-    return GammaQuantization(env, gamma.action, cop, f_map, t_map, v_map, order), intertwiners
+    return GammaQuantization(env, gamma, cop, f_map, t_map, v_map, order), intertwiners
 
 
-def _verify_assembly(assembly: GammaQuantization, parsed: ParsedInput, report: dict,
-                     d_in: int, stored_intertwiners: dict | None = None) -> bool:
-    """Exact re-verification of a (re)constructed assembly into ``report``;
-    returns True if any check fails.  An artifact's stored intertwiner
-    tables must equal the derived intertwiners."""
-    gamma = parsed.gamma or _trivial_gamma(parsed.bialgebra)
+def _verify_assembly(assembly: GammaQuantization, report: dict, d_in: int,
+                     stored_intertwiners: dict | None = None) -> bool:
+    """Exact re-verification of a (re)constructed assembly into ``report``, its
+    check table and then the window checks; returns True if any check fails.
+    An artifact's stored intertwiner tables must equal the derived ones."""
     failed = False
-    for name, defects in coproduct_defects(parsed.bialgebra, assembly.cop).items():
-        failed |= _add_check(report, f"coproduct-{name}", not defects)
-    twists = [twist_defects(assembly.cop, assembly.f_map[g], gamma.f(g))
-              for g in assembly.group.elements()]
-    for name in twists[0]:
-        failed |= _add_check(report, f"twist-{name}", not any(table[name] for table in twists))
-    intertwine_ok = True
-    for g, iso in assembly.intertwiners.items():
-        defect = iso_intertwine_defect(
-            twisted_coproduct(assembly.cop, assembly.f_map[g]),
-            assembly.cop.pushforward(assembly.action.theta(g)), iso)
-        if defect or (stored_intertwiners is not None and stored_intertwiners[g] != iso.tables):
-            intertwine_ok = False
-    failed |= _add_check(report, "transport-intertwining", intertwine_ok)
-    try:
-        assembly.verify_family()
-        failed |= _add_check(report, "family-identities", True)
-    except InternalCheckError as exc:
-        failed |= _add_check(report, "family-identities", False, str(exc))
+    for name, ok, detail in assembly.checks:
+        if name == "transport-intertwining" and stored_intertwiners is not None:
+            ok = ok and all(stored_intertwiners[g] == iso.tables
+                            for g, iso in assembly.intertwiners.items())
+        failed |= _add_check(report, name, ok, detail)
     axioms = bialgebra_axiom_defects(assembly, d_in)
     failed |= _add_check(report, "bialgebra-axioms", axioms.all_zero,
                          "" if axioms.all_zero else str(axioms.summary()))
     failed |= _add_defects(report, "composition-coherence", assembly.family_defects[2])
-    limits = classical_limit_check(assembly, gamma, d_in)
+    limits = classical_limit_check(assembly, assembly.gamma, d_in)
     failed |= _add_check(report, "classical-limit-slices", not any(limits.values()))
     return failed

@@ -196,7 +196,7 @@ def cmd_quantize(args) -> int:
                                                seed_order=seed_order)
     except SolverInconsistencyError as exc:
         return _solver_failure(report, args, exc, log)
-    failed = _verify_assembly(assembly, parsed, report, args.d_in)
+    failed = _verify_assembly(assembly, report, args.d_in)
     elapsed = time.time() - t0
     artifact = {
         "tool_version": __version__,
@@ -258,7 +258,7 @@ def cmd_verify_artifact(args) -> int:
     if parsed is None:
         return EXIT_DEFECT
     assembly, intertwiners = _assembly_from_json(artifact["assembly"], parsed)
-    failed = _verify_assembly(assembly, parsed, report, d_in, intertwiners)
+    failed = _verify_assembly(assembly, report, d_in, intertwiners)
     return _finish(report, args, EXIT_DEFECT if failed else EXIT_OK)
 
 

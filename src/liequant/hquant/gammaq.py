@@ -44,32 +44,34 @@ from operator import itemgetter
 
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
-from ..groups import GammaLieBialgebra, GroupAction
+from ..groups import GammaLieBialgebra, GroupAction, quasitriangular_gamma
 from ..sparse import El
 from ..tensors import q
 from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries, product_coeff
 from .packed import _LEG_BITS, PackedKernel, _arity, _scaled_table
 from .pipeline import gamma_v_cocycle_defects
 from .solvers import (GaugeLog, _solve_with_supports, _support_ladder, antisymmetric_part,
-                      composition_defect, conjugation_defect, solve_composition_v,
-                      solve_coproduct, solve_j_conjugator, solve_twist_pair, v_cocycle_defect)
+                      composition_defect, conjugation_defect, coproduct_defects, iso_defects,
+                      solve_composition_v, solve_coproduct, solve_j_conjugator,
+                      solve_twist_pair, twist_defects, twisted_coproduct, v_cocycle_defect)
 from .unknowns import Columns, LinearisedDefect, blocks, candidate, candidate_map
 
 class GammaQuantization(PackedKernel):
-    """Deformed product/coproduct tables over U(a) ⋊ Γ modulo h^{N+1}.
+    """Deformed product/coproduct tables over U(a) ⋊ Γ modulo h^{N+1}, a
+    quantization of the Γ-family ``gamma``.
 
-    An assembly is immutable after construction, so the caches and the
-    derived family data below are computed at most once.
+    An assembly is immutable after construction, so the caches, the derived
+    family data and the check table below are computed at most once.
     """
 
-    def __init__(self, env: Envelope, action: GroupAction, cop: CoproductSeries,
+    def __init__(self, env: Envelope, gamma: GammaLieBialgebra, cop: CoproductSeries,
                  f_map: dict[int, ElSeries], t_map: dict[int, MapSeries],
                  v_map: dict[tuple[int, int], ElSeries], order: int,
                  log: GaugeLog | None = None):
         super().__init__(order)
         self.env = env
-        self.action = action
-        self.group = action.group
+        self.gamma = gamma
+        self.group = gamma.group
         self.cop = cop
         self.f_map = f_map
         self.t_map = t_map
@@ -277,22 +279,45 @@ class GammaQuantization(PackedKernel):
                     conjugation[(g, h)] = per_generator
         return composition, conjugation, gamma_v_cocycle_defects(self)
 
-    def verify_family(self):
-        """Raise on the first family defect: per pair twist composition, then
-        conjugation; then coherence."""
-        composition, conjugation, coherence = self.family_defects
-        pair = min(composition.keys() | conjugation.keys(), default=None)
-        if pair is not None:
-            kind = "twist-composition" if pair in composition else "conjugation"
-            raise InternalCheckError(f"family {kind} defect at {pair}")
-        if coherence:
-            raise InternalCheckError(f"family coherence defect at {next(iter(coherence))}")
-
     @cached_property
     def intertwiners(self) -> dict[int, MapSeries]:
         """The intertwiner of each element, θ_g ∘ T_g⁻¹."""
-        return {g: MapSeries.from_linear(self.env, self.order, self.action.theta(g)).compose(
-                    t.inverse()) for g, t in sorted(self.t_map.items())}
+        return {g: MapSeries.from_linear(self.env, self.order, self.gamma.action.theta(g))
+                .compose(t.inverse()) for g, t in sorted(self.t_map.items())}
+
+    @cached_property
+    def checks(self) -> list[tuple[str, bool, str]]:
+        """The generator-level check table, ``(name, ok, detail)`` per entry in
+        report order: the coproduct's defect table; every twist's, an entry
+        passing where every element's does; every intertwiner's, as
+        ``transport-intertwining``; and the family identities, whose detail
+        names the first defect (per pair twist composition, then conjugation;
+        then coherence).  Both assemblies close on it and the verifier
+        reports it, so a job evaluates each of these identities once."""
+        bialg, cop = self.gamma.bialgebra, self.cop
+        out = [(f"coproduct-{name}", not defects, "")
+               for name, defects in coproduct_defects(bialg, cop).items()]
+        twists = [twist_defects(bialg, cop, self.f_map[g], self.gamma.f(g))
+                  for g in self.group.elements()]
+        out += [(f"twist-{name}", not any(table[name] for table in twists), "")
+                for name in twists[0]]
+        isos = [iso_defects(bialg, twisted_coproduct(cop, self.f_map[g]),
+                            cop.pushforward(self.gamma.action.theta(g)), iso)
+                for g, iso in self.intertwiners.items()]
+        out.append(("transport-intertwining", not any(any(t.values()) for t in isos), ""))
+        composition, conjugation, coherence = self.family_defects
+        pair = min(composition.keys() | conjugation.keys(), default=None)
+        kind = "twist-composition" if pair in composition else "conjugation"
+        detail = (f"family {kind} defect at {pair}" if pair is not None else
+                  f"family coherence defect at {next(iter(coherence))}" if coherence else "")
+        return out + [("family-identities", not detail, detail)]
+
+    def closed(self) -> "GammaQuantization":
+        """The assembly, once every entry of its check table passes."""
+        for name, ok, detail in self.checks:
+            if not ok:
+                raise InternalCheckError(f"{name} check fails" + (f": {detail}" if detail else ""))
+        return self
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +388,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
         if len(series.coeffs) != order + 1:
             raise InternalCheckError("composition series has wrong truncation")
 
-    assembly = GammaQuantization(env, g_bialg.action, cop, f_map, t_map, v_map, order, log)
-    assembly.verify_family()
-    return assembly
+    return GammaQuantization(env, g_bialg, cop, f_map, t_map, v_map, order, log).closed()
 
 
 def _align_family_order(env: Envelope, g_bialg, t_map, composed, v_coeffs, pairs, k: int,
@@ -432,11 +455,11 @@ def quasitriangular_gamma_quantize(qt, action: GroupAction, order: int,
                                    log: GaugeLog | None = None,
                                    cap: int | None = None,
                                    seed_order: int | None = None) -> GammaQuantization:
-    """Undeformed smash product with the conjugated coproduct."""
+    """Undeformed smash product with the conjugated coproduct, a quantization
+    of the Γ-family that ``qt`` and ``action`` induce."""
     env = env or Envelope(qt.lie)
     log = log or GaugeLog()
-    from ..groups import quasitriangular_gamma
-    quasitriangular_gamma(qt, action)  # re-verifies all preconditions
+    g_bialg = quasitriangular_gamma(qt, action)  # re-verifies all preconditions
     j_series, cop = solve_j_conjugator(qt, order, env, log, cap=cap, seed_order=seed_order)
     grp = action.group
     j_inv = j_series.inverse()
@@ -449,9 +472,7 @@ def quasitriangular_gamma_quantize(qt, action: GroupAction, order: int,
         t_map[g] = theta
         for h in grp.elements():
             v_map[(g, h)] = ElSeries.unit(env, 1, order)
-    assembly = GammaQuantization(env, action, cop, f_map, t_map, v_map, order, log)
-    assembly.verify_family()
-    return assembly
+    return GammaQuantization(env, g_bialg, cop, f_map, t_map, v_map, order, log).closed()
 
 
 # ---------------------------------------------------------------------------

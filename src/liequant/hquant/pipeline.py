@@ -7,6 +7,9 @@ composition elements.  The intertwiner of a composed twist is *defined* by
 the composition formula once the composition element is solved; the
 independently solved one is kept for comparison and the replacement is
 recorded in the gauge log.
+
+The solvers do not re-check what they return: the drivers close each
+solved object on its defect table.
 """
 
 from __future__ import annotations
@@ -19,8 +22,28 @@ from ..lie import LieBialgebra
 from ..tensors import Tensor
 from ..twists import compose_twists, twist
 from .core import CoproductSeries, ElSeries, MapSeries
-from .solvers import (GaugeLog, iso_intertwine_defect, solve_composition_v, solve_coproduct,
-                      solve_twist_pair, twisted_coproduct, v_cocycle_defect)
+from .solvers import (GaugeLog, _verify_zero, composition_defect, coproduct_defects,
+                      iso_defects, iso_intertwine_defect, solve_composition_v, solve_coproduct,
+                      solve_twist_pair, twist_defects, twisted_coproduct, v_cocycle_defect)
+
+
+def _twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, dst: CoproductSeries,
+                order: int, log: GaugeLog, cap: int | None) -> tuple[ElSeries, MapSeries]:
+    """``solve_twist_pair``, closed on the defect tables of F and i."""
+    f_series, iso = solve_twist_pair(bialg, cop, f, dst, order, log=log, cap=cap)
+    _verify_zero(twist_defects(bialg, cop, f_series, f), "twist")
+    _verify_zero(iso_defects(bialg, twisted_coproduct(cop, f_series), dst, iso), "iso")
+    return f_series, iso
+
+
+def _composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeries,
+                   f_first: ElSeries, cop: CoproductSeries, order: int, log: GaugeLog,
+                   cap: int | None) -> ElSeries:
+    """``solve_composition_v``, closed on its composition defect."""
+    v = solve_composition_v(env, f_total, f_second_pulled, f_first, cop, order, log=log, cap=cap)
+    if not composition_defect(env, f_total, f_second_pulled, f_first, cop, v).is_zero():
+        raise InternalCheckError("composition relation defect after solve")
+    return v
 
 
 @dataclass
@@ -59,16 +82,16 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
     cop = solve_coproduct(bialg, order, env, log, cap=cap)
     cop_f = solve_coproduct(bf, order, env, log, cap=cap)
     cop_total = solve_coproduct(b_total, order, env, log, cap=cap)
+    for b, c in ((bialg, cop), (bf, cop_f), (b_total, cop_total)):
+        _verify_zero(coproduct_defects(b, c), "coproduct")
 
-    f_series, iso_f = solve_twist_pair(bialg, cop, f, cop_f, order, log=log, cap=cap)
-    f_prime_series, iso_second = solve_twist_pair(bf, cop_f, f_prime, cop_total, order,
-                                                  log=log, cap=cap)
-    f_total_series, iso_total_solved = solve_twist_pair(bialg, cop, pair.total, cop_total,
-                                                        order, log=log, cap=cap)
+    f_series, iso_f = _twist_pair(bialg, cop, f, cop_f, order, log, cap)
+    f_prime_series, iso_second = _twist_pair(bf, cop_f, f_prime, cop_total, order, log, cap)
+    f_total_series, iso_total_solved = _twist_pair(bialg, cop, pair.total, cop_total, order,
+                                                   log, cap)
 
     pulled = iso_f.inverse().apply_all_legs(f_prime_series)
-    v = solve_composition_v(env, f_total_series, pulled, f_series, cop, order,
-                            log=log, cap=cap)
+    v = _composition_v(env, f_total_series, pulled, f_series, cop, order, log, cap)
 
     ad_vinv = twisted_coproduct(MapSeries.identity(env, order), v.inverse())
     iso_composed = iso_second.compose(iso_f).compose(ad_vinv)
@@ -160,29 +183,29 @@ def solve_triple(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, f_second: Tens
     b_f = twist(bialg, f, check=False)
     b_total = twist(bialg, f + f_prime, check=False)
     f_all = f + f_prime + f_second
-    cop_all = solve_coproduct(twist(bialg, f_all, check=False), order, env, log, cap=cap)
+    b_all = twist(bialg, f_all, check=False)
+    cop_all = solve_coproduct(b_all, order, env, log, cap=cap)
+    _verify_zero(coproduct_defects(b_all, cop_all), "coproduct")
 
     # quantized twists of the three composite objects
-    f_all_base, _ = solve_twist_pair(bialg, pair.cop, f_all, cop_all, order, log=log, cap=cap)
-    f2_total, _ = solve_twist_pair(b_total, pair.cop_total, f_second, cop_all, order,
-                                   log=log, cap=cap)
-    f_merged, _ = solve_twist_pair(b_f, pair.cop_f, f_prime + f_second, cop_all, order,
-                                   log=log, cap=cap)
+    f_all_base, _ = _twist_pair(bialg, pair.cop, f_all, cop_all, order, log, cap)
+    f2_total, _ = _twist_pair(b_total, pair.cop_total, f_second, cop_all, order, log, cap)
+    f_merged, _ = _twist_pair(b_f, pair.cop_f, f_prime + f_second, cop_all, order, log, cap)
 
     # v(a, f+f', f'')  -- uses the aligned i(a, f+f')
-    v_total_second = solve_composition_v(
+    v_total_second = _composition_v(
         env, f_all_base, pair.iso_total.inverse().apply_all_legs(f2_total),
-        pair.f_total_series, pair.cop, order, log=log, cap=cap)
+        pair.f_total_series, pair.cop, order, log, cap)
 
     # v(a, f, f'+f'')
-    v_first_merged = solve_composition_v(
+    v_first_merged = _composition_v(
         env, f_all_base, pair.iso_f.inverse().apply_all_legs(f_merged),
-        pair.f_series, pair.cop, order, log=log, cap=cap)
+        pair.f_series, pair.cop, order, log, cap)
 
     # v(a_f, f', f'')  -- tower over the f-twist, reusing i(a_f, f')
-    v_twisted = solve_composition_v(
+    v_twisted = _composition_v(
         env, f_merged, pair.iso_second.inverse().apply_all_legs(f2_total),
-        pair.f_prime_series, pair.cop_f, order, log=log, cap=cap)
+        pair.f_prime_series, pair.cop_f, order, log, cap)
 
     return TwistTripleData(pair_first=pair, v_total_second=v_total_second,
                            v_first_merged=v_first_merged, v_twisted=v_twisted,

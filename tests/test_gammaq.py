@@ -16,6 +16,7 @@ from liequant.hquant.gammaq import (ComparisonWitness, GammaQuantization,
                                     quasitriangular_gamma_quantize)
 from liequant.hquant.pipeline import gamma_v_cocycle_defects
 from liequant.hquant.solvers import twisted_coproduct
+from liequant.schema import parse_document
 from liequant.sparse import El
 from liequant.tensors import q
 
@@ -91,6 +92,15 @@ def test_direct_quasitriangular_assembly(flagship):
     assert all(not v for v in limits.values())
 
 
+@pytest.mark.parametrize("name", catalog.GAMMA_FAMILIES)
+def test_direct_assemblies_pass_their_check_table(name):
+    # the direct assembly closes on the full check table: the intertwiners'
+    # bracket and counit checks and the classical limit of Ad(F_g)∘Δ included
+    parsed = parse_document(catalog.input_document(name))
+    direct = quasitriangular_gamma_quantize(parsed.quasitriangular, parsed.gamma.action, 2)
+    assert [ok for _, ok, _ in direct.checks] == [True] * 9
+
+
 def test_direct_trivial_group_reduces_to_plain_quantization():
     from liequant.groups import FiniteGroup, GroupAction
     qt = catalog.sl2_quasitriangular()
@@ -113,7 +123,7 @@ def conjugated_units(flagship):
     t_map = {g: t if t.is_identity() else twisted_coproduct(t, u)
              for g, t in generic.t_map.items()}
     units = {pair: ElSeries.unit(env, 1, 2) for pair in generic.v_map}
-    return GammaQuantization(env, generic.action, generic.cop, generic.f_map, t_map, units, 2)
+    return GammaQuantization(env, generic.gamma, generic.cop, generic.f_map, t_map, units, 2)
 
 
 def test_conjugated_transports_with_unit_compositions_break_associativity(conjugated_units):
@@ -198,7 +208,7 @@ def test_packed_fields_do_not_alias(flagship):
     # a leg code at the top of its field stays in it: the tag above and the
     # leg beside it decode as they were packed
     _, env, generic = flagship
-    assembly = GammaQuantization(env, generic.action, generic.cop, generic.f_map,
+    assembly = GammaQuantization(env, generic.gamma, generic.cop, generic.f_map,
                                  generic.t_map, generic.v_map, generic.order)
     low, high = (ONE, 0), ((0,), 1)
     low_key = assembly._key(low)
@@ -226,7 +236,7 @@ def order3(flagship):
 def _fresh(assembly):
     """The assembly with empty caches, its coproduct's truncations included."""
     cop = CoproductSeries(assembly.env, assembly.order, [dict(t) for t in assembly.cop.tables])
-    return GammaQuantization(assembly.env, assembly.action, cop, assembly.f_map,
+    return GammaQuantization(assembly.env, assembly.gamma, cop, assembly.f_map,
                              assembly.t_map, assembly.v_map, assembly.order)
 
 
@@ -301,7 +311,7 @@ def test_slot_product_is_the_two_product_construction(order3):
     # [m1|g1][m2|g2] = m1 · T_g1(m2) · v^{-1}, here with v's that are not units
     env, n = order3.env, order3.order
     v = ElSeries(env, 1, [env.unit(1), El.term(((0,),)), El.term(((1, 2),), Q(1, 2)), El()])
-    skewed = GammaQuantization(env, order3.action, order3.cop, order3.f_map, order3.t_map,
+    skewed = GammaQuantization(env, order3.gamma, order3.cop, order3.f_map, order3.t_map,
                                {pair: v for pair in order3.v_map}, n)
     basis = order3.basis_up_to(2)
     for mg_a in basis:

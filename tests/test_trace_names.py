@@ -7,12 +7,12 @@ import inspect
 from pathlib import Path
 
 from liequant.envelope import Envelope
-from liequant.groups import FiniteGroup, GroupAction
+from liequant.groups import FiniteGroup, GammaLieBialgebra, GroupAction
 from liequant.hquant.core import CoproductSeries, ElSeries, MapSeries
 from liequant.hquant.gammaq import GammaQuantization
-from liequant.lie import LieAlgebra
+from liequant.lie import LieAlgebra, LieBialgebra
 from liequant.linsolve import LinSystem, lin_solve
-from liequant.tensors import BasedSpace
+from liequant.tensors import BasedSpace, Tensor
 
 TRACE_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "trace_child.py"
 
@@ -37,8 +37,9 @@ def test_attributes_the_tracer_reads_exist():
     env = Envelope(LieAlgebra(space, {}))
     group = FiniteGroup.trivial()
     e = group.identity
-    assembly = GammaQuantization(env, GroupAction.trivial(group, space),
-                                 CoproductSeries.undeformed(env, 0),
+    gamma = GammaLieBialgebra(LieBialgebra(env.lie), GroupAction.trivial(group, space),
+                              [Tensor.zero((space, space))])
+    assembly = GammaQuantization(env, gamma, CoproductSeries.undeformed(env, 0),
                                  {e: ElSeries.unit(env, 2, 0)}, {e: MapSeries.identity(env, 0)},
                                  {(e, e): ElSeries.unit(env, 1, 0)}, 0)
     assert isinstance(env._straight, dict)

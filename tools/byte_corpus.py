@@ -43,14 +43,17 @@ def _break_jacobi(root: Path, work: Path) -> None:
     (work / "input.json").write_text(json.dumps(doc, sort_keys=True, indent=2))
 
 
-def _shift(section: str, key, entry: str, value: str, out: str):
+def _shift(path: tuple, entry: str, value: str, out: str):
     """A step writing ``out``: ``artifact.json`` with the ``entry``
-    coefficient of the order-2 series ``key`` of the assembly's ``section``
-    set to ``value``; an int ``key`` picks that index of the sorted keys."""
+    coefficient of the order-2 series at ``path`` in its assembly set to
+    ``value``.  ``path`` is the section and the keys below it down to the
+    series; an int key picks that index of the sorted keys."""
     def step(root: Path, work: Path) -> None:
         artifact = json.loads((work / "artifact.json").read_text())
-        table = artifact["assembly"][section]
-        table[sorted(table)[key] if isinstance(key, int) else key][2][entry] = value
+        series = artifact["assembly"]
+        for key in path:
+            series = series[sorted(series)[key] if isinstance(key, int) else key]
+        series[2][entry] = value
         (work / out).write_text(json.dumps(artifact, sort_keys=True, indent=2))
     return step
 
@@ -105,19 +108,24 @@ def corpus() -> list[tuple[str, list]]:
     runs.append(("fail: z2 composition shifted by 1/997", [
         ("quantize", "catalog:solvable2-tri-z2", "--order", "2", "--out", "artifact.json",
          "--format", "json"),
-        _shift("compositions", "g,g", "1", "1/997", "shifted.json"),
+        _shift(("compositions", "g,g"), "1", "1/997", "shifted.json"),
+        ("verify-artifact", "shifted.json", "--format", "json")]))
+    runs.append(("fail: z2 transport shifted by 1/997", [
+        ("quantize", "catalog:solvable2-tri-z2", "--order", "2", "--out", "artifact.json",
+         "--format", "json"),
+        _shift(("transport", "g", "0"), "1", "1/997", "shifted.json"),
         ("verify-artifact", "shifted.json", "--format", "json")]))
     runs.append(("fail: sl2-cartan-z2 order-3 coproduct shifted to 1/7", [
         ("quantize", "catalog:sl2-cartan-z2", "--order", "3", "--d-in", "1", "--seed-order", "1",
          "--out", "artifact.json", "--format", "json"),
-        _shift("coproduct", "0", "0|2", "1/7", "shifted.json"),
+        _shift(("coproduct", "0"), "0|2", "1/7", "shifted.json"),
         ("verify-artifact", "shifted.json", "--format", "json")]))
     # a six-element group: compatibility, then associativity defects
     runs.append(("fail: s3 coproduct and composition shifted", [
         ("quantize", "catalog:solvable2-tri-s3", "--out", "artifact.json", "--format", "json"),
-        _shift("coproduct", "0", "0|1", "1/7", "coproduct.json"),
+        _shift(("coproduct", "0"), "0|1", "1/7", "coproduct.json"),
         ("verify-artifact", "coproduct.json", "--format", "json"),
-        _shift("compositions", 7, "1", "1/997", "composition.json"),
+        _shift(("compositions", 7), "1", "1/997", "composition.json"),
         ("verify-artifact", "composition.json", "--format", "json")]))
     return runs
 
