@@ -170,6 +170,6 @@ def _verify_assembly(assembly: GammaQuantization, report: dict, d_in: int,
     failed |= _add_check(report, "bialgebra-axioms", axioms.all_zero,
                          "" if axioms.all_zero else str(axioms.summary()))
     failed |= _add_defects(report, "composition-coherence", assembly.family_defects[2])
-    limits = classical_limit_check(assembly, assembly.gamma, d_in)
+    limits = classical_limit_check(assembly, d_in)
     failed |= _add_check(report, "classical-limit-slices", not any(limits.values()))
     return failed

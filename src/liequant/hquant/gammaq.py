@@ -33,6 +33,37 @@ test it for zero.  Slot entries are looked up inline by the packed code of
 their pair: ``(ab)c`` reads the entries of each leg of ``ab`` with every
 ``c``, and ``a(bc)`` the entry ``a · leg`` of each term of every ``bc``,
 one list sorted by order per ``b``.
+
+Both identities with a left factor are evaluated for ``[1|g]`` only; the
+defect of every other left factor ``[m|g]`` is derived from it exactly,
+and only where the defect of ``[1|g]`` is nonzero.  ``m·`` and ``Delta(m)·``
+multiply in U(a) and U(a)⊗U(a) order by order and keep the group labels.
+
+Associativity, ``D(a, b, c) = (ab)c - a(bc)``:
+
+1. ``[m|g][y|k] = [m · T_g(y) v_{g,k}^{-1} | gk] = m · ([1|g][y|k])``: the
+   slot entry, by construction.
+2. ``[m|g] X = m · ([1|g] X)`` for every X, by linearity of step 1.
+3. ``(m · Y) c = m · (Y c)``: U(a)[[h]] is associative, which ``jacobi`` ensures.
+4. ``([m|g] b) c = m · (([1|g] b) c)``, by steps 2 and 3.
+5. ``[m|g] (bc) = m · ([1|g] (bc))``, by step 2.
+6. ``D([m|g], b, c) = m · D([1|g], b, c)``, by steps 4 and 5.
+
+Compatibility, ``D(a, b) = Delta(ab) - Delta(a) Delta(b)``, with
+``Delta(m) = cop.ext_mon(m)``:
+
+1. ``Delta([x|g]) = [Delta(x) F_g^{-1} | g,g]``: the coproduct, by construction.
+2. ``Delta(m · x) = Delta(m) Delta(x)`` on U(a): ``coproduct-algebra-map``
+   passes, so the extension to monomials is multiplicative.
+3. ``Delta([m|g] b) = Delta(m · ([1|g] b)) = Delta(m) · Delta([1|g] b)``, by
+   product step 2 and steps 1 and 2.
+4. ``Delta([m|g]) = Delta(m) · Delta([1|g])``, by step 1.
+5. ``(Delta(m) · Z) Delta(b) = Delta(m) · (Z Delta(b))``: product step 2 on
+   each leg, and U(a)⊗U(a)[[h]] is associative (``jacobi``).
+6. ``D([m|g], b) = Delta(m) · D([1|g], b)``, by steps 3 to 5.
+
+Where ``jacobi`` fails, associativity and compatibility are evaluated for
+every left factor; where ``coproduct-algebra-map`` fails, compatibility is.
 """
 
 from __future__ import annotations
@@ -45,6 +76,7 @@ from operator import itemgetter
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from ..groups import GammaLieBialgebra, GroupAction, quasitriangular_gamma
+from ..lie import jacobi_defect
 from ..sparse import El
 from ..tensors import q
 from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries, product_coeff
@@ -66,8 +98,7 @@ class GammaQuantization(PackedKernel):
 
     def __init__(self, env: Envelope, gamma: GammaLieBialgebra, cop: CoproductSeries,
                  f_map: dict[int, ElSeries], t_map: dict[int, MapSeries],
-                 v_map: dict[tuple[int, int], ElSeries], order: int,
-                 log: GaugeLog | None = None):
+                 v_map: dict[tuple[int, int], ElSeries], order: int):
         super().__init__(order)
         self.env = env
         self.gamma = gamma
@@ -76,7 +107,6 @@ class GammaQuantization(PackedKernel):
         self.f_map = f_map
         self.t_map = t_map
         self.v_map = v_map
-        self.log = log or GaugeLog()
         self.f_inv = {g: s.inverse() for g, s in f_map.items()}
         self.v_inv = {pair: s.inverse() for pair, s in v_map.items()}
         self._right_factors: dict = {}
@@ -286,6 +316,13 @@ class GammaQuantization(PackedKernel):
                 .compose(t.inverse()) for g, t in sorted(self.t_map.items())}
 
     @cached_property
+    def coproduct_table(self) -> dict[str, dict]:
+        """The coproduct's defect table (``coproduct_defects``), read by the
+        check table and by the window checks, which derive compatibility only
+        where its ``algebra-map`` entry passes."""
+        return coproduct_defects(self.gamma.bialgebra, self.cop)
+
+    @cached_property
     def checks(self) -> list[tuple[str, bool, str]]:
         """The generator-level check table, ``(name, ok, detail)`` per entry in
         report order: the coproduct's defect table; every twist's, an entry
@@ -296,7 +333,7 @@ class GammaQuantization(PackedKernel):
         reports it, so a job evaluates each of these identities once."""
         bialg, cop = self.gamma.bialgebra, self.cop
         out = [(f"coproduct-{name}", not defects, "")
-               for name, defects in coproduct_defects(bialg, cop).items()]
+               for name, defects in self.coproduct_table.items()]
         twists = [twist_defects(bialg, cop, self.f_map[g], self.gamma.f(g))
                   for g in self.group.elements()]
         out += [(f"twist-{name}", not any(table[name] for table in twists), "")
@@ -388,7 +425,7 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
         if len(series.coeffs) != order + 1:
             raise InternalCheckError("composition series has wrong truncation")
 
-    return GammaQuantization(env, g_bialg, cop, f_map, t_map, v_map, order, log).closed()
+    return GammaQuantization(env, g_bialg, cop, f_map, t_map, v_map, order).closed()
 
 
 def _align_family_order(env: Envelope, g_bialg, t_map, composed, v_coeffs, pairs, k: int,
@@ -472,7 +509,7 @@ def quasitriangular_gamma_quantize(qt, action: GroupAction, order: int,
         t_map[g] = theta
         for h in grp.elements():
             v_map[(g, h)] = ElSeries.unit(env, 1, order)
-    return GammaQuantization(env, g_bialg, cop, f_map, t_map, v_map, order, log).closed()
+    return GammaQuantization(env, g_bialg, cop, f_map, t_map, v_map, order).closed()
 
 
 # ---------------------------------------------------------------------------
@@ -506,12 +543,26 @@ class AxiomReport:
 
 
 def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomReport:
-    """Exact axiom defects on all smash monomials of degree <= d_in."""
+    """Exact axiom defects on all smash monomials of degree <= d_in.
+
+    Associativity and compatibility are evaluated for the left factors
+    ``[1|g]`` and derived exactly for every other left factor ``[m|g]``
+    (see the module docstring): associativity where ``jacobi`` holds,
+    compatibility where the coproduct's ``algebra-map`` entry passes too.
+    Where a derivation does not hold, every left factor is evaluated.
+    """
     report = AxiomReport()
     basis = assembly.basis_up_to(d_in)
     n = assembly.order
     grp = assembly.group
-    keys = [assembly._key(a) for a in basis]
+    env = assembly.env
+    key = assembly._key
+    keys = [key(a) for a in basis]
+    units = [a for a in basis if a[0] == ONE]
+    associative = not jacobi_defect(env.lie).data
+    assoc_lefts = units if associative else basis
+    compat_lefts = (units if associative and not assembly.coproduct_table["algebra-map"]
+                    else basis)
 
     # A basis element is one order-0 unit term, so the window's products and
     # coproducts are cache entries: the slot products [a][b] and Delta([a]).
@@ -544,19 +595,61 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
             if bad:
                 report.grading[(a, b)] = bad
 
+    # A derived accumulator (module docstring) of a = [m|g] is L · D, D that
+    # of [1|g] and L the left factor m (k = 1) or Delta(m) (k = 2), whose legs
+    # are (m_i, e).  The kernel reads the product of a leg (m, e) of L with a
+    # leg (x, h) of D from ``left_mul``: the exact order-0 entry (m x, h).
+    e = grp.identity
+    order_mask = (1 << assembly._ob) - 1
+    left_mul: dict = {}
+
+    def left_mul_fill(code, _upto):
+        (m, _), (x, h) = assembly._pair(code)
+        entry = left_mul[code] = (n, [(0, key((mon, h)), q(c)) for (mon,), c in
+                                      env.k_mul(El.term((m,)), El.term((x,)), 1).data.items()])
+        return entry
+
+    def left_factor(m: Mon, k: int) -> list[tuple]:
+        if k == 1:
+            return [(0, key((m, e)), 1)]
+        return [(o, key((m1, e)) + (key((m2, e)) << _LEG_BITS), q(c))
+                for o, el in enumerate(assembly.cop.ext_mon(m, n)[: n + 1])
+                for (m1, m2), c in el.data.items()]
+
+    def per_pair(lefts: list, accs: dict, k: int):
+        """``(a, b, acc)`` for every window pair in window order, keys of
+        ``k`` legs: ``accs[(a, b)]`` where ``a`` is one of the evaluated
+        ``lefts``, else derived; ``acc`` is empty where the identity holds."""
+        evaluated, factors = set(lefts), {}
+        high = assembly._ob + k * _LEG_BITS
+        for a in basis:
+            for b in basis:
+                acc = accs.get((a, b) if a in evaluated else ((ONE, a[1]), b), {})
+                if acc and a not in evaluated:
+                    # D's tags, above its legs, pass to the products
+                    right = sorted(((at & order_mask, at & ((1 << high) - 1) & ~order_mask, c,
+                                     (at >> high) << high) for at, c in acc.items() if c),
+                                   key=itemgetter(0))
+                    if a[0] not in factors:
+                        factors[a[0]] = assembly._left(left_factor(a[0], k), k)
+                    acc = {}
+                    assembly._add_product(acc, factors[a[0]], assembly._right(right, k), n, k,
+                                          left_mul, left_mul_fill)
+                yield a, b, acc
+
     # One accumulator per pair (a, b) holds the identities of every c, each
     # product tagged with the index of c in the field above its leg.
     tag_shift = assembly._ob + _LEG_BITS
-    order_mask = (1 << assembly._ob) - 1
     # (ab)c: the row of each leg x of a product is [x] times every c, made
     # once by the kernel to the order its lowest-order term in a product
     # leaves, and sorted by order
     every_c = assembly._right([(0, key_c, 1, tag << tag_shift) for tag, key_c in enumerate(keys)],
                               1)
     depth: dict = {}
-    for terms in products.values():
-        for o, legs, _ in terms:
-            depth[legs] = max(depth.get(legs, 0), n - o)
+    for a in assoc_lefts:
+        for b in basis:
+            for o, legs, _ in products[(a, b)]:
+                depth[legs] = max(depth.get(legs, 0), n - o)
     rows = {}
     for x, upto in depth.items():
         row: dict = {}
@@ -566,22 +659,26 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
     bc_terms = {b: assembly._right(sorted(
         ((o, legs, c, tag << tag_shift) for tag, c_ in enumerate(basis)
          for o, legs, c in products[(b, c_)]), key=itemgetter(0)), 1) for b in basis}
-    for a, key_a in zip(basis, keys):
-        minus_a = [(0, key_a, -1)]
+    associativity: dict = {}
+    for a in assoc_lefts:
+        minus_a = [(0, key(a), -1)]
         for b in basis:
             acc: dict = {}
             get = acc.get
             for oa, x, ca in products[(a, b)]:
                 rest = n - oa
-                for o, key, c in rows[x]:
+                for o, row_key, c in rows[x]:
                     if o > rest:
                         break
-                    at = oa + key
+                    at = oa + row_key
                     acc[at] = get(at, 0) + ca * c
             assembly._add_product(acc, minus_a, bc_terms[b], n, 1, slots, fill)
-            for tag in sorted({at >> tag_shift for at, c in acc.items() if c}):
-                report.associativity[(a, b, basis[tag])] = assembly._series(
-                    {at: c for at, c in acc.items() if at >> tag_shift == tag}, n, 1, s * s)
+            if any(acc.values()):
+                associativity[(a, b)] = acc
+    for a, b, acc in per_pair(assoc_lefts, associativity, 1):
+        for tag in sorted({at >> tag_shift for at, c in acc.items() if c}):
+            report.associativity[(a, b, basis[tag])] = assembly._series(
+                {at: c for at, c in acc.items() if at >> tag_shift == tag}, n, 1, s * s)
 
     unit = assembly.unit()
     for a in basis:
@@ -611,18 +708,21 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
             if any(diff):
                 report.counit[(a, leg)] = diff
 
-    lefts = {a: assembly._left([(o, legs, -c) for o, legs, c in terms], 2)
-             for a, terms in scaled_cop.items()}
     rights = {b: assembly._right([(o, legs, c, 0) for o, legs, c in terms], 2)
               for b, terms in scaled_cop.items()}
-    for a in basis:
+    compatibility: dict = {}
+    for a in compat_lefts:
+        left = assembly._left([(o, legs, -c) for o, legs, c in scaled_cop[a]], 2)
         for b in basis:
             acc = {}
             assembly._add_coproduct(acc, [(o + legs, c * s * t) for o, legs, c in products[(a, b)]],
                                     n, 0, cops, cop_fill)
-            assembly._add_product(acc, lefts[a], rights[b], n, 2, slots, fill)
+            assembly._add_product(acc, left, rights[b], n, 2, slots, fill)
             if any(acc.values()):
-                report.compatibility[(a, b)] = assembly._series(acc, n, 2, (s * t) ** 2)
+                compatibility[(a, b)] = acc
+    for a, b, acc in per_pair(compat_lefts, compatibility, 2):
+        if any(acc.values()):
+            report.compatibility[(a, b)] = assembly._series(acc, n, 2, (s * t) ** 2)
     return report
 
 
@@ -787,12 +887,12 @@ def compare_pipelines(generic: GammaQuantization, direct: GammaQuantization,
     return ComparisonWitness(j=j_map, w=w_map, log=log)
 
 
-def classical_limit_check(assembly: GammaQuantization, g_bialg: GammaLieBialgebra,
-                          d_in: int) -> dict:
+def classical_limit_check(assembly: GammaQuantization, d_in: int) -> dict:
     """Order-0 slice vs the smash product; order-1 antisymmetric slice vs the
-    co-Poisson cobracket."""
+    co-Poisson cobracket, both of the assembly's Γ-family."""
     from ..envelope import CoPoissonStructure
     env = assembly.env
+    g_bialg = assembly.gamma
     smash = SmashAlgebra(env, g_bialg.action)
     structure = CoPoissonStructure(smash, g_bialg.bialgebra.cobracket_tables(),
                                    g_bialg.twists)

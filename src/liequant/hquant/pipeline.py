@@ -28,12 +28,15 @@ from .solvers import (GaugeLog, _verify_zero, composition_defect, coproduct_defe
 
 
 def _twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor, dst: CoproductSeries,
-                order: int, log: GaugeLog, cap: int | None) -> tuple[ElSeries, MapSeries]:
-    """``solve_twist_pair``, closed on the defect tables of F and i."""
+                order: int, log: GaugeLog, cap: int | None
+                ) -> tuple[ElSeries, MapSeries, CoproductSeries]:
+    """``solve_twist_pair``, closed on the defect tables of F and i; returns
+    F, i and the twisted coproduct ``Ad(F)∘Δ`` that i was checked on."""
     f_series, iso = solve_twist_pair(bialg, cop, f, dst, order, log=log, cap=cap)
     _verify_zero(twist_defects(bialg, cop, f_series, f), "twist")
-    _verify_zero(iso_defects(bialg, twisted_coproduct(cop, f_series), dst, iso), "iso")
-    return f_series, iso
+    twisted = twisted_coproduct(cop, f_series)
+    _verify_zero(iso_defects(bialg, twisted, dst, iso), "iso")
+    return f_series, iso, twisted
 
 
 def _composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeries,
@@ -85,10 +88,10 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
     for b, c in ((bialg, cop), (bf, cop_f), (b_total, cop_total)):
         _verify_zero(coproduct_defects(b, c), "coproduct")
 
-    f_series, iso_f = _twist_pair(bialg, cop, f, cop_f, order, log, cap)
-    f_prime_series, iso_second = _twist_pair(bf, cop_f, f_prime, cop_total, order, log, cap)
-    f_total_series, iso_total_solved = _twist_pair(bialg, cop, pair.total, cop_total, order,
-                                                   log, cap)
+    f_series, iso_f, _ = _twist_pair(bialg, cop, f, cop_f, order, log, cap)
+    f_prime_series, iso_second, _ = _twist_pair(bf, cop_f, f_prime, cop_total, order, log, cap)
+    f_total_series, iso_total_solved, twisted_total = _twist_pair(
+        bialg, cop, pair.total, cop_total, order, log, cap)
 
     pulled = iso_f.inverse().apply_all_legs(f_prime_series)
     v = _composition_v(env, f_total_series, pulled, f_series, cop, order, log, cap)
@@ -100,7 +103,7 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
            for k in range(order + 1)):
         redefined = True
         log.note("composed-intertwiner formula replaces the independent solve")
-    if iso_intertwine_defect(twisted_coproduct(cop, f_total_series), cop_total, iso_composed):
+    if iso_intertwine_defect(twisted_total, cop_total, iso_composed):
         raise InternalCheckError("composed intertwiner fails to intertwine")
 
     return TwistPairData(
@@ -188,9 +191,9 @@ def solve_triple(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, f_second: Tens
     _verify_zero(coproduct_defects(b_all, cop_all), "coproduct")
 
     # quantized twists of the three composite objects
-    f_all_base, _ = _twist_pair(bialg, pair.cop, f_all, cop_all, order, log, cap)
-    f2_total, _ = _twist_pair(b_total, pair.cop_total, f_second, cop_all, order, log, cap)
-    f_merged, _ = _twist_pair(b_f, pair.cop_f, f_prime + f_second, cop_all, order, log, cap)
+    f_all_base, _, _ = _twist_pair(bialg, pair.cop, f_all, cop_all, order, log, cap)
+    f2_total, _, _ = _twist_pair(b_total, pair.cop_total, f_second, cop_all, order, log, cap)
+    f_merged, _, _ = _twist_pair(b_f, pair.cop_f, f_prime + f_second, cop_all, order, log, cap)
 
     # v(a, f+f', f'')  -- uses the aligned i(a, f+f')
     v_total_second = _composition_v(

@@ -209,7 +209,7 @@ def test_criterion_8_flagship_gamma_quantization():
         assembly = assemble_gamma_quantization(fam, 2)
         report = bialgebra_axiom_defects(assembly, 2)
         assert report.all_zero, report.summary()
-        limits = classical_limit_check(assembly, fam, 2)
+        limits = classical_limit_check(assembly, 2)
         assert not limits["product0"], "order-0 product differs from the smash product"
         assert not limits["copoisson1"], "order-1 slice differs from the co-Poisson structure"
 

@@ -1,5 +1,6 @@
 """Group-graded quantization: assemblies, axioms, comparison."""
 
+import copy
 from fractions import Fraction
 
 import pytest
@@ -42,7 +43,7 @@ def test_order_zero_assembly_is_classical_smash(flagship):
     assembly = assemble_gamma_quantization(fam, 0, env=env)
     report = bialgebra_axiom_defects(assembly, 2)
     assert report.all_zero
-    limits = classical_limit_check(assembly, fam, 2)
+    limits = classical_limit_check(assembly, 2)
     assert not limits["product0"]
 
 
@@ -54,7 +55,7 @@ def test_flagship_axioms(flagship):
 
 def test_flagship_classical_limits(flagship):
     fam, env, generic = flagship
-    limits = classical_limit_check(generic, fam, 2)
+    limits = classical_limit_check(generic, 2)
     assert all(not v for v in limits.values())
 
 
@@ -88,7 +89,7 @@ def test_direct_quasitriangular_assembly(flagship):
     report = bialgebra_axiom_defects(direct, 2)
     assert report.all_zero
     assert not gamma_v_cocycle_defects(direct)
-    limits = classical_limit_check(direct, fam, 1)
+    limits = classical_limit_check(direct, 1)
     assert all(not v for v in limits.values())
 
 
@@ -142,16 +143,34 @@ def test_per_pair_accumulators_keep_every_failing_triple(conjugated_units):
 
 
 @pytest.fixture(scope="module")
-def shifted_s3():
-    """``solvable2-tri-s3`` with 1/997 in the generator-1 coefficient of the
-    order-2 composition element of the eighth pair label, read back from its
-    artifact tables: a six-element group whose products carry defects."""
-    from liequant.artifact import _assembly_from_json, _assembly_to_json
-    from liequant.schema import parse_document
+def s3_tables():
+    """``solvable2-tri-s3``'s artifact tables with 1/997 in the generator-1
+    coefficient of the order-2 composition element of the eighth pair label,
+    and its parsed input."""
+    from liequant.artifact import _assembly_to_json
     name = "solvable2-tri-s3"
     data = _assembly_to_json(assemble_gamma_quantization(catalog.gamma_family(name), 2))
     data["compositions"][sorted(data["compositions"])[7]][2]["1"] = "1/997"
-    return _assembly_from_json(data, parse_document(catalog.input_document(name)))[0]
+    return data, parse_document(catalog.input_document(name))
+
+
+@pytest.fixture(scope="module")
+def shifted_s3(s3_tables):
+    """The shifted tables read back through the artifact codec: a
+    six-element group whose products carry defects."""
+    from liequant.artifact import _assembly_from_json
+    return _assembly_from_json(*s3_tables)[0]
+
+
+@pytest.fixture(scope="module")
+def shifted_s3_coproduct(s3_tables):
+    """``shifted_s3`` with 1/991 as the x1 ⊗ x1 coefficient of generator 1's
+    order-2 coproduct: a coproduct that is no algebra map."""
+    from liequant.artifact import _assembly_from_json
+    data, parsed = s3_tables
+    data = copy.deepcopy(data)
+    data["coproduct"]["1"][2]["1|1"] = "1/991"
+    return _assembly_from_json(data, parsed)[0]
 
 
 def _check_fused_against_plain_products(assembly):
@@ -185,6 +204,30 @@ def test_fused_checks_match_plain_products_over_six_group_elements(shifted_s3):
     # packed tags over an 18-element window of six group elements, defect
     # series included
     _check_fused_against_plain_products(shifted_s3)
+
+
+def test_fused_checks_match_plain_products_where_the_coproduct_is_no_algebra_map(
+        shifted_s3_coproduct):
+    # compatibility cannot be derived from the left factors [1|g] here, so
+    # every left factor is evaluated; associativity is still derived
+    assert shifted_s3_coproduct.coproduct_table["algebra-map"]
+    assert bialgebra_axiom_defects(shifted_s3_coproduct, 1).compatibility
+    _check_fused_against_plain_products(shifted_s3_coproduct)
+
+
+def test_fused_checks_match_plain_products_where_jacobi_fails():
+    # sl2 with [e, f] = e: U(a) is not associative, so no left factor is
+    # derived from [1|g] (whose defects are all zero here)
+    from liequant.artifact import _trivial_gamma
+    from liequant.hquant.core import MapSeries
+    doc = catalog.input_document("sl2")
+    doc["bracket"]["0,1"] = {"0": "1"}
+    bialg = parse_document(doc).bialgebra
+    env, gamma = Envelope(bialg.lie), _trivial_gamma(bialg)
+    e = gamma.group.identity
+    _check_fused_against_plain_products(GammaQuantization(
+        env, gamma, CoproductSeries.undeformed(env, 0), {e: ElSeries.unit(env, 2, 0)},
+        {e: MapSeries.identity(env, 0)}, {(e, e): ElSeries.unit(env, 1, 0)}, 0))
 
 
 def test_scaled_views_keep_uncleared_fractions_exact():
@@ -381,7 +424,7 @@ def test_solvable_z2_assembly_full():
     assembly = assemble_gamma_quantization(fam, 2)
     assert bialgebra_axiom_defects(assembly, 2).all_zero
     assert not gamma_v_cocycle_defects(assembly)
-    limits = classical_limit_check(assembly, fam, 2)
+    limits = classical_limit_check(assembly, 2)
     assert all(not v for v in limits.values())
 
 
@@ -392,7 +435,7 @@ def test_reshuffled_gauge_still_exact():
     assembly = assemble_gamma_quantization(fam, 2, seed_order=20240817)
     assert bialgebra_axiom_defects(assembly, 2).all_zero
     assert not gamma_v_cocycle_defects(assembly)
-    limits = classical_limit_check(assembly, fam, 2)
+    limits = classical_limit_check(assembly, 2)
     assert all(not v for v in limits.values())
 
 

@@ -13,7 +13,7 @@ from liequant import catalog
 from liequant.cli import main
 from liequant.envelope import Envelope
 from liequant.hquant.gammaq import assemble_gamma_quantization
-from liequant.hquant.solvers import solve_coproduct, solve_twist_pair
+from liequant.hquant.solvers import GaugeLog, solve_coproduct, solve_twist_pair
 from liequant.hquant.unknowns import LinearisedDefect
 from liequant.linsolve import LinSystem
 from liequant.sparse import El
@@ -125,9 +125,9 @@ def test_escalations_and_later_orders_reuse_columns(checked, monkeypatch):
         return [("half", [(slot, keys[: len(keys) // 2]) for slot, keys in slot_keys])] + ladder
 
     monkeypatch.setattr(solvers_module, "_support_ladder", with_a_half_rung)
-    assembly = assemble_gamma_quantization(catalog.gamma_family("solvable2-tri-z2"), 3)
-    escalated = {(r.operation, r.order) for r in assembly.log.records
-                 if r.status == "inconsistent"}
+    log = GaugeLog()
+    assemble_gamma_quantization(catalog.gamma_family("solvable2-tri-z2"), 3, log=log)
+    escalated = {(r.operation, r.order) for r in log.records if r.status == "inconsistent"}
     assert {("coproduct", 3), ("twist-pair", 3)} <= escalated
     assert {(op, k) for op, k, rung, _ in checked if rung} == escalated
     # the systems of the later orders, which read the columns of the orders
