@@ -44,7 +44,7 @@ Associativity, ``D(a, b, c) = (ab)c - a(bc)``:
 1. ``[m|g][y|k] = [m · T_g(y) v_{g,k}^{-1} | gk] = m · ([1|g][y|k])``: the
    slot entry, by construction.
 2. ``[m|g] X = m · ([1|g] X)`` for every X, by linearity of step 1.
-3. ``(m · Y) c = m · (Y c)``: U(a)[[h]] is associative, which ``jacobi`` ensures.
+3. ``(m · Y) c = m · (Y c)``: U(a)[[h]] is associative, as ``jacobi`` holds.
 4. ``([m|g] b) c = m · (([1|g] b) c)``, by steps 2 and 3.
 5. ``[m|g] (bc) = m · ([1|g] (bc))``, by step 2.
 6. ``D([m|g], b, c) = m · D([1|g], b, c)``, by steps 4 and 5.
@@ -62,8 +62,9 @@ Compatibility, ``D(a, b) = Delta(ab) - Delta(a) Delta(b)``, with
    each leg, and U(a)⊗U(a)[[h]] is associative (``jacobi``).
 6. ``D([m|g], b) = Delta(m) · D([1|g], b)``, by steps 3 to 5.
 
-Where ``jacobi`` fails, associativity and compatibility are evaluated for
-every left factor; where ``coproduct-algebra-map`` fails, compatibility is.
+Both derivations take ``jacobi`` as a precondition: the CLI checks it before
+any window check.  Where ``coproduct-algebra-map`` fails, compatibility is
+evaluated for every left factor.
 """
 
 from __future__ import annotations
@@ -76,7 +77,6 @@ from operator import itemgetter
 from ..envelope import Envelope, Mon, ONE, SmashAlgebra
 from ..errors import InternalCheckError, MathDefectError, SolverInconsistencyError
 from ..groups import GammaLieBialgebra, GroupAction, quasitriangular_gamma
-from ..lie import jacobi_defect
 from ..sparse import El
 from ..tensors import q
 from .core import CoproductSeries, DualMap, DualSeries, ElSeries, MapSeries, product_coeff
@@ -547,9 +547,10 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
 
     Associativity and compatibility are evaluated for the left factors
     ``[1|g]`` and derived exactly for every other left factor ``[m|g]``
-    (see the module docstring): associativity where ``jacobi`` holds,
-    compatibility where the coproduct's ``algebra-map`` entry passes too.
-    Where a derivation does not hold, every left factor is evaluated.
+    (see the module docstring), compatibility only where the coproduct's
+    ``algebra-map`` entry passes; where it fails, every left factor is
+    evaluated.  The bracket must satisfy Jacobi (``jacobi`` passes), so
+    that U(a) is associative.
     """
     report = AxiomReport()
     basis = assembly.basis_up_to(d_in)
@@ -559,10 +560,7 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
     key = assembly._key
     keys = [key(a) for a in basis]
     units = [a for a in basis if a[0] == ONE]
-    associative = not jacobi_defect(env.lie).data
-    assoc_lefts = units if associative else basis
-    compat_lefts = (units if associative and not assembly.coproduct_table["algebra-map"]
-                    else basis)
+    compat_lefts = basis if assembly.coproduct_table["algebra-map"] else units
 
     # A basis element is one order-0 unit term, so the window's products and
     # coproducts are cache entries: the slot products [a][b] and Delta([a]).
@@ -646,7 +644,7 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
     every_c = assembly._right([(0, key_c, 1, tag << tag_shift) for tag, key_c in enumerate(keys)],
                               1)
     depth: dict = {}
-    for a in assoc_lefts:
+    for a in units:
         for b in basis:
             for o, legs, _ in products[(a, b)]:
                 depth[legs] = max(depth.get(legs, 0), n - o)
@@ -660,7 +658,7 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
         ((o, legs, c, tag << tag_shift) for tag, c_ in enumerate(basis)
          for o, legs, c in products[(b, c_)]), key=itemgetter(0)), 1) for b in basis}
     associativity: dict = {}
-    for a in assoc_lefts:
+    for a in units:
         minus_a = [(0, key(a), -1)]
         for b in basis:
             acc: dict = {}
@@ -675,7 +673,7 @@ def bialgebra_axiom_defects(assembly: GammaQuantization, d_in: int) -> AxiomRepo
             assembly._add_product(acc, minus_a, bc_terms[b], n, 1, slots, fill)
             if any(acc.values()):
                 associativity[(a, b)] = acc
-    for a, b, acc in per_pair(assoc_lefts, associativity, 1):
+    for a, b, acc in per_pair(units, associativity, 1):
         for tag in sorted({at >> tag_shift for at, c in acc.items() if c}):
             report.associativity[(a, b, basis[tag])] = assembly._series(
                 {at: c for at, c in acc.items() if at >> tag_shift == tag}, n, 1, s * s)

@@ -215,21 +215,6 @@ def test_fused_checks_match_plain_products_where_the_coproduct_is_no_algebra_map
     _check_fused_against_plain_products(shifted_s3_coproduct)
 
 
-def test_fused_checks_match_plain_products_where_jacobi_fails():
-    # sl2 with [e, f] = e: U(a) is not associative, so no left factor is
-    # derived from [1|g] (whose defects are all zero here)
-    from liequant.artifact import _trivial_gamma
-    from liequant.hquant.core import MapSeries
-    doc = catalog.input_document("sl2")
-    doc["bracket"]["0,1"] = {"0": "1"}
-    bialg = parse_document(doc).bialgebra
-    env, gamma = Envelope(bialg.lie), _trivial_gamma(bialg)
-    e = gamma.group.identity
-    _check_fused_against_plain_products(GammaQuantization(
-        env, gamma, CoproductSeries.undeformed(env, 0), {e: ElSeries.unit(env, 2, 0)},
-        {e: MapSeries.identity(env, 0)}, {(e, e): ElSeries.unit(env, 1, 0)}, 0))
-
-
 def test_scaled_views_keep_uncleared_fractions_exact():
     source = [(0, 5, Q(1, 3)), (1, 5, Q(1, 2))]
     table, fill = _scaled_table(lambda code, upto: source, 4)
