@@ -272,44 +272,3 @@ def quasitriangular_gamma(qt: QuasitriangularData, action: GroupAction) -> Gamma
     if not defects.all_zero:
         raise MathDefectError("constructed family fails its own defect report", defects)
     return out
-
-
-@dataclass
-class MorphismReport:
-    bracket: dict = field(default_factory=dict)
-    cobracket: dict = field(default_factory=dict)
-    equivariance: dict = field(default_factory=dict)
-    twist_family: dict = field(default_factory=dict)
-
-    @property
-    def all_zero(self) -> bool:
-        return (not self.bracket and not self.cobracket
-                and not self.equivariance and not self.twist_family)
-
-
-def gamma_morphism_check(src: GammaLieBialgebra, dst: GammaLieBialgebra,
-                         i_map: LinearMap) -> MorphismReport:
-    """Defects of a candidate morphism over a fixed group."""
-    if src.group != dst.group:
-        raise SchemaError("morphism check requires the same group on both sides")
-    if i_map.src != src.bialgebra.space or i_map.dst != dst.bialgebra.space:
-        raise SchemaError("matrix shape does not match the two algebras")
-    report = MorphismReport(bracket=hom_defect(i_map, src.bialgebra.lie, dst.bialgebra.lie))
-    for i in range(src.bialgebra.dim):
-        pushed = i_map.apply_tensor(src.bialgebra.cobracket_basis(i))
-        expected = Tensor.zero((dst.bialgebra.space,) * 2)
-        for j, c in i_map.column(i).items():
-            expected = expected + c * dst.bialgebra.cobracket_basis(j)
-        if pushed != expected:
-            report.cobracket[i] = pushed - expected
-    for g in src.group.elements():
-        left = i_map.compose(src.action.theta(g))
-        right = dst.action.theta(g).compose(i_map)
-        if left != right:
-            report.equivariance[g] = [
-                [a - b for a, b in zip(ra, rb)] for ra, rb in zip(left.rows, right.rows)
-            ]
-        pushed = i_map.apply_tensor(src.f(g))
-        if pushed != dst.f(g):
-            report.twist_family[g] = pushed - dst.f(g)
-    return report

@@ -80,7 +80,7 @@ def solve_pair(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, order: int,
     env = env or Envelope(bialg.lie)
     log = log or GaugeLog()
     bf = pair.twisted
-    b_total = twist(bialg, pair.total, check=False)
+    b_total = twist(bialg, pair.total)
 
     cop = solve_coproduct(bialg, order, env, log, cap=cap)
     cop_f = solve_coproduct(bf, order, env, log, cap=cap)
@@ -183,10 +183,10 @@ def solve_triple(bialg: LieBialgebra, f: Tensor, f_prime: Tensor, f_second: Tens
     log = log or GaugeLog()
     compose_twists(bialg, f + f_prime, f_second)
     pair = solve_pair(bialg, f, f_prime, order, env=env, log=log, cap=cap)
-    b_f = twist(bialg, f, check=False)
-    b_total = twist(bialg, f + f_prime, check=False)
+    b_f = twist(bialg, f)
+    b_total = twist(bialg, f + f_prime)
     f_all = f + f_prime + f_second
-    b_all = twist(bialg, f_all, check=False)
+    b_all = twist(bialg, f_all)
     cop_all = solve_coproduct(b_all, order, env, log, cap=cap)
     _verify_zero(coproduct_defects(b_all, cop_all), "coproduct")
 

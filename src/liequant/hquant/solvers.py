@@ -347,7 +347,7 @@ def twist_defects(bialg: LieBialgebra, cop: CoproductSeries, f_series: ElSeries,
     if f_series.order >= 1:
         twisted = twisted_coproduct(cop.truncated(1), f_series.truncated(1))
         limit = {**(antisymmetric_part(f_series.coeffs[1]) - env.embed_tensor(f)).data,
-                 **classical_limit_defect(twist_bialgebra(bialg, f, check=False), twisted)}
+                 **classical_limit_defect(twist_bialgebra(bialg, f), twisted)}
     return {"cocycle": {k: c for k, c in enumerate(cocycle_defect(cop, f_series).coeffs) if c},
             "counit": dict(enumerate(twist_counit_defect(env, f_series))),
             "classical-limit": limit}

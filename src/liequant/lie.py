@@ -297,62 +297,3 @@ class QuasitriangularData:
 
     def bialgebra(self) -> LieBialgebra:
         return LieBialgebra(self.lie, cobracket_tensors=coboundary_cobracket(self.lie, self.r))
-
-
-def double_space(space: BasedSpace) -> BasedSpace:
-    labels = space.labels + tuple(f"{lab}*" for lab in space.labels)
-    return BasedSpace(f"D({space.name})", labels)
-
-
-def drinfeld_double(bialg: LieBialgebra) -> QuasitriangularData:
-    """The quasitriangular double on a ⊕ a*.
-
-    Bracket conventions (pinned once by the CYBE test on the catalog):
-      [x_i, x_j]   = bracket of the algebra,
-      [xi_i, xi_j] = bracket dual to the cobracket,
-      [x_i, xi_j]  = sum_k d_i^{jk} x_k  -  sum_k c_{ik}^j xi_k,
-    where delta(x_i) = sum d_i^{jk} x_j ⊗ x_k.  Canonical r = sum_i x_i ⊗ xi_i.
-    """
-    bialg.assert_valid()
-    a = bialg.space
-    n = a.dim
-    dspace = double_space(a)
-    brackets: dict[tuple[int, int], dict[int, Scalar]] = {}
-
-    def set_bracket(i: int, j: int, vec: Vec):
-        if i == j or not vec:
-            return
-        if i < j:
-            brackets[(i, j)] = dict(vec)
-        else:
-            brackets[(j, i)] = {k: -v for k, v in vec.items()}
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            set_bracket(i, j, bialg.lie.bracket_basis(i, j))
-    for i in range(n):
-        for j in range(i + 1, n):
-            vec: Vec = {}
-            for k in range(n):
-                c = bialg.cobracket_basis(k).coeff((i, j))
-                if c:
-                    vec[n + k] = c
-            set_bracket(n + i, n + j, vec)
-    for i in range(n):
-        for j in range(n):
-            vec = {}
-            for (p, r), v in bialg.cobracket_basis(i).data.items():
-                if p == j:
-                    vec[r] = vec.get(r, 0) + v
-            for k in range(n):
-                c = bialg.lie.bracket_basis(i, k).get(j, 0)
-                if c:
-                    vec[n + k] = vec.get(n + k, 0) - c
-            vec = {k: v for k, v in vec.items() if v}
-            set_bracket(i, n + j, vec)
-
-    dlie = LieAlgebra(dspace, brackets)
-    r = Tensor.zero((dspace, dspace))
-    for i in range(n):
-        r.data[(i, n + i)] = 1
-    return QuasitriangularData(dlie, r)

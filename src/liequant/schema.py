@@ -54,9 +54,15 @@ def _table(value, where: str) -> dict:
     return value
 
 
+def _optional_table(value, where: str) -> dict:
+    """A table that may be absent or ``null`` (read as empty); any other
+    non-object value is refused."""
+    return {} if value is None else _table(value, where)
+
+
 def _by_element(value, labels: tuple[str, ...], where: str) -> dict:
     """An optional table keyed by group element labels; unknown labels are refused."""
-    table = _table(value or {}, where)
+    table = _optional_table(value, where)
     for label in table:
         if label not in labels:
             raise SchemaError(f"unknown group element {label!r}", pointer(where, label))
@@ -139,7 +145,7 @@ def parse_document(doc: dict) -> ParsedInput:
     lie = LieAlgebra(space, brackets)
 
     cobrackets = {}
-    for gen, entry in _table(doc.get("cobracket") or {}, "/cobracket").items():
+    for gen, entry in _optional_table(doc.get("cobracket"), "/cobracket").items():
         where = pointer("/cobracket", gen)
         g = _index(gen, "generator index", dim, where)
         table = {}
@@ -198,7 +204,7 @@ def parse_document(doc: dict) -> ParsedInput:
         for label in labels:
             t = Tensor.zero((space, space))
             where = pointer("/twists", label)
-            for key, value in _table(twists_doc.get(label) or {}, where).items():
+            for key, value in _optional_table(twists_doc.get(label), where).items():
                 i, j = _pair_key(key, dim, pointer(where, key))
                 v = _rat(value, pointer(where, key))
                 if v:
@@ -210,7 +216,7 @@ def parse_document(doc: dict) -> ParsedInput:
         for name in ("action", "twists"):
             _by_element(doc.get(name), (), f"/{name}")  # no group: every label is unknown
 
-    options = dict(_table(doc.get("options") or {}, "/options"))
+    options = dict(_optional_table(doc.get("options"), "/options"))
     return ParsedInput(document=doc, bialgebra=bialg, quasitriangular=qt,
                        gamma=gamma, options=options)
 

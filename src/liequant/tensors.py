@@ -61,9 +61,6 @@ class BasedSpace:
     def dim(self) -> int:
         return len(self.labels)
 
-    def index(self, label: str) -> int:
-        return self.labels.index(label)
-
     def __repr__(self):
         return f"BasedSpace({self.name!r}, dim={self.dim})"
 
@@ -98,10 +95,6 @@ class Tensor:
     @classmethod
     def zero(cls, spaces: Iterable[BasedSpace]) -> "Tensor":
         return cls(spaces, {})
-
-    @classmethod
-    def basis(cls, spaces: Iterable[BasedSpace], key: tuple[int, ...]) -> "Tensor":
-        return cls(spaces, {tuple(key): 1})
 
     # -- basic queries ---------------------------------------------------------
 
@@ -175,13 +168,6 @@ class Tensor:
 
     # -- tensor operations -----------------------------------------------------
 
-    def tensor(self, other: "Tensor") -> "Tensor":
-        out = Tensor.zero(self.spaces + other.spaces)
-        for ka, va in self.data.items():
-            for kb, vb in other.data.items():
-                out.data[ka + kb] = va * vb
-        return out
-
     def permute(self, sigma: tuple[int, ...]) -> "Tensor":
         """Relabel slots: entry at ``key`` moves to position ``p`` with
         ``p[j] = key[sigma[j]]`` (``sigma`` is 0-based and must be a bijection).
@@ -200,11 +186,6 @@ class Tensor:
         return self.permute((1, 0))
 
 
-def tensor_permute(t: Tensor, sigma_one_based: tuple[int, ...]) -> Tensor:
-    """Slot permutation with 1-based one-line notation, e.g. swap = (2, 1)."""
-    return t.permute(tuple(s - 1 for s in sigma_one_based))
-
-
 def cyclic_sum3(t: Tensor) -> Tensor:
     """Sum of ``t`` over the three cyclic slot rotations (arity 3 only)."""
     if t.arity != 3:
@@ -212,15 +193,6 @@ def cyclic_sum3(t: Tensor) -> Tensor:
     if len(set(t.spaces)) != 1:
         raise ValueError("cyclic_sum3 needs all slots over the same space")
     return t + t.permute((1, 2, 0)) + t.permute((2, 0, 1))
-
-
-def alt2(t: Tensor) -> Tensor:
-    """Antisymmetrization ``t - swap(t)`` of an arity-2 tensor."""
-    if t.arity != 2:
-        raise ValueError("alt2 needs arity 2")
-    if t.spaces[0] != t.spaces[1]:
-        raise ValueError("alt2 needs equal slots")
-    return t - t.swap()
 
 
 class LinearMap:
@@ -243,9 +215,6 @@ class LinearMap:
     def identity(cls, space: BasedSpace) -> "LinearMap":
         n = space.dim
         return cls(space, space, [[int(i == j) for j in range(n)] for i in range(n)])
-
-    def entry(self, i: int, j: int) -> Scalar:
-        return self.rows[i][j]
 
     def column(self, j: int) -> dict[int, Scalar]:
         return {i: self.rows[i][j] for i in range(self.dst.dim) if self.rows[i][j]}

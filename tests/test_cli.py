@@ -509,16 +509,48 @@ Z2 = {"elements": ["e", "g"], "table": [[0, 1], [1, 0]]}
       "action": {"a/b": [["0"]]}}, "/action/a~1b"),
     ({"dimension": 2, "bracket": {}, "group": {**Z2, "elements": ["e", "a~b"]},
       "twists": {"a~b": {"0/1": "1"}}}, "/twists/a~0b/0~11"),
+    ({"dimension": 2, "bracket": {}, "cobracket": []}, "/cobracket"),
+    ({"dimension": 2, "bracket": {}, "cobracket": 0}, "/cobracket"),
+    ({"dimension": 1, "bracket": {}, "group": Z2, "action": []}, "/action"),
+    ({"dimension": 1, "bracket": {}, "group": Z2, "action": False}, "/action"),
+    ({"dimension": 2, "bracket": {}, "group": Z2, "twists": ""}, "/twists"),
+    ({"dimension": 2, "bracket": {}, "group": Z2, "twists": {"g": []}}, "/twists/g"),
+    ({"dimension": 2, "bracket": {}, "group": Z2, "twists": {"g": 0}}, "/twists/g"),
+    ({"dimension": 2, "bracket": {}, "twists": []}, "/twists"),
+    ({"dimension": 2, "bracket": {}, "options": False}, "/options"),
+    ({"dimension": 2, "bracket": {}, "options": []}, "/options"),
+    ({"dimension": 2, "bracket": {}, "options": ""}, "/options"),
 ], ids=["bracket-not-object", "cobracket-entry-not-object", "bracket-target-not-int",
         "basis-not-list", "action-row-not-list", "dimension-float", "dimension-bool",
         "dimension-zero", "dimension-missing", "basis-unhashable", "basis-collides-as-str",
         "basis-bool", "action-singular", "action-unknown-element", "twists-unknown-element",
         "twists-without-group", "pair-key-zero-padded", "pair-key-underscore",
-        "target-key-signed", "generator-key-spaced", "label-with-slash", "label-with-tilde"])
+        "target-key-signed", "generator-key-spaced", "label-with-slash", "label-with-tilde",
+        "cobracket-empty-list", "cobracket-zero", "action-empty-list", "action-false",
+        "twists-empty-string", "twist-entry-empty-list", "twist-entry-zero",
+        "twists-empty-list-without-group", "options-false", "options-empty-list",
+        "options-empty-string"])
 def test_malformed_tables_are_schema_errors(doc, location, tmp_path, capsys):
     code, _, err = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
     assert code == 3
     assert json.loads(err)["location"] == location
+
+
+def test_null_optional_tables_read_as_empty(tmp_path, capsys):
+    doc = catalog.input_document("sl2-cartan-z2")
+    identity = doc["group"]["elements"][0]
+    assert identity not in doc["twists"]
+    _, out, _ = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
+    expected = json.loads(out)["checks"]
+    doc.update(options=None)
+    doc["twists"][identity] = None
+    code, out, _ = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["checks"] == expected
+    trivial = {"dimension": 2, "bracket": {}, "cobracket": None, "action": None,
+               "twists": None, "options": None}
+    code, _, err = run(capsys, "check", write_doc(tmp_path, trivial), "--format", "json")
+    assert code == 0, err
 
 
 def test_verify_artifact_points_into_embedded_input(z2_artifact, tmp_path, capsys):

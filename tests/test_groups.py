@@ -7,7 +7,7 @@ import pytest
 from liequant import catalog
 from liequant.errors import MathDefectError, SchemaError
 from liequant.groups import (FiniteGroup, GammaLieBialgebra, GroupAction, check_action,
-                             gamma_defects, gamma_morphism_check, quasitriangular_gamma)
+                             gamma_defects, quasitriangular_gamma)
 from liequant.tensors import LinearMap, Tensor
 
 Q = Fraction
@@ -135,43 +135,9 @@ def test_derived_inverse_twist_identity():
             assert fam.f(ginv) == -theta_inv.apply_tensor(fam.f(g))
 
 
-def test_gamma_morphism_identity():
-    fam = catalog.gamma_family("sl2-cartan-z2")
-    ident = LinearMap.identity(fam.bialgebra.space)
-    assert gamma_morphism_check(fam, fam, ident).all_zero
-
-
-def test_gamma_morphism_rescaling():
-    # e ↦ 2e, f ↦ f/2, h ↦ h is a bialgebra automorphism of standard sl2;
-    # the twist-family condition then depends on the f-data
-    fam = catalog.gamma_family("sl2-cartan-z2")
-    rescale = LinearMap(fam.bialgebra.space, fam.bialgebra.space,
-                        [[2, 0, 0], [0, "1/2", 0], [0, 0, 1]])
-    report = gamma_morphism_check(fam, fam, rescale)
-    assert not report.bracket
-    assert not report.cobracket
-    # the Cartan involution does not commute with the rescaling
-    assert report.equivariance or report.twist_family
-
-
-def test_gamma_morphism_zero_map():
-    fam = catalog.gamma_family("sl2-cartan-z2")
-    zero = LinearMap(fam.bialgebra.space, fam.bialgebra.space,
-                     [[0] * 3 for _ in range(3)])
-    trivial_target = GammaLieBialgebra(
-        fam.bialgebra, fam.action,
-        [Tensor.zero((fam.bialgebra.space,) * 2) for _ in fam.group.elements()])
-    report = gamma_morphism_check(fam, trivial_target, zero)
-    assert not report.bracket
-    assert not report.cobracket
-    # zero map forces the target family to vanish, which it does here
-    assert not report.twist_family
-
-
 def test_gamma_naturality_of_defect_reports():
     # a nontrivial automorphism commuting with the involution (e ↦ -e,
-    # f ↦ -f, h ↦ h) transports the family to itself: zero reports map to
-    # zero reports through a valid morphism
+    # f ↦ -f, h ↦ h) transports the family to a family whose report is zero
     fam = catalog.gamma_family("sl2-cartan-z2")
     assert gamma_defects(fam).all_zero
     phi = LinearMap(fam.bialgebra.space, fam.bialgebra.space,
@@ -179,10 +145,4 @@ def test_gamma_naturality_of_defect_reports():
     transported = GammaLieBialgebra(
         fam.bialgebra, fam.action,
         [phi.apply_tensor(fam.f(g)) for g in fam.group.elements()])
-    report = gamma_morphism_check(fam, transported, phi)
-    assert report.all_zero
     assert gamma_defects(transported).all_zero
-    # a skewed target family is detected by the twist-family condition
-    skewed = GammaLieBialgebra(fam.bialgebra, fam.action,
-                               [fam.f(0), 3 * fam.f(1)])
-    assert gamma_morphism_check(fam, skewed, phi).twist_family

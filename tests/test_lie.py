@@ -1,4 +1,4 @@
-"""Classical structures: defects, coboundaries, doubles."""
+"""Classical structures: defects and coboundaries."""
 
 from fractions import Fraction
 
@@ -7,8 +7,8 @@ import pytest
 from liequant import catalog
 from liequant.errors import MathDefectError
 from liequant.lie import (LieAlgebra, LieBialgebra, cocycle_defect, cojacobi_defect,
-                          coboundary_cobracket, cybe_defect, drinfeld_double,
-                          invariance_defect, jacobi_defect)
+                          coboundary_cobracket, cybe_defect, invariance_defect,
+                          jacobi_defect)
 from liequant.tensors import BasedSpace, Tensor
 
 Q = Fraction
@@ -128,50 +128,6 @@ def test_random_coboundaries_are_cocycles():
         tables = coboundary_cobracket(solvable, r)
         bialg = LB(solvable, cobracket_tensors=tables)
         assert cocycle_defect(bialg).is_zero()
-
-
-@pytest.mark.parametrize("name", ["abelian2", "solvable2", "sl2", "sl2-trivial"])
-def test_double_jacobi_and_cybe(name):
-    double = drinfeld_double(catalog.BIALGEBRAS[name]())
-    assert jacobi_defect(double.lie).is_zero()
-    assert cybe_defect(double.lie, double.r).is_zero()
-
-
-def test_double_of_abelian_is_abelian():
-    double = drinfeld_double(catalog.abelian(2))
-    n = double.lie.dim
-    assert n == 4
-    assert all(not double.lie.bracket_basis(i, j) for i in range(n) for j in range(n))
-
-
-def test_double_rejects_invalid_input():
-    bialg = LieBialgebra(catalog.sl2_lie(), {0: {(1, 2): -1}})
-    with pytest.raises(MathDefectError):
-        drinfeld_double(bialg)
-
-
-@pytest.mark.parametrize("name", ["solvable2", "sl2"])
-def test_double_coopposite_duality(name):
-    """The double of the co-opposite matches the double after relabeling
-    (identity on the algebra, negation on the dual)."""
-    bialg = catalog.BIALGEBRAS[name]()
-    d_plain = drinfeld_double(bialg)
-    d_coop = drinfeld_double(LieBialgebra(
-        bialg.lie, cobracket_tensors=[-t for t in bialg.cobracket_tables()]))
-    n = bialg.dim
-
-    def relabel(vec):
-        return {k: (v if k < n else -v) for k, v in vec.items()}
-
-    def sign(i):
-        return 1 if i < n else -1
-
-    for i in range(2 * n):
-        for j in range(2 * n):
-            left = relabel(d_coop.lie.bracket_basis(i, j))
-            right = {k: sign(i) * sign(j) * v
-                     for k, v in d_plain.lie.bracket_basis(i, j).items()}
-            assert left == right, (i, j)
 
 
 def test_quasitriangular_validation():

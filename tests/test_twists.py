@@ -1,4 +1,4 @@
-"""Classical twists: defects, twisting, composition, double transport."""
+"""Classical twists: defects, twisting, composition."""
 
 from fractions import Fraction
 
@@ -7,8 +7,7 @@ import pytest
 from liequant import catalog
 from liequant.errors import MathDefectError
 from liequant.tensors import Tensor
-from liequant.twists import (TwistPair, compose_twists, double_iso_defect,
-                             double_twist_iso, twist, twist_defect)
+from liequant.twists import TwistPair, compose_twists, twist, twist_defect
 
 Q = Fraction
 
@@ -77,15 +76,6 @@ def test_twist_rejects_non_antisymmetric():
         twist_defect(b, Tensor((b.space, b.space), {(0, 1): 1}))
 
 
-def test_checked_twist_wrapper():
-    from liequant.twists import Twist
-    b = catalog.sl2()
-    good = Twist.checked(b, catalog.sl2_cartan_twist())
-    assert good.f == catalog.sl2_cartan_twist()
-    with pytest.raises(MathDefectError):
-        Twist.checked(b, Tensor((b.space, b.space), {(0, 1): 1, (1, 0): -1}))
-
-
 def test_twist_by_zero_is_identity():
     b = catalog.sl2()
     assert twist(b, Tensor.zero((b.space, b.space))) == b
@@ -121,7 +111,7 @@ def test_twist_twice_by_opposite_restores():
     b = catalog.sl2()
     f = catalog.sl2_cartan_twist()
     tw = twist(b, f)
-    back = twist(tw, -f, check=False)
+    back = twist(tw, -f)
     assert back == b
 
 
@@ -164,43 +154,4 @@ def test_twisting_is_additive_in_the_twist():
     f = catalog.sl2_cartan_twist()
     f_prime = catalog.sl2_cartan_involution().apply_tensor(f)
     once = twist(twist(b, f), f_prime)
-    assert once == twist(b, f + f_prime, check=False)
-
-
-def test_double_iso_zero_twist_is_identity():
-    b = catalog.sl2()
-    m = double_twist_iso(b, Tensor.zero((b.space, b.space)))
-    assert m.is_identity() or all(
-        m.rows[i][j] == (1 if i == j else 0) for i in range(6) for j in range(6))
-
-
-def test_double_iso_abelian_block_is_f_contraction():
-    b = catalog.abelian(2)
-    f = Tensor((b.space, b.space), {(0, 1): "2/3", (1, 0): "-2/3"})
-    m = double_twist_iso(b, f)
-    # identity on the algebra
-    for i in range(2):
-        for j in range(2):
-            assert m.rows[i][j] == (1 if i == j else 0)
-    # dual block: the f-contraction, nonzero and antisymmetric
-    block = [[m.rows[i][2 + j] for j in range(2)] for i in range(2)]
-    assert block[0][1] == -block[1][0]
-    assert block[0][1] != 0
-    assert abs(block[0][1]) == Q(2, 3)
-    assert not double_iso_defect(b, f, m)
-
-
-def test_double_iso_sl2_cartan_exact():
-    b = catalog.sl2()
-    f = catalog.sl2_cartan_twist()
-    m = double_twist_iso(b, f)
-    assert not double_iso_defect(b, f, m)
-    # invertible 6x6
-    m.inverse()
-
-
-def test_double_iso_eh_twist():
-    b = catalog.sl2()
-    f = Tensor((b.space, b.space), {(0, 2): 1, (2, 0): -1})
-    m = double_twist_iso(b, f)
-    assert not double_iso_defect(b, f, m)
+    assert once == twist(b, f + f_prime)
