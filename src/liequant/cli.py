@@ -9,7 +9,6 @@ inputs; timings are only included with --timestamps on.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -35,8 +34,21 @@ EXIT_SOLVER = 4
 EXIT_NO_WITNESS = 5
 
 
+def _sha256():
+    """The interpreter's built-in SHA-256.  ``hashlib`` loads OpenSSL
+    (``_hashlib``, about 3.6 MB resident) for this one digest, so it is only
+    the fallback for a build without built-in hashes."""
+    for name in ("_sha2", "_sha256"):
+        try:
+            return __import__(name).sha256
+        except ImportError:
+            pass
+    import hashlib
+    return hashlib.sha256
+
+
 def _digest(raw: bytes) -> str:
-    return "sha256:" + hashlib.sha256(raw).hexdigest()
+    return "sha256:" + _sha256()(raw).hexdigest()
 
 
 def _load_input(path: str) -> tuple[bytes, dict]:
@@ -200,7 +212,7 @@ def cmd_quantize(args) -> int:
     elapsed = time.time() - t0
     artifact = {
         "tool_version": __version__,
-        "input_digest": _digest(raw),
+        "input_digest": report["input_digest"],
         "input": doc,
         "d_in": args.d_in,
         "gauge_log": log.as_dict(),

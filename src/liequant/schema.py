@@ -164,10 +164,10 @@ def parse_document(doc: dict) -> ParsedInput:
                 r.data[(i, j)] = v
         qt = QuasitriangularData(lie, r)
 
-    if "cobracket" in doc or qt is None:
+    if doc.get("cobracket") is not None or qt is None:
         bialg = LieBialgebra(lie, cobrackets)
     else:
-        # r given without a cobracket table: use its coboundary
+        # r given with the cobracket absent or null: use the coboundary of r
         from .lie import coboundary_cobracket
         bialg = LieBialgebra(lie, cobracket_tensors=coboundary_cobracket(lie, qt.r))
 

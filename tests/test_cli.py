@@ -1,12 +1,15 @@
 """Command-line interface: exit codes, reports, artifacts, reproducibility."""
 
 import copy
+import hashlib
 import json
+import random
+import sys
 from fractions import Fraction
 
 import pytest
 
-from liequant import catalog
+from liequant import catalog, cli
 from liequant.artifact import _assembly_from_json
 from liequant.cli import main
 from liequant.hquant.gammaq import bialgebra_axiom_defects
@@ -23,6 +26,22 @@ def write_doc(tmp_path, doc, name="input.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc, sort_keys=True, indent=2))
     return str(path)
+
+
+@pytest.mark.parametrize("builtin", [True, False], ids=["builtin", "hashlib-fallback"])
+def test_digest_is_sha256(builtin, monkeypatch):
+    if builtin:
+        if cli._sha256() is hashlib.sha256:
+            pytest.skip("no built-in SHA-256 module")
+        assert cli._sha256().__module__ in ("_sha2", "_sha256")
+    else:
+        for name in ("_sha2", "_sha256"):
+            monkeypatch.setitem(sys.modules, name, None)  # the import now fails
+        assert cli._sha256() is hashlib.sha256
+    inputs = [b"", json.dumps(catalog.input_document("sl2-s3"), sort_keys=True).encode(),
+              random.Random(20061).randbytes(1 << 20)]
+    for raw in inputs:
+        assert cli._digest(raw) == "sha256:" + hashlib.sha256(raw).hexdigest()
 
 
 def test_catalog_listing(capsys):
@@ -551,6 +570,25 @@ def test_null_optional_tables_read_as_empty(tmp_path, capsys):
                "twists": None, "options": None}
     code, _, err = run(capsys, "check", write_doc(tmp_path, trivial), "--format", "json")
     assert code == 0, err
+
+
+def test_null_cobracket_reads_as_absent(tmp_path, capsys):
+    # with r given, an absent or null cobracket is the coboundary of r, and
+    # {} is the explicit zero cobracket
+    doc = catalog.input_document("sl2")
+    del doc["cobracket"]
+    code, out, _ = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 0
+    expected = json.loads(out)["checks"]
+    doc["cobracket"] = None
+    code, out, _ = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["checks"] == expected
+    doc["cobracket"] = {}
+    code, out, _ = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 2
+    statuses = {c["name"]: c["status"] for c in json.loads(out)["checks"]}
+    assert statuses["r-cobracket-consistency"] == "fail"
 
 
 def test_verify_artifact_points_into_embedded_input(z2_artifact, tmp_path, capsys):
