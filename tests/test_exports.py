@@ -1,6 +1,7 @@
 """Every name a package exports resolves, the classical package loads no
 solver code, and no command loads OpenSSL."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import liequant
+from liequant import cli
 
 
 @pytest.mark.parametrize("package", ["liequant", "liequant.hquant"])
@@ -27,15 +29,6 @@ def _run_python(code):
                           text=True, check=True)
 
 
-def _builtin_sha256():
-    for name in ("_sha2", "_sha256"):
-        try:
-            return __import__(name)
-        except ImportError:
-            pass
-    return None
-
-
 def test_import_liequant_loads_no_solver_module():
     code = "import sys, liequant; print(*sorted(m for m in sys.modules if m.startswith('liequant')))"
     proc = _run_python(code)
@@ -45,7 +38,7 @@ def test_import_liequant_loads_no_solver_module():
             if m == "liequant.linsolve" or m.startswith("liequant.hquant")] == []
 
 
-@pytest.mark.skipif(_builtin_sha256() is None, reason="no built-in SHA-256 module")
+@pytest.mark.skipif(cli._sha256() is hashlib.sha256, reason="no built-in SHA-256 module")
 def test_commands_load_no_openssl(tmp_path):
     # the input digest comes from the built-in SHA-256, so no job maps OpenSSL
     artifact = str(tmp_path / "z2.json")
