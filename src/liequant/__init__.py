@@ -9,7 +9,7 @@ from .lie import (LieAlgebra, LieBialgebra, QuasitriangularData, cocycle_defect,
 from .groups import (FiniteGroup, GammaLieBialgebra, GroupAction, check_action,
                      gamma_defects, quasitriangular_gamma)
 from .tensors import BasedSpace, LinearMap, Tensor, cyclic_sum3
-from .twists import TwistPair, compose_twists, twist, twist_defect
+from .twists import twist, twist_defect
 
 __all__ = [
     "__version__",
@@ -17,7 +17,7 @@ __all__ = [
     "LieAlgebra", "LieBialgebra", "QuasitriangularData",
     "jacobi_defect", "cojacobi_defect", "cocycle_defect", "cybe_defect",
     "invariance_defect", "coboundary_cobracket",
-    "TwistPair", "twist", "twist_defect", "compose_twists",
+    "twist", "twist_defect",
     "FiniteGroup", "GroupAction", "GammaLieBialgebra",
     "check_action", "gamma_defects", "quasitriangular_gamma",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -22,6 +23,7 @@ from .errors import (InternalCheckError, LiequantError, MathDefectError, SchemaE
 from .groups import check_action, gamma_defects
 from .hquant.gammaq import (ComparisonWitness, assemble_gamma_quantization, compare_pipelines,
                             quasitriangular_gamma_quantize)
+from .hquant.packed import _LEG_BITS
 from .hquant.solvers import GaugeLog
 from .lie import (cocycle_defect as bialg_cocycle_defect, cojacobi_defect, coboundary_cobracket,
                   cybe_defect, invariance_defect, jacobi_defect)
@@ -121,7 +123,7 @@ def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
         structure = copoisson_delta(gamma)
         d_in = non_negative_int(parsed.options.get("copoisson_degree", 2), "copoisson_degree",
                                 "/options/copoisson_degree")
-        rep = copoisson_axiom_defects(structure, d_in, 2 * d_in + 2)
+        rep = copoisson_axiom_defects(structure, d_in)
         for part, table in sorted(rep.items()):
             failed |= _add_defects(report, f"copoisson-{part}", table)
     else:
@@ -269,6 +271,13 @@ def cmd_verify_artifact(args) -> int:
     report, parsed = _prologue(args, raw, artifact["input"], "/input")
     if parsed is None:
         return EXIT_DEFECT
+    # each window element takes one packed leg code, so a window past the leg
+    # field cannot be checked; refuse it before a monomial is listed
+    group_order = parsed.gamma.group.order if parsed.gamma else 1
+    window = math.comb(parsed.bialgebra.dim + d_in, d_in) * group_order
+    if window > 1 << _LEG_BITS:
+        raise SchemaError(f"d_in {d_in} gives a window of {window} elements, more than the "
+                          f"{1 << _LEG_BITS} codes of a packed leg field", "/d_in")
     assembly, intertwiners = _assembly_from_json(artifact["assembly"], parsed)
     failed = _verify_assembly(assembly, report, d_in, intertwiners)
     return _finish(report, args, EXIT_DEFECT if failed else EXIT_OK)

@@ -29,10 +29,6 @@ class MathDefectError(LiequantError):
         self.defect = defect
 
 
-class WindowOverflowError(LiequantError):
-    """A degree window would be exceeded; silent truncation is refused."""
-
-
 class SolverInconsistencyError(LiequantError):
     """A linear solve produced an inconsistency certificate.
 

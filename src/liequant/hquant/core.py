@@ -552,14 +552,6 @@ class MapSeries(AlgebraMapSeries):
             inv._ext.clear()
         return inv
 
-    def is_identity(self) -> bool:
-        if any(self.tables[k] for k in range(1, self.order + 1)):
-            return False
-        for i in range(self.env.dim):
-            if self.tables[0].get(i, El()) != El.term(((i,),)):
-                return False
-        return True
-
 
 class CoproductSeries(AlgebraMapSeries):
     """Deformed coproduct given per order on generators and extended as an

@@ -415,8 +415,8 @@ def assemble_gamma_quantization(g_bialg: GammaLieBialgebra, order: int,
             gh = grp.mul(g, h)
             v_new = solve_composition_v(
                 env, f_map[gh].truncated(k), pulled[pair].truncated(k),
-                f_map[g].truncated(k), cop.truncated(k), k, log=log, cap=cap,
-                lower=v_coeffs[pair], seed_order=seed_order)
+                f_map[g].truncated(k), cop.truncated(k), v_coeffs[pair], log=log, cap=cap,
+                seed_order=seed_order)
             v_coeffs[pair] = v_new.coeffs
         _align_family_order(env, g_bialg, t_map, composed, v_coeffs, pairs, k, log)
 

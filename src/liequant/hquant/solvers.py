@@ -11,7 +11,7 @@ cap hint.  Every solve appends a record to the run's gauge log.
 
 A solver does not re-check what it returns at full order: its caller
 evaluates the defect tables below once, in the check table of a
-``GammaQuantization`` or in the ``pipeline`` drivers.
+``GammaQuantization``.
 """
 
 from __future__ import annotations
@@ -452,41 +452,37 @@ def solve_twist_pair(bialg: LieBialgebra, cop: CoproductSeries, f: Tensor,
 
 
 def solve_composition_v(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeries,
-                        f_first: ElSeries, cop: CoproductSeries, order: int,
+                        f_first: ElSeries, cop: CoproductSeries, lower: list[El],
                         log: GaugeLog | None = None, cap: int | None = None,
-                        lower: list[El] | None = None,
                         seed_order: int | None = None) -> ElSeries:
-    """v with F(f+f') = v^{⊗2} (i^{⊗2})^{-1}(F(a_f,f')) F(f) Delta(v)^{-1}.
+    """v with F(f+f') = v^{⊗2} (i^{⊗2})^{-1}(F(a_f,f')) F(f) Delta(v)^{-1} at
+    order k = ``len(lower)``, extending the fixed coefficients ``lower`` of
+    the orders below k; returns v to order k.
 
-    The inputs are the already-solved twist series.  Each order pins the
-    free part of its coefficient (the primitive part, which the relation at
-    that order does not see) to zero, so a v that exists can still be out of
-    reach: when no order-k coefficient extends the orders solved below k, the
-    exhausted ladder's certificate is converted into an
-    :class:`InternalCheckError` that says so.  ``lower`` fixes the
-    already-aligned coefficients and restricts the solve to the new orders.
+    The inputs are the already-solved twist series.  The solve pins the free
+    part of the order-k coefficient (the primitive part, which the relation
+    at that order does not see) to zero; a caller that needs those shifts
+    free fixes them afterwards.  When no order-k coefficient extends
+    ``lower``, the exhausted ladder's certificate is converted into an
+    :class:`InternalCheckError` that says so.
     """
     log = log or GaugeLog()
-    coeffs = [c.copy() for c in lower] if lower else [env.unit(1)]
-    columns = Columns()
-    for k in range(len(coeffs), order + 1):
+    k = len(lower)
 
-        def defect(top, n):
-            v = candidate(env, 1, coeffs, n, top, "v")
-            data = (s.truncated(n) for s in (f_total, f_second_pulled, f_first, cop))
-            return blocks({0: composition_defect(env, *data, v)[n]},
-                          {0: env.counit_leg(v[n], 0)})
+    def defect(top, n):
+        v = candidate(env, 1, lower, n, top, "v")
+        data = (s.truncated(n) for s in (f_total, f_second_pulled, f_first, cop))
+        return blocks({0: composition_defect(env, *data, v)[n]},
+                      {0: env.counit_leg(v[n], 0)})
 
-        supports = _support_ladder(env, cap, (["v"], [2 * k, 2 * k + 2]))
-        try:
-            solved = _solve_with_supports("composition-v", k, supports,
-                                          LinearisedDefect(defect, k, columns), log, seed_order)
-        except SolverInconsistencyError as exc:
-            raise InternalCheckError(
-                f"no composition element extends the orders solved below {k}: {exc}") from exc
-        coeffs.append(solved["v"])
-
-    return ElSeries(env, 1, coeffs)
+    supports = _support_ladder(env, cap, (["v"], [2 * k, 2 * k + 2]))
+    try:
+        solved = _solve_with_supports("composition-v", k, supports,
+                                      LinearisedDefect(defect, k), log, seed_order)
+    except SolverInconsistencyError as exc:
+        raise InternalCheckError(
+            f"no composition element extends the orders solved below {k}: {exc}") from exc
+    return ElSeries(env, 1, lower + [solved["v"]])
 
 
 def composition_defect(env: Envelope, f_total: ElSeries, f_second_pulled: ElSeries,

@@ -1,10 +1,8 @@
-"""Classical twists: verification, twisting, composition."""
+"""Classical twists: verification and twisting."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .errors import InternalCheckError, MathDefectError
+from .errors import MathDefectError
 from .lie import LieBialgebra, ad2
 from .tensors import Tensor, cyclic_sum3
 
@@ -50,35 +48,3 @@ def twist(bialg: LieBialgebra, f: Tensor) -> LieBialgebra:
         # ad(f)(x) = [f, x⊗1 + 1⊗x] = -ad2_x(f)
         tables.append(bialg.cobracket_basis(i) - ad2(lie, i, f))
     return LieBialgebra(lie, cobracket_tensors=tables)
-
-
-@dataclass(frozen=True)
-class TwistPair:
-    bialgebra: LieBialgebra
-    f: Tensor
-    f_prime: Tensor
-
-    @property
-    def twisted(self) -> LieBialgebra:
-        return twist(self.bialgebra, self.f)
-
-    @property
-    def total(self) -> Tensor:
-        return self.f + self.f_prime
-
-
-def compose_twists(bialg: LieBialgebra, f: Tensor, f_prime: Tensor) -> TwistPair:
-    """Check that f' twists the f-twisted bialgebra; then f + f' twists the
-    original (re-verified as a free soundness check of the implementation).
-    """
-    defect = twist_defect(bialg, f)
-    if not defect.is_zero():
-        raise MathDefectError("f is not a twist of the base bialgebra", defect)
-    twisted = twist(bialg, f)
-    defect = twist_defect(twisted, f_prime)
-    if not defect.is_zero():
-        raise MathDefectError("f' is not a twist of the twisted bialgebra", defect)
-    defect = twist_defect(bialg, f + f_prime)
-    if not defect.is_zero():
-        raise InternalCheckError("f + f' failed the composition-closure identity")
-    return TwistPair(bialg, f, f_prime)

@@ -454,6 +454,21 @@ def test_verify_artifact_refuses_malformed_assembly(z2_artifact, mutate, locatio
     assert json.loads(err)["location"] == location
 
 
+# dim 2 over Z2: d_in 1023 gives comb(1025, 2) * 2 = 1 049 600 window
+# elements, past the 2**20 codes of a packed leg field (d_in 1022 gives
+# 1 047 552); the window is refused before any monomial is listed
+@pytest.mark.parametrize("d_in", [1023, 10**6, str(10**40)],
+                         ids=["first-past-the-field", "a-million", "forty-digit-string"])
+def test_verify_artifact_refuses_a_window_past_the_leg_field(z2_artifact, d_in,
+                                                             tmp_path, capsys):
+    artifact = copy.deepcopy(z2_artifact)
+    artifact["d_in"] = d_in
+    code, _, err = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == "/d_in"
+
+
 def test_scalar_rule_holds_through_axiom_verification(z2_artifact):
     assembly, _ = _assembly_from_json(z2_artifact["assembly"],
                                       parse_document(z2_artifact["input"]))

@@ -7,7 +7,7 @@ import pytest
 
 from liequant import catalog
 from liequant.envelope import ONE, Envelope
-from liequant.hquant.core import CoproductSeries, ElSeries
+from liequant.hquant.core import CoproductSeries, ElSeries, MapSeries
 from liequant.errors import InternalCheckError
 from liequant.hquant import packed
 from liequant.hquant.packed import _scaled_table
@@ -121,7 +121,8 @@ def conjugated_units(flagship):
     breaks too."""
     fam, env, generic = flagship
     u = ElSeries(env, 1, [env.unit(1), El.term(((0,),)), El()])
-    t_map = {g: t if t.is_identity() else twisted_coproduct(t, u)
+    identity = MapSeries.identity(env, 2).tables
+    t_map = {g: t if t.tables == identity else twisted_coproduct(t, u)
              for g, t in generic.t_map.items()}
     units = {pair: ElSeries.unit(env, 1, 2) for pair in generic.v_map}
     return GammaQuantization(env, generic.gamma, generic.cop, generic.f_map, t_map, units, 2)

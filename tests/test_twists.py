@@ -1,4 +1,4 @@
-"""Classical twists: defects, twisting, composition."""
+"""Classical twists: defects and twisting."""
 
 from fractions import Fraction
 
@@ -7,7 +7,7 @@ import pytest
 from liequant import catalog
 from liequant.errors import MathDefectError
 from liequant.tensors import Tensor
-from liequant.twists import TwistPair, compose_twists, twist, twist_defect
+from liequant.twists import twist, twist_defect
 
 Q = Fraction
 
@@ -68,6 +68,11 @@ def test_twist_defect_matches_oracle_on_nontwists():
         f = Tensor((b.space, b.space), data)
         lib = twist_defect(b, f)
         assert dict(lib.data) == oracle_twist_defect(b, f)
+    # e∧f, no twist of sl2, is one of the Cartan-twisted sl2
+    tw = twist(b, catalog.sl2_cartan_twist())
+    ef = Tensor((b.space, b.space), {(0, 1): 1, (1, 0): -1})
+    assert not twist_defect(b, ef).is_zero()
+    assert twist_defect(tw, ef).is_zero() and oracle_twist_defect(tw, ef) == {}
 
 
 def test_twist_rejects_non_antisymmetric():
@@ -113,39 +118,6 @@ def test_twist_twice_by_opposite_restores():
     tw = twist(b, f)
     back = twist(tw, -f)
     assert back == b
-
-
-def test_compose_trivial_pairs():
-    b = catalog.sl2()
-    zero = Tensor.zero((b.space, b.space))
-    f = catalog.sl2_cartan_twist()
-    pair = compose_twists(b, f, zero)
-    assert isinstance(pair, TwistPair)
-    assert pair.total == f
-    pair = compose_twists(b, zero, f)
-    assert pair.total == f
-
-
-def test_compose_cartan_pair_sums_to_zero():
-    b = catalog.sl2()
-    f = catalog.sl2_cartan_twist()
-    f_prime = catalog.sl2_cartan_involution().apply_tensor(f)
-    pair = compose_twists(b, f, f_prime)
-    assert pair.total.is_zero()
-
-
-def test_compose_rejects_bad_second_twist():
-    # e∧f is a twist of the Cartan-twisted bialgebra but not of the standard
-    # one, so composing it with the zero twist must be rejected
-    b = catalog.sl2()
-    zero = Tensor.zero((b.space, b.space))
-    bad = Tensor((b.space, b.space), {(0, 1): 1, (1, 0): -1})
-    assert not twist_defect(b, bad).is_zero()
-    with pytest.raises(MathDefectError):
-        compose_twists(b, zero, bad)
-    # while the same tensor is accepted over the twisted algebra
-    f = catalog.sl2_cartan_twist()
-    assert twist_defect(twist(b, f), bad).is_zero()
 
 
 def test_twisting_is_additive_in_the_twist():
