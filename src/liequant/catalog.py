@@ -75,12 +75,6 @@ def sl2_cartan_involution() -> LinearMap:
     return LinearMap(space, space, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
 
 
-def sl2_cartan_twist() -> Tensor:
-    """f⊗e - e⊗f, the twist attached to the Cartan involution."""
-    space = sl2_lie().space
-    return Tensor((space, space), {(1, 0): 1, (0, 1): -1})
-
-
 def _conjugation_on_sl2(g11, g12, g21, g22) -> LinearMap:
     """Automorphism of sl2 induced by conjugation with [[g11,g12],[g21,g22]]."""
     space = sl2_lie().space

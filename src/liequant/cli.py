@@ -91,6 +91,18 @@ def _emit(report: dict, args) -> None:
         print(f"exit: {report['exit']}")
 
 
+def _check_window(parsed: ParsedInput, degree: int, what: str, where: str):
+    """Refuse a degree window given from outside the program that the packed
+    keys cannot hold.  Each smash basis element of degree at most ``degree``
+    takes one packed leg code, so a window past the leg field cannot be
+    checked; it is refused before a monomial is listed."""
+    group_order = parsed.gamma.group.order if parsed.gamma else 1
+    window = math.comb(parsed.bialgebra.dim + degree, degree) * group_order
+    if window > 1 << _LEG_BITS:
+        raise SchemaError(f"{what} gives a window of {window} elements, more than the "
+                          f"{1 << _LEG_BITS} codes of a packed leg field", where)
+
+
 def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
     """All applicable classical checks; returns True if any defect found."""
     bialg = parsed.bialgebra
@@ -121,8 +133,10 @@ def run_classical_checks(parsed: ParsedInput, report: dict) -> bool:
         failed |= _add_check(report, "gamma-identity-twist", gd.identity_twist is None)
 
         structure = copoisson_delta(gamma)
+        where = "/options/copoisson_degree"
         d_in = non_negative_int(parsed.options.get("copoisson_degree", 2), "copoisson_degree",
-                                "/options/copoisson_degree")
+                                where)
+        _check_window(parsed, d_in, f"copoisson_degree {d_in}", where)
         rep = copoisson_axiom_defects(structure, d_in)
         for part, table in sorted(rep.items()):
             failed |= _add_defects(report, f"copoisson-{part}", table)
@@ -201,6 +215,7 @@ def cmd_quantize(args) -> int:
     report, parsed = _prologue(args, raw, doc)
     if parsed is None:
         return EXIT_DEFECT
+    _check_window(parsed, args.d_in, f"--d-in {args.d_in}", "--d-in")
     gamma = parsed.gamma or _trivial_gamma(parsed.bialgebra)
     order, cap, seed_order = _solver_settings(args, parsed, report)
     log = GaugeLog()
@@ -240,6 +255,9 @@ def cmd_compare(args) -> int:
     report, parsed = _prologue(args, *_load_input(args.input), needs_r_and_group=True)
     if parsed is None:
         return EXIT_DEFECT
+    # compare's rows read products up to degree d_in + 2
+    _check_window(parsed, args.d_in + 2, f"--d-in {args.d_in} (rows to degree {args.d_in + 2})",
+                  "--d-in")
     order, cap, seed_order = _solver_settings(args, parsed, report)
     env = Envelope(parsed.bialgebra.lie)
     log = GaugeLog()
@@ -271,13 +289,7 @@ def cmd_verify_artifact(args) -> int:
     report, parsed = _prologue(args, raw, artifact["input"], "/input")
     if parsed is None:
         return EXIT_DEFECT
-    # each window element takes one packed leg code, so a window past the leg
-    # field cannot be checked; refuse it before a monomial is listed
-    group_order = parsed.gamma.group.order if parsed.gamma else 1
-    window = math.comb(parsed.bialgebra.dim + d_in, d_in) * group_order
-    if window > 1 << _LEG_BITS:
-        raise SchemaError(f"d_in {d_in} gives a window of {window} elements, more than the "
-                          f"{1 << _LEG_BITS} codes of a packed leg field", "/d_in")
+    _check_window(parsed, d_in, f"d_in {d_in}", "/d_in")
     assembly, intertwiners = _assembly_from_json(artifact["assembly"], parsed)
     failed = _verify_assembly(assembly, report, d_in, intertwiners)
     return _finish(report, args, EXIT_DEFECT if failed else EXIT_OK)

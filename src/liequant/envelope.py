@@ -182,21 +182,6 @@ class Envelope:
         self._linear[(linmap, m)] = result
         return result
 
-    def apply_linear(self, linmap: LinearMap, a: El) -> El:
-        """Extension of a space map applied on every leg."""
-        out = El()
-        for key, c in a.data.items():
-            partial = [(key, c)]
-            for leg in range(len(key)):
-                nxt = []
-                for kk, cc in partial:
-                    for mm, d in self.apply_linear_mon(linmap, kk[leg]).items():
-                        nxt.append((kk[:leg] + (mm,) + kk[leg + 1:], cc * d))
-                partial = nxt
-            for kk, cc in partial:
-                out.add_term(kk, cc)
-        return out
-
     # -- embeddings and supports -------------------------------------------------
 
     def embed_tensor(self, t: Tensor) -> El:
@@ -236,7 +221,9 @@ class SmashAlgebra:
         return self.env.apply_linear_mon(self.action.theta(g), m)
 
     def k_mul(self, a: El, b: El, k: int = 1) -> El:
-        """[m|g][m'|g'] = [m · theta_g(m') | gg'], componentwise on k slots."""
+        """[m|g][m'|g'] = [m · theta_g(m') | gg'], componentwise on k slots.
+        Key elements past the ``k`` slots are a tag that passes to the
+        product key after its slots, as in ``Envelope.k_mul``."""
         out = El()
         grp = self.group
         for ka, ca in a.data.items():
@@ -252,19 +239,13 @@ class SmashAlgebra:
                             for mm, e in self.env.mul_mon(m1, mt).items():
                                 nxt.append((prefix + ((mm, gg),), coeff * (d * e)))
                     partial = nxt
+                tag = ka[k:] + kb[k:]
                 for key, coeff in partial:
-                    out.add_term(key, coeff)
-        return out
-
-    def coproduct(self, a: El) -> El:
-        """[m|g] ↦ sum [m(1)|g] ⊗ [m(2)|g]; exact (no truncation)."""
-        out = El()
-        for ((m, g),), c in a.data.items():
-            for (m1, m2), d in self.env.coproduct_mon(m).data.items():
-                out.add_term(((m1, g), (m2, g)), c * d)
+                    out.add_term(key + tag, coeff)
         return out
 
     def coproduct_leg(self, a: El, leg: int) -> El:
+        """[m|g] ↦ sum [m(1)|g] ⊗ [m(2)|g] on one leg; exact (no truncation)."""
         out = El()
         for key, c in a.data.items():
             m, g = key[leg]
@@ -320,18 +301,11 @@ class CoPoissonStructure:
                            ((ONE, e), ((m[0],), e)): 1})
             tail = El.term(((m[1:], g),))
             tail_delta = self.delta_basis(m[1:], g)
-            tail_cop = self.smash.coproduct(tail)
+            tail_cop = self.smash.coproduct_leg(tail, 0)
             result = self.smash.k_mul(head_delta, tail_cop, 2) + \
                 self.smash.k_mul(head_cop, tail_delta, 2)
         self._cache[key] = result
         return result
-
-    def delta(self, a: El) -> El:
-        out = El()
-        for ((m, g),), c in a.data.items():
-            for key, d in self.delta_basis(m, g).data.items():
-                out.add_term(key, c * d)
-        return out
 
     def delta_leg(self, a: El, leg: int) -> El:
         out = El()
@@ -343,8 +317,9 @@ class CoPoissonStructure:
 
     def delta_product_rule(self, a: El, b: El) -> El:
         """delta(a)Delta(b) + Delta(a)delta(b) for arity-1 inputs."""
-        return self.smash.k_mul(self.delta(a), self.smash.coproduct(b), 2) + \
-            self.smash.k_mul(self.smash.coproduct(a), self.delta(b), 2)
+        smash = self.smash
+        return smash.k_mul(self.delta_leg(a, 0), smash.coproduct_leg(b, 0), 2) + \
+            smash.k_mul(smash.coproduct_leg(a, 0), self.delta_leg(b, 0), 2)
 
 
 def copoisson_delta(gamma, env: Envelope | None = None) -> CoPoissonStructure:
@@ -393,7 +368,7 @@ def copoisson_axiom_defects(structure: CoPoissonStructure, d_in: int):
 
         # coderivation: (Delta ⊗ id)∘delta = (id ⊗ delta)∘Delta + swap12∘(id ⊗ delta)∘Delta
         lhs = smash.coproduct_leg(delta, 0)
-        rhs = structure.delta_leg(smash.coproduct(one), 1)
+        rhs = structure.delta_leg(smash.coproduct_leg(one, 0), 1)
         swapped = El()
         for key, c in rhs.data.items():
             swapped.add_term((key[1], key[0], key[2]), c)

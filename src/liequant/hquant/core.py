@@ -266,7 +266,7 @@ class DualSeries:
         other = self.lift(other)
         if other.arity != self.arity:
             raise ValueError("series shape mismatch")
-        unit = {(ONE,) * self.arity: 1}
+        unit = self.alg.unit(self.arity).data
 
         def times(a: El, b: El) -> El:
             # order-0 values are mostly units (F_0, J_0, v_0, w_0 and their products)
@@ -308,6 +308,106 @@ class DualSeries:
             _splice(tangent, self.value, leg, dimage, arity)
         return self._derived(self.arity + arity - 1, tangent,
                              lambda: _splice(El(), self.value, leg, image))
+
+
+class AlgebraMapSeries:
+    """Series of algebra maps from U(a), undeformed product, into its
+    ``arity``-th tensor power, given per order on generators and extended
+    multiplicatively.
+
+    ``tables[k][i]`` is the order-k image of the i-th generator, an element of
+    arity ``arity``.  Subclasses fix the arity: 1 for :class:`MapSeries`, 2
+    for :class:`CoproductSeries`.
+    """
+
+    arity: int
+
+    def __init__(self, env: Envelope, order: int, tables: list[dict[int, El]]):
+        self.env = env
+        self.order = order
+        if len(tables) != order + 1:
+            raise ValueError("need one table per order")
+        self.tables = tables
+        self._ext: dict[Mon, list[El]] = {}
+        self._truncations: dict[int, AlgebraMapSeries] = {}
+        # a truncation reads the extensions of the series it was cut from
+        self._root: AlgebraMapSeries | None = None
+
+    @classmethod
+    def from_images(cls, env: Envelope, order: int, images: list) -> "AlgebraMapSeries":
+        """The series whose i-th generator maps to the series ``images[i]``."""
+        tables: list[dict[int, El]] = [{} for _ in range(order + 1)]
+        for i, image in enumerate(images):
+            for k, el in enumerate(image.coeffs):
+                if el:
+                    tables[k][i] = el
+        return cls(env, order, tables)
+
+    def gen_series(self, i: int) -> ElSeries:
+        return ElSeries(self.env, self.arity, [t.get(i, El()) for t in self.tables])
+
+    def ext_mon(self, m: Mon, upto: int | None = None) -> list[El]:
+        """The image of a monomial, per order: all orders, or with ``upto``
+        at least the orders up to ``upto``.
+
+        Each monomial has one list, extended in place: a deeper request
+        appends the orders it adds to the list a shallower one made, and its
+        tail's list is extended the same way.  A truncation keeps the first
+        orders of the list of the series it was cut from."""
+        if self._root is not None:
+            ext = self._ext.get(m)
+            if ext is None:
+                ext = self._ext[m] = self._root.ext_mon(m, self.order)[: self.order + 1]
+            return ext
+        upto = self.order if upto is None else min(upto, self.order)
+        ext = self._ext.setdefault(m, [])
+        if len(ext) > upto:
+            return ext
+        if not m:
+            ext[:] = ElSeries.unit(self.env, self.arity, self.order).coeffs
+            return ext
+        head = [t.get(m[0], El()) for t in self.tables]
+        tail = self.ext_mon(m[1:], upto)
+        for k in range(len(ext), upto + 1):
+            # cached images feed every later product: keep them under the scalar rule
+            el = product_coeff(self.env, self.arity, head, tail, k)
+            ext.append(El({key: q(c) for key, c in el.data.items()}))
+        return ext
+
+    def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
+        """Map one leg of a series: the image key is spliced in place of the leg."""
+        if isinstance(s, DualSeries):
+            base = self.truncated(0)
+            return s.map_leg(leg, lambda m: base.ext_mon(m)[0], None, self.arity)
+        out = [El() for _ in range(s.order + 1)]
+        for b, coeff in enumerate(s.coeffs):
+            for key, c in coeff.data.items():
+                ext = self.ext_mon(key[leg])
+                for a in range(s.order + 1 - b):
+                    img = ext[a]
+                    if img:
+                        for ikey, d in img.data.items():
+                            out[a + b].add_term(key[:leg] + ikey + key[leg + 1:], c * d)
+        return ElSeries(s.alg, s.arity + self.arity - 1, out)
+
+    def apply_all_legs(self, s: ElSeries) -> ElSeries:
+        for leg in range(s.arity):
+            s = self.apply_leg(s, leg)
+        return s
+
+    def truncated(self, order: int):
+        """The series modulo h^(order+1): ``self`` at its own order, otherwise
+        made once per order, so the truncation's ``ext_mon`` cache is shared
+        by every later caller.  A truncation's extensions are the first
+        orders of this series' own (see ``ext_mon``)."""
+        if order == self.order:
+            return self
+        cut = self._truncations.get(order)
+        if cut is None:
+            cut = self._truncations[order] = type(self)(
+                self.env, order, [dict(t) for t in self.tables[: order + 1]])
+            cut._root = self._root or self
+        return cut
 
 
 class DualMap:
@@ -372,95 +472,7 @@ class DualMap:
             s = DualSeries(s.alg, s.arity, s.coeffs[0], None, self.order0)
         return s.map_leg(leg, self.ext0, self.dext, self.arity)
 
-    def apply_all_legs(self, s) -> DualSeries:
-        for leg in range(s.arity):
-            s = self.apply_leg(s, leg)
-        return s
-
-
-class AlgebraMapSeries:
-    """Series of algebra maps from U(a), undeformed product, into its
-    ``arity``-th tensor power, given per order on generators and extended
-    multiplicatively.
-
-    ``tables[k][i]`` is the order-k image of the i-th generator, an element of
-    arity ``arity``.  Subclasses fix the arity: 1 for :class:`MapSeries`, 2
-    for :class:`CoproductSeries`.
-    """
-
-    arity: int
-
-    def __init__(self, env: Envelope, order: int, tables: list[dict[int, El]]):
-        self.env = env
-        self.order = order
-        if len(tables) != order + 1:
-            raise ValueError("need one table per order")
-        self.tables = tables
-        self._ext: dict[Mon, list[El]] = {}
-        self._truncations: dict[int, AlgebraMapSeries] = {}
-        # a truncation reads the extensions of the series it was cut from
-        self._root: AlgebraMapSeries | None = None
-
-    def gen_series(self, i: int) -> ElSeries:
-        return ElSeries(self.env, self.arity, [t.get(i, El()) for t in self.tables])
-
-    def ext_mon(self, m: Mon, upto: int | None = None) -> list[El]:
-        """The image of a monomial, per order: all orders, or with ``upto``
-        at least the orders up to ``upto``.
-
-        Each monomial has one list, extended in place: a deeper request
-        appends the orders it adds to the list a shallower one made, and its
-        tail's list is extended the same way.  A truncation keeps the first
-        orders of the list of the series it was cut from."""
-        if self._root is not None:
-            ext = self._ext.get(m)
-            if ext is None:
-                ext = self._ext[m] = self._root.ext_mon(m, self.order)[: self.order + 1]
-            return ext
-        upto = self.order if upto is None else min(upto, self.order)
-        ext = self._ext.setdefault(m, [])
-        if len(ext) > upto:
-            return ext
-        if not m:
-            ext[:] = ElSeries.unit(self.env, self.arity, self.order).coeffs
-            return ext
-        head = [t.get(m[0], El()) for t in self.tables]
-        tail = self.ext_mon(m[1:], upto)
-        for k in range(len(ext), upto + 1):
-            # cached images feed every later product: keep them under the scalar rule
-            el = product_coeff(self.env, self.arity, head, tail, k)
-            ext.append(El({key: q(c) for key, c in el.data.items()}))
-        return ext
-
-    def apply_leg(self, s: ElSeries, leg: int) -> ElSeries:
-        """Map one leg of a series: the image key is spliced in place of the leg."""
-        if isinstance(s, DualSeries):
-            base = self.truncated(0)
-            return s.map_leg(leg, lambda m: base.ext_mon(m)[0], None, self.arity)
-        out = [El() for _ in range(s.order + 1)]
-        for b, coeff in enumerate(s.coeffs):
-            for key, c in coeff.data.items():
-                ext = self.ext_mon(key[leg])
-                for a in range(s.order + 1 - b):
-                    img = ext[a]
-                    if img:
-                        for ikey, d in img.data.items():
-                            out[a + b].add_term(key[:leg] + ikey + key[leg + 1:], c * d)
-        return ElSeries(s.alg, s.arity + self.arity - 1, out)
-
-    def truncated(self, order: int):
-        """The series modulo h^(order+1): ``self`` at its own order, otherwise
-        made once per order, so the truncation's ``ext_mon`` cache is shared
-        by every later caller.  A truncation's extensions are the first
-        orders of this series' own (see ``ext_mon``)."""
-        if order == self.order:
-            return self
-        cut = self._truncations.get(order)
-        if cut is None:
-            cut = self._truncations[order] = type(self)(
-                self.env, order, [dict(t) for t in self.tables[: order + 1]])
-            cut._root = self._root or self
-        return cut
+    apply_all_legs = AlgebraMapSeries.apply_all_legs
 
 
 class MapSeries(AlgebraMapSeries):
@@ -487,21 +499,10 @@ class MapSeries(AlgebraMapSeries):
             t0[j] = el
         return cls(env, order, [t0] + [{} for _ in range(order)])
 
-    def apply_all_legs(self, s: ElSeries) -> ElSeries:
-        out = s
-        for leg in range(s.arity):
-            out = self.apply_leg(out, leg)
-        return out
-
     def compose(self, other: "MapSeries") -> "MapSeries":
         """self ∘ other."""
-        tables: list[dict[int, El]] = [{} for _ in range(self.order + 1)]
-        for i in range(self.env.dim):
-            image = self.apply_leg(other.gen_series(i), 0)
-            for k, el in enumerate(image.coeffs):
-                if el:
-                    tables[k][i] = el
-        return MapSeries(self.env, self.order, tables)
+        return MapSeries.from_images(self.env, self.order, [self.apply_leg(other.gen_series(i), 0)
+                                                            for i in range(self.env.dim)])
 
     def order0_matrix(self) -> LinearMap:
         env = self.env
@@ -568,17 +569,13 @@ class CoproductSeries(AlgebraMapSeries):
 
     def pushforward(self, linmap: LinearMap) -> "CoproductSeries":
         """Transport along an invertible space map: x ↦ (θ⊗θ) Δ(θ^{-1} x)."""
-        env = self.env
+        env, order = self.env, self.order
+        theta = MapSeries.from_linear(env, order, linmap)
         inv = linmap.inverse()
-        tables: list[dict[int, El]] = [{} for _ in range(self.order + 1)]
+        images = []
         for i in range(env.dim):
-            acc = [El() for _ in range(self.order + 1)]
+            acc = ElSeries.constant(env, 2, order, El())
             for j, c in inv.column(i).items():
-                for k in range(self.order + 1):
-                    el = self.tables[k].get(j)
-                    if el:
-                        acc[k] = acc[k] + c * env.apply_linear(linmap, el)
-            for k, el in enumerate(acc):
-                if el:
-                    tables[k][i] = el
-        return CoproductSeries(env, self.order, tables)
+                acc = acc + c * self.gen_series(j)
+            images.append(theta.apply_all_legs(acc))
+        return CoproductSeries.from_images(env, order, images)

@@ -173,27 +173,6 @@ class GammaQuantization(PackedKernel):
         """The slot entry of a packed pair code, for ``_scaled_table``."""
         return self._slot(self._pair(code), upto)
 
-    def k_mul(self, a: El, b: El, k: int = 1) -> El:
-        """The order-0 product of two elements: the algebra that a
-        forward-mode series (``DualSeries``) over this structure multiplies in.
-        Key elements past the ``k`` legs are a tag that passes to the product
-        key after its legs, as in ``Envelope.k_mul``; ``a``'s terms are
-        multiplied one tag at a time, with that tag on every term of ``b``.
-        Each tag is a small int in the packed keys."""
-        tags: dict = {}
-        tag_shift = self._ob + k * _LEG_BITS
-        right = [(0, self._pack(key[:k]), q(c), key[k:]) for key, c in b.data.items()]
-        lefts: dict = {}
-        for key, c in a.data.items():
-            lefts.setdefault(key[k:], []).append((0, self._pack(key[:k]), q(c)))
-        acc: dict = {}
-        table, fill = _scaled_table(self._slot_read)
-        for tag, left in lefts.items():
-            self._add_product(acc, self._left(left, k), self._right(
-                [(o, legs, c, tags.setdefault(tag + t, len(tags)) << tag_shift)
-                 for o, legs, c, t in right], k), 0, k, table, fill)
-        return self._series(acc, 0, k, tags=list(tags))[0]
-
     def mul(self, a: list[El], b: list[El], k: int = 1) -> list[El]:
         if isinstance(a, DualSeries):
             return a.mul(b)
@@ -239,8 +218,8 @@ class GammaQuantization(PackedKernel):
 
     def coproduct(self, a: list[El]) -> list[El]:
         if isinstance(a, DualSeries):
-            return a.map_leg(0, lambda mg: self._series(
-                {legs: c for o, legs, c in self._cop_key(mg, 0) if not o}, 0, 2)[0], None, 2)
+            # a dual's algebra is the smash product, this structure's order 0 (see ``_phi``)
+            return a.map_leg(0, lambda mg: a.alg.coproduct_leg(El.term((mg,)), 0), None, 2)
         return self.coproduct_leg(a, 0)
 
     def coproduct_leg(self, a: list[El], leg: int) -> list[El]:
@@ -743,8 +722,10 @@ def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
          series: list[El], order: int, cache: dict) -> list[El]:
     """The witness map ``[m|g] ↦ [j(m) · w_g | g]`` on every leg of ``series``,
     modulo h^{order+1}, through the leg-map kernel of ``target``.  For a dual
-    ``j`` (a column evaluation) it is the dual over ``target`` of the image of
-    the order-0 coefficient of ``series``.
+    ``j`` (a column evaluation) it is the dual of the image of the order-0
+    coefficient of ``series`` over the smash product U(a) ⋊ Γ, which is the
+    order-0 part of ``target``: there ``T_g = θ_g``, ``v = 1``, and ``F_g``
+    and ``J`` start at 1.
 
     ``cache`` holds the images of each ``(m, g)`` for one ``j, w``: for a
     plain ``j`` it is the leg-map kernel's table, keyed by the packed key of
@@ -763,7 +744,8 @@ def _phi(target: GammaQuantization, j: MapSeries, w: dict[int, ElSeries],
                                               for key, c in cache[mg][part].data.items()})
             return img
 
-        out = DualSeries(target, len(next(iter(series[0].data), ())), series[0], None, j.order0)
+        out = DualSeries(SmashAlgebra(target.env, target.gamma.action),
+                         len(next(iter(series[0].data), ())), series[0], None, j.order0)
         for leg in range(out.arity):
             out = out.map_leg(leg, lambda mg: dual_image(mg, 0), lambda mg: dual_image(mg, 1), 1)
         return out

@@ -108,21 +108,17 @@ class PackedKernel:
         return [(o, self._pack(legs), q(c)) for o, el in enumerate(series)
                 for legs, c in el.data.items()]
 
-    def _series(self, acc: dict, n: int, k: int, scale=1, tags: list | None = None) -> list[El]:
+    def _series(self, acc: dict, n: int, k: int, scale=1) -> list[El]:
         """An accumulator ``{key: coeff}`` of packed keys with ``k`` legs,
-        divided by ``scale``, as a series whose keys are the legs.  The tags
-        are dropped, or with ``tags`` the tuple ``tags[tag]`` follows the
-        legs.  This is the one place where packed keys are decoded."""
+        divided by ``scale``, as a series whose keys are the legs; the tags
+        are dropped.  This is the one place where packed keys are decoded."""
         out = [El() for _ in range(n + 1)]
         legs, ob = self._leg_list, self._ob
         order_mask = (1 << ob) - 1
         shifts = [ob + i * _LEG_BITS for i in range(k)]
-        tag_shift = ob + k * _LEG_BITS
         for at, c in acc.items():
             if c:
                 key = tuple(legs[(at >> shift) & _LEG_MASK] for shift in shifts)
-                if tags is not None:
-                    key += tags[at >> tag_shift]
                 out[at & order_mask].data[key] = q(c) if scale == 1 else qdiv(c, scale)
         return out
 

@@ -267,12 +267,7 @@ def twisted_coproduct(series_map: AlgebraMapSeries, u: ElSeries) -> AlgebraMapSe
     images = [u.mul(series_map.gen_series(i)).mul(uinv) for i in range(env.dim)]
     if isinstance(u, DualSeries):
         return DualMap(type(series_map), env, images, u.order0)
-    tables: list[dict[int, El]] = [{} for _ in range(series_map.order + 1)]
-    for i, w in enumerate(images):
-        for k, el in enumerate(w.coeffs):
-            if el:
-                tables[k][i] = el
-    return type(series_map)(env, series_map.order, tables)
+    return type(series_map).from_images(env, series_map.order, images)
 
 
 def solve_j_conjugator(qt, order: int, env: Envelope | None = None,

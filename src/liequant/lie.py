@@ -168,10 +168,9 @@ def ad2(lie: LieAlgebra, i: int, t: Tensor) -> Tensor:
     out = Tensor.zero((a, a))
     for (p, r), v in t.data.items():
         for m, c in lie.bracket_basis(i, p).items():
-            out.data[(m, r)] = out.data.get((m, r), 0) + v * c
+            out.add_term((m, r), v * c)
         for m, c in lie.bracket_basis(i, r).items():
-            out.data[(p, m)] = out.data.get((p, m), 0) + v * c
-    out.data = {k: v for k, v in out.data.items() if v}
+            out.add_term((p, m), v * c)
     return out
 
 
@@ -207,8 +206,7 @@ def cojacobi_defect(bialg: LieBialgebra) -> Tensor:
         acc = Tensor.zero((a, a, a))
         for (p, r), v in bialg.cobracket_basis(i).data.items():
             for (s, t), w in bialg.cobracket_basis(p).data.items():
-                acc.data[(s, t, r)] = acc.data.get((s, t, r), 0) + v * w
-        acc.data = {k: v for k, v in acc.data.items() if v}
+                acc.add_term((s, t, r), v * w)
         for key, v in cyclic_sum3(acc).data.items():
             out.data[(i,) + key] = v
     return out
@@ -239,14 +237,7 @@ def cybe_defect(lie: LieAlgebra, r: Tensor) -> Tensor:
     if r.spaces != (a, a):
         raise ValueError("r must live in the tensor square of the algebra")
     out = Tensor.zero((a, a, a))
-
-    def add(key, coeff):
-        acc = out.data.get(key, 0) + coeff
-        if acc:
-            out.data[key] = acc
-        else:
-            out.data.pop(key, None)
-
+    add = out.add_term
     items = list(r.data.items())
     for (a1, b1), v1 in items:
         for (a2, b2), v2 in items:

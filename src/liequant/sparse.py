@@ -2,7 +2,8 @@
 
 ``El`` is a key-agnostic sparse vector: keys are arbitrary hashable tuples
 (monomial tuples, pairs of monomials, smash-product basis labels, ...) and
-values are exact scalars.
+values are exact scalars.  ``tensors.Tensor`` is an ``El`` that also
+records the based space of each slot.
 """
 
 from __future__ import annotations
@@ -38,8 +39,12 @@ class El:
         else:
             self.data.pop(key, None)
 
+    def _empty(self) -> "El":
+        """A zero of the same kind: the sums, negation and scaling build on it."""
+        return El()
+
     def copy(self) -> "El":
-        out = El()
+        out = self._empty()
         out.data = dict(self.data)
         return out
 
@@ -76,12 +81,12 @@ class El:
         return out
 
     def __neg__(self) -> "El":
-        out = El()
+        out = self._empty()
         out.data = {k: -v for k, v in self.data.items()}
         return out
 
     def scale(self, factor) -> "El":
-        out = El()
+        out = self._empty()
         if factor:
             out.data = {k: factor * v for k, v in self.data.items()}
         return out

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .sparse import El
+
 Scalar = int | Fraction
 
 QLike = Fraction | int | str
@@ -65,14 +67,13 @@ class BasedSpace:
         return f"BasedSpace({self.name!r}, dim={self.dim})"
 
 
-class Tensor:
-    """Sparse element of a tensor product of based spaces.
-
-    ``data`` maps index tuples (one index per slot) to nonzero rationals.
+class Tensor(El):
+    """Sparse element of a tensor product of based spaces: an ``El`` keyed by
+    index tuples (one index per slot) whose values are nonzero rationals.
     Arity 0 is allowed and represents a bare scalar (single key ``()``).
     """
 
-    __slots__ = ("spaces", "data")
+    __slots__ = ("spaces",)
 
     def __init__(self, spaces: Iterable[BasedSpace], data: Mapping[tuple[int, ...], QLike] | None = None):
         self.spaces: tuple[BasedSpace, ...] = tuple(spaces)
@@ -90,26 +91,16 @@ class Tensor:
                     clean[key] = value
         self.data = clean
 
-    # -- construction helpers -------------------------------------------------
-
     @classmethod
     def zero(cls, spaces: Iterable[BasedSpace]) -> "Tensor":
         return cls(spaces, {})
 
-    # -- basic queries ---------------------------------------------------------
+    def _empty(self) -> "Tensor":
+        return Tensor.zero(self.spaces)
 
     @property
     def arity(self) -> int:
         return len(self.spaces)
-
-    def is_zero(self) -> bool:
-        return not self.data
-
-    def items_sorted(self) -> list[tuple[tuple[int, ...], Scalar]]:
-        return sorted(self.data.items())
-
-    def coeff(self, key: tuple[int, ...]) -> Scalar:
-        return self.data.get(tuple(key), 0)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Tensor):
@@ -128,43 +119,6 @@ class Tensor:
             parts.append(f"{qstr(value)}·{mon}")
         more = "" if len(self.data) <= 8 else f" (+{len(self.data) - 8} terms)"
         return "Tensor(" + " + ".join(parts) + more + ")"
-
-    # -- linear structure ------------------------------------------------------
-
-    def _check_same_shape(self, other: "Tensor"):
-        if self.spaces != other.spaces:
-            raise ValueError("tensor shape mismatch")
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_same_shape(other)
-        data = dict(self.data)
-        for key, value in other.data.items():
-            acc = data.get(key, 0) + value
-            if acc:
-                data[key] = acc
-            else:
-                data.pop(key, None)
-        out = Tensor.zero(self.spaces)
-        out.data = data
-        return out
-
-    def __neg__(self) -> "Tensor":
-        out = Tensor.zero(self.spaces)
-        out.data = {key: -value for key, value in self.data.items()}
-        return out
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self + (-other)
-
-    def scale(self, factor: QLike) -> "Tensor":
-        factor = q(factor)
-        out = Tensor.zero(self.spaces)
-        if factor:
-            out.data = {key: factor * value for key, value in self.data.items()}
-        return out
-
-    def __rmul__(self, factor: QLike) -> "Tensor":
-        return self.scale(factor)
 
     # -- tensor operations -----------------------------------------------------
 
@@ -245,11 +199,7 @@ class LinearMap:
                     for i, m in col.items()
                 ]
             for new_key, coeff in partial:
-                acc = out.data.get(new_key, 0) + coeff
-                if acc:
-                    out.data[new_key] = acc
-                else:
-                    out.data.pop(new_key, None)
+                out.add_term(new_key, coeff)
         return out
 
     def compose(self, other: "LinearMap") -> "LinearMap":

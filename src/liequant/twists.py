@@ -16,14 +16,7 @@ def twist_defect(bialg: LieBialgebra, f: Tensor) -> Tensor:
         raise MathDefectError("twist candidate is not antisymmetric", f + f.swap())
     lie = bialg.lie
     acc = Tensor.zero((a, a, a))
-
-    def add(key, value):
-        val = acc.data.get(key, 0) + value
-        if val:
-            acc.data[key] = val
-        else:
-            acc.data.pop(key, None)
-
+    add = acc.add_term
     for (p, r), v in f.data.items():
         for (s, t), w in bialg.cobracket_basis(p).data.items():
             add((s, t, r), v * w)

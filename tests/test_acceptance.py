@@ -86,7 +86,8 @@ def test_criterion_2_quasitriangular_family_theorem():
         fam = quasitriangular_gamma(catalog.sl2_quasitriangular(), catalog.z2_cartan_action())
         report = gamma_defects(fam)
         assert report.all_zero
-        assert fam.f(1) == catalog.sl2_cartan_twist()
+        # f⊗e − e⊗f
+        assert fam.f(1) == Tensor((fam.bialgebra.space,) * 2, {(1, 0): 1, (0, 1): -1})
         trivial = catalog.gamma_family("sl2-trivial-group")
         assert gamma_defects(trivial).all_zero
 
@@ -141,7 +142,7 @@ def test_criterion_6_quantization_solvers():
         # flagship twist pair: F and i with every postcondition exact
         bialg = catalog.sl2()
         env = Envelope(bialg.lie)
-        f = catalog.sl2_cartan_twist()
+        f = catalog.gamma_family("sl2-cartan-z2").f(1)
         cop = solve_coproduct(bialg, 2, env)
         cop_f = solve_coproduct(twist(bialg, f), 2, env)
         f_series, iso_f = solve_twist_pair(bialg, cop, f, cop_f, 2)

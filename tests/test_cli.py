@@ -358,7 +358,7 @@ def test_solver_failure_reports_the_checked_certificate(capsys):
     cop = solve_coproduct(bialg, 1, env)
     log = GaugeLog()
     with pytest.raises(SolverInconsistencyError) as info:
-        solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), cop, 1, log=log)
+        solve_twist_pair(bialg, cop, catalog.gamma_family("sl2-cartan-z2").f(1), cop, 1, log=log)
     cert = info.value.certificate
     assert _solver_failure({}, Namespace(format="json"), info.value, log) == 4
     report = json.loads(capsys.readouterr().out)
@@ -467,6 +467,35 @@ def test_verify_artifact_refuses_a_window_past_the_leg_field(z2_artifact, d_in,
                        "--format", "json")
     assert code == 3
     assert json.loads(err)["location"] == "/d_in"
+
+
+# the same window bound holds for every degree window an input gives: with
+# dim 2 over Z2, quantize's --d-in and the copoisson_degree option are
+# refused from 1023 on, and compare's --d-in from 1021 on, since its rows
+# reach degree d_in + 2
+@pytest.mark.parametrize("command, d_in", [("quantize", 1023), ("quantize", 10**6),
+                                           ("compare", 1021), ("compare", 10**6)])
+def test_d_in_flags_refuse_a_window_past_the_leg_field(command, d_in, capsys):
+    code, _, err = run(capsys, command, "catalog:solvable2-tri-z2", "--order", "1",
+                       "--d-in", str(d_in), "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == "--d-in"
+
+
+@pytest.mark.parametrize("degree", [1023, 10**6])
+def test_copoisson_degree_refuses_a_window_past_the_leg_field(z2_artifact, degree,
+                                                               tmp_path, capsys):
+    doc = catalog.input_document("solvable2-tri-z2")
+    doc["options"] = {"copoisson_degree": degree}
+    code, _, err = run(capsys, "check", write_doc(tmp_path, doc), "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == "/options/copoisson_degree"
+    artifact = copy.deepcopy(z2_artifact)
+    artifact["input"]["options"] = {"copoisson_degree": degree}
+    code, _, err = run(capsys, "verify-artifact", write_doc(tmp_path, artifact),
+                       "--format", "json")
+    assert code == 3
+    assert json.loads(err)["location"] == "/input/options/copoisson_degree"
 
 
 def test_scalar_rule_holds_through_axiom_verification(z2_artifact):

@@ -173,13 +173,13 @@ def test_smash_associativity(cartan_smash):
 def test_smash_coproduct_values(cartan_smash):
     fam, smash = cartan_smash
     sigma = El.term(((ONE, 1),), Q(1))
-    assert smash.coproduct(sigma) == El.term((((ONE), 1), (ONE, 1)), Q(1))
+    assert smash.coproduct_leg(sigma, 0) == El.term((((ONE), 1), (ONE, 1)), Q(1))
     x = El.term((((0,), 0),), Q(1))
     expected = El({(((0,), 0), (ONE, 0)): Q(1), ((ONE, 0), ((0,), 0)): Q(1)})
-    assert smash.coproduct(x) == expected
+    assert smash.coproduct_leg(x, 0) == expected
     # primitive product gains cross terms
     xy = El.term((((0, 1), 0),), Q(1))
-    d = smash.coproduct(xy)
+    d = smash.coproduct_leg(xy, 0)
     assert d.coeff((((0,), 0), ((1,), 0))) == Q(1)
     assert d.coeff((((1,), 0), ((0,), 0))) == Q(1)
 
@@ -188,7 +188,7 @@ def test_smash_coproduct_coassociative_and_counital(cartan_smash):
     fam, smash = cartan_smash
     for m, g in smash.basis_up_to(3):
         el = El.term(((m, g),), Q(1))
-        d = smash.coproduct(el)
+        d = smash.coproduct_leg(el, 0)
         assert smash.coproduct_leg(d, 0) == smash.coproduct_leg(d, 1)
         left = El()
         for key, c in d.data.items():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from liequant import catalog
-from liequant.envelope import ONE, Envelope
+from liequant.envelope import ONE, Envelope, SmashAlgebra
 from liequant.hquant.core import CoproductSeries, ElSeries, MapSeries
 from liequant.errors import InternalCheckError
 from liequant.hquant import packed
@@ -234,8 +234,8 @@ def _decoded(assembly, terms, k):
 
 
 def test_packed_fields_do_not_alias(flagship):
-    # a leg code at the top of its field stays in it: the tag above and the
-    # leg beside it decode as they were packed
+    # a leg code at the top of its field stays in it: the leg beside it
+    # decodes as it was packed, and the tag above is dropped
     _, env, generic = flagship
     assembly = GammaQuantization(env, generic.gamma, generic.cop, generic.f_map,
                                  generic.t_map, generic.v_map, generic.order)
@@ -246,8 +246,8 @@ def test_packed_fields_do_not_alias(flagship):
     assert high_key >> assembly._ob == packed._LEG_MASK
     key = (2 + high_key + (low_key << packed._LEG_BITS)
            + (3 << (assembly._ob + 2 * packed._LEG_BITS)))
-    out = assembly._series({key: 5}, 2, 2, tags=[(), (), (), ("t",)])
-    assert out[2].data == {(high, low, "t"): 5}
+    out = assembly._series({key: 5}, 2, 2)
+    assert out[2].data == {(high, low): 5}
     # one leg more would overflow the field: refused, not aliased
     with pytest.raises(InternalCheckError):
         assembly._key(((1,), 0))
@@ -470,9 +470,12 @@ def test_solvable_z2_order_three():
 
 
 def test_graded_k_mul_passes_a_tag_through(flagship):
-    # as Envelope.k_mul: a tagged factor, on either side, multiplies like the
-    # untagged terms of each tag, with the tag appended to the product keys
-    _, _, generic = flagship
+    # the smash product, the order-0 product that compare's tangents
+    # multiply in: as Envelope.k_mul, a tagged factor, on either side,
+    # multiplies like the untagged terms of each tag, with the tag appended
+    # to the product keys
+    fam, env, _ = flagship
+    smash = SmashAlgebra(env, fam.action)
 
     def tagged(el: El, tag: int) -> El:
         return El({key + (tag,): c for key, c in el.data.items()})
@@ -485,8 +488,34 @@ def test_graded_k_mul_passes_a_tag_through(flagship):
              El([(((ONE, 0), ((1,), 0)), 3), ((((2,), 1), (ONE, 1)), 1)]),
              El([((((1,), 1), ((0,), 1)), 4)]))], 1):
         bundle = tagged(a, 0) + tagged(c, 1)
-        assert generic.k_mul(bundle, b, k) == (tagged(generic.k_mul(a, b, k), 0)
-                                               + tagged(generic.k_mul(c, b, k), 1))
-        assert generic.k_mul(b, bundle, k) == (tagged(generic.k_mul(b, a, k), 0)
-                                               + tagged(generic.k_mul(b, c, k), 1))
-        assert generic.k_mul(b, bundle, k)
+        assert smash.k_mul(bundle, b, k) == (tagged(smash.k_mul(a, b, k), 0)
+                                             + tagged(smash.k_mul(c, b, k), 1))
+        assert smash.k_mul(b, bundle, k) == (tagged(smash.k_mul(b, a, k), 0)
+                                             + tagged(smash.k_mul(b, c, k), 1))
+        assert smash.k_mul(b, bundle, k)
+
+
+def test_no_tangent_enters_the_packed_kernel(monkeypatch):
+    # compare's column evaluations multiply their tangents in the smash
+    # product, so every key the packed kernel makes or decodes during a
+    # compare ends at its leg fields, with no tag above them
+    fam = catalog.gamma_family("solvable2-tri-z2")
+    env = Envelope(fam.bialgebra.lie)
+    generic = assemble_gamma_quantization(fam, 2, env=env)
+    direct = quasitriangular_gamma_quantize(catalog.solvable2_triangular(),
+                                            catalog.z2_solvable_action(), 2, env=env)
+    add_product, series = packed.PackedKernel._add_product, packed.PackedKernel._series
+    above: list = []
+
+    def checked_add_product(self, acc, a, b, n, k, table, fill):
+        add_product(self, acc, a, b, n, k, table, fill)
+        above.extend(key >> (self._ob + k * packed._LEG_BITS) for key in acc)
+
+    def checked_series(self, acc, n, k, *args, **kwargs):
+        above.extend(key >> (self._ob + k * packed._LEG_BITS) for key in acc)
+        return series(self, acc, n, k, *args, **kwargs)
+
+    monkeypatch.setattr(packed.PackedKernel, "_add_product", checked_add_product)
+    monkeypatch.setattr(packed.PackedKernel, "_series", checked_series)
+    assert isinstance(compare_pipelines(generic, direct, window=1), ComparisonWitness)
+    assert above and not any(above)

@@ -91,7 +91,7 @@ def test_gamma_scaled_twist_breaks_condition_a():
 def test_gamma_identity_twist_forced_zero():
     fam = catalog.gamma_family("sl2-cartan-z2")
     shifted = GammaLieBialgebra(fam.bialgebra, fam.action,
-                                [catalog.sl2_cartan_twist(), fam.f(1)])
+                                [catalog.gamma_family("sl2-cartan-z2").f(1), fam.f(1)])
     report = gamma_defects(shifted)
     assert report.identity_twist is not None
 
@@ -99,7 +99,8 @@ def test_gamma_identity_twist_forced_zero():
 def test_quasitriangular_gamma_cartan_value():
     fam = catalog.gamma_family("sl2-cartan-z2")
     assert fam.f(0).is_zero()
-    assert fam.f(1) == catalog.sl2_cartan_twist()
+    # f⊗e − e⊗f
+    assert fam.f(1) == Tensor((fam.bialgebra.space,) * 2, {(1, 0): 1, (0, 1): -1})
 
 
 def test_quasitriangular_gamma_identity_action_gives_zero_twists():

@@ -54,7 +54,7 @@ def sl2_setup():
 def cartan_pair(sl2_setup):
     """(F, i) of the sl2 Cartan twist onto the solved coproduct of the twist."""
     bialg, env, cop = sl2_setup
-    f = catalog.sl2_cartan_twist()
+    f = catalog.gamma_family("sl2-cartan-z2").f(1)
     cop_f = solve_coproduct(twist(bialg, f), 2, env)
     f_series, iso = solve_twist_pair(bialg, cop, f, cop_f, 2)
     return f, cop_f, f_series, iso
@@ -195,7 +195,7 @@ def test_twist_f_rejects_nontwist(sl2_setup):
 def test_twist_pair_rejects_a_truncated_base(sl2_setup):
     bialg, env, cop = sl2_setup
     with pytest.raises(ValueError, match="truncated"):
-        solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), cop, 3)
+        solve_twist_pair(bialg, cop, catalog.gamma_family("sl2-cartan-z2").f(1), cop, 3)
 
 
 def test_twisted_coproduct_classical_limit(sl2_setup, cartan_pair):
@@ -366,7 +366,7 @@ def test_joint_twist_pair_fallback(sl2_setup):
     # the joint per-order solve is the only twist-pair route; its output must
     # satisfy the exact postconditions of F and of i
     bialg, env, cop = sl2_setup
-    f = catalog.sl2_cartan_twist()
+    f = catalog.gamma_family("sl2-cartan-z2").f(1)
     target = cop.pushforward(catalog.sl2_cartan_involution())
 
     log = GaugeLog()
@@ -400,7 +400,7 @@ def test_order3_cartan_twist_pair_is_solved_jointly():
     bialg = catalog.sl2()
     env = Envelope(bialg.lie)
     cop = solve_coproduct(bialg, 3, env)
-    f = catalog.sl2_cartan_twist()
+    f = catalog.gamma_family("sl2-cartan-z2").f(1)
     cop_f = solve_coproduct(twist(bialg, f), 3, env)
     f_series, iso = solve_twist_pair(bialg, cop, f, cop_f, 3)
     assert cocycle_defect(cop, f_series).is_zero()

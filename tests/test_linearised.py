@@ -107,7 +107,7 @@ def test_joint_twist_pair_rows_match_brute_force(checked):
     env = Envelope(bialg.lie)
     cop = solve_coproduct(bialg, 2, env)
     target = cop.pushforward(catalog.sl2_cartan_involution())
-    solve_twist_pair(bialg, cop, catalog.sl2_cartan_twist(), target, 2)
+    solve_twist_pair(bialg, cop, catalog.gamma_family("sl2-cartan-z2").f(1), target, 2)
     ops = [(op, k) for op, k, _, _ in checked]
     assert ("twist-pair", 1) in ops and ("twist-pair", 2) in ops
 

@@ -47,7 +47,7 @@ def test_zero_twist():
 
 def test_cartan_twist_is_twist():
     b = catalog.sl2()
-    f = catalog.sl2_cartan_twist()
+    f = catalog.gamma_family("sl2-cartan-z2").f(1)
     defect = twist_defect(b, f)
     assert defect.is_zero()
     assert oracle_twist_defect(b, f) == {}
@@ -69,7 +69,7 @@ def test_twist_defect_matches_oracle_on_nontwists():
         lib = twist_defect(b, f)
         assert dict(lib.data) == oracle_twist_defect(b, f)
     # e∧f, no twist of sl2, is one of the Cartan-twisted sl2
-    tw = twist(b, catalog.sl2_cartan_twist())
+    tw = twist(b, catalog.gamma_family("sl2-cartan-z2").f(1))
     ef = Tensor((b.space, b.space), {(0, 1): 1, (1, 0): -1})
     assert not twist_defect(b, ef).is_zero()
     assert twist_defect(tw, ef).is_zero() and oracle_twist_defect(tw, ef) == {}
@@ -89,7 +89,7 @@ def test_twist_by_zero_is_identity():
 def test_twisted_cobracket_matches_involution_pushforward():
     # the twisted cobracket equals the Cartan-involution pushforward
     b = catalog.sl2()
-    f = catalog.sl2_cartan_twist()
+    f = catalog.gamma_family("sl2-cartan-z2").f(1)
     tw = twist(b, f)
     theta = catalog.sl2_cartan_involution()
     theta_inv = theta.inverse()
@@ -114,7 +114,7 @@ def test_twisted_bialgebras_valid_across_family_matrix():
 
 def test_twist_twice_by_opposite_restores():
     b = catalog.sl2()
-    f = catalog.sl2_cartan_twist()
+    f = catalog.gamma_family("sl2-cartan-z2").f(1)
     tw = twist(b, f)
     back = twist(tw, -f)
     assert back == b
@@ -123,7 +123,7 @@ def test_twist_twice_by_opposite_restores():
 def test_twisting_is_additive_in_the_twist():
     # (B_f)_{f'} has the same tables as B_{f+f'}
     b = catalog.sl2()
-    f = catalog.sl2_cartan_twist()
+    f = catalog.gamma_family("sl2-cartan-z2").f(1)
     f_prime = catalog.sl2_cartan_involution().apply_tensor(f)
     once = twist(twist(b, f), f_prime)
     assert once == twist(b, f + f_prime)
